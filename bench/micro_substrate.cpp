@@ -2,10 +2,15 @@
 //
 // These are not paper artifacts; they size the simulator itself: ring
 // enqueue/dequeue, flow-table lookup, histogram insert/quantile, moving-
-// window median, event-engine throughput, and a full end-to-end simulated
-// second per wall-second figure.
+// window median, event-engine throughput, the set-up cost of a
+// Simulation, and a full end-to-end simulated second per wall-second
+// figure.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "common/histogram.hpp"
 #include "common/moving_window.hpp"
@@ -113,6 +118,35 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineScheduleDispatch);
+
+/// Set-up cost of a Simulation: default PlatformConfig (a 2^20-mbuf pool
+/// cap) plus the Fig. 7 topology and its flow, no run; teardown is not
+/// timed. The pool builds a slot on first hand-out, so the cap costs no
+/// per-slot work here (building all 2^20 slots up front took ~60 ms).
+/// Reported with a min-of-repetitions aggregate: host noise only ever adds
+/// time.
+void BM_SimulationSetup(benchmark::State& state) {
+  for (auto _ : state) {
+    auto sim = std::make_unique<nfv::core::Simulation>();
+    const auto core_id =
+        sim->add_core(nfv::core::SchedPolicy::kCfsBatch, 100.0);
+    const auto a = sim->add_nf("a", core_id, nfv::nf::CostModel::fixed(120));
+    const auto b = sim->add_nf("b", core_id, nfv::nf::CostModel::fixed(270));
+    const auto c = sim->add_nf("c", core_id, nfv::nf::CostModel::fixed(550));
+    const auto chain = sim->add_chain("lmh", {a, b, c});
+    sim->add_udp_flow(chain, 6e6);
+    benchmark::DoNotOptimize(sim.get());
+    state.PauseTiming();
+    sim.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_SimulationSetup)
+    ->ComputeStatistics("min",
+                        [](const std::vector<double>& v) {
+                          return *std::min_element(v.begin(), v.end());
+                        })
+    ->Unit(benchmark::kMillisecond);
 
 /// Whole-platform speed: simulated milliseconds of the Fig. 7 chain per
 /// wall second.

@@ -397,6 +397,15 @@ pktio::MbufPool& Simulation::pool() {
   return *pool_;
 }
 
+std::uint64_t Simulation::mbufs_in_use() const {
+  if (!shard_) return pool_->in_use();
+  std::uint64_t total = 0;
+  for (std::size_t l = 0; l < shard_->size(); ++l) {
+    total += shard_->lane(l).pool.in_use();
+  }
+  return total;
+}
+
 io::BlockDevice& Simulation::disk() {
   if (shard_) return lane_disk(shard_->lane(0));
   if (!disk_) disk_ = std::make_unique<io::BlockDevice>(engine_);

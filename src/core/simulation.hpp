@@ -59,6 +59,10 @@ struct PlatformConfig {
   double cpu_hz = kDefaultCpuHz;
   sched::CoreConfig core;
   mgr::ManagerConfig manager;
+  /// Cap on mbufs in use at once, per pool (the legacy engine's one pool,
+  /// or each lane's when sharded). A packet that arrives while the pool is
+  /// at the cap is a wire drop, as on a NIC out of mbufs. Slots are built
+  /// on first use, so memory follows the peak number in use, not the cap.
   std::uint32_t mempool_capacity = 1 << 20;
   /// Flow-table sizing and expiry (flow-state library, DESIGN.md §13). The
   /// default — grow on demand, no idle timeout — reproduces the historical
@@ -358,6 +362,10 @@ class Simulation {
   /// Legacy accessors; when sharded() they return lane 0's replicas.
   [[nodiscard]] io::BlockDevice& disk();
   [[nodiscard]] pktio::MbufPool& pool();
+  /// Mbufs out of the pool right now, summed over every lane's pool when
+  /// sharded (pool() alone sees only lane 0's). A packet in transit between
+  /// lanes is in no pool: the sender frees it and the receiver allocates.
+  [[nodiscard]] std::uint64_t mbufs_in_use() const;
   /// True when this simulation runs on the sharded engine (DESIGN.md §14).
   [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
   /// The ready-queue backend every engine of this simulation uses.

@@ -1,41 +1,48 @@
 #include "pktio/mempool.hpp"
 
 #include <cassert>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 namespace nfv::pktio {
 
+// Built slots are never destroyed one by one: the storage is released whole.
+static_assert(std::is_trivially_destructible_v<Mbuf>);
+
 MbufPool::MbufPool(std::uint32_t capacity) : capacity_(capacity) {
-  slots_.resize(capacity);
   free_list_.reserve(capacity);
-  // Hand out low indices first: iterate in reverse so index 0 is on top.
-  for (std::uint32_t i = capacity; i-- > 0;) {
-    slots_[i].pool_index = i;
-    free_list_.push_back(i);
-  }
 #ifndef NDEBUG
   is_free_.assign(capacity, true);
 #endif
+  // Last, so nothing that can throw runs between it and the destructor.
+  slots_ = std::allocator<Mbuf>().allocate(capacity);
 }
 
+MbufPool::~MbufPool() { std::allocator<Mbuf>().deallocate(slots_, capacity_); }
+
 Mbuf* MbufPool::alloc() {
-  if (free_list_.empty()) {
+  std::uint32_t index = fresh_;
+  if (!free_list_.empty()) {
+    index = free_list_.back();
+    free_list_.pop_back();
+  } else if (fresh_ < capacity_) {
+    ++fresh_;
+  } else {
     ++alloc_failures_;
     return nullptr;
   }
-  const std::uint32_t index = free_list_.back();
-  free_list_.pop_back();
 #ifndef NDEBUG
   is_free_[index] = false;
 #endif
-  Mbuf& mbuf = slots_[index];
-  // Reset metadata but keep the identity field.
-  mbuf = Mbuf{};
-  mbuf.pool_index = index;
-  return &mbuf;
+  // Fresh metadata on every hand-out; only the identity field is set.
+  Mbuf* mbuf = ::new (slots_ + index) Mbuf{};
+  mbuf->pool_index = index;
+  return mbuf;
 }
 
 std::uint32_t MbufPool::alloc_burst(Mbuf** out, std::uint32_t n) {
-  if (free_list_.size() < n) {
+  if (capacity_ - in_use() < n) {
     ++alloc_failures_;
     return 0;
   }
@@ -45,9 +52,9 @@ std::uint32_t MbufPool::alloc_burst(Mbuf** out, std::uint32_t n) {
 
 void MbufPool::free(Mbuf* mbuf) {
   assert(mbuf != nullptr);
-  assert(mbuf >= slots_.data() && mbuf < slots_.data() + capacity_ &&
+  assert(mbuf >= slots_ && mbuf < slots_ + fresh_ &&
          "mbuf does not belong to this pool");
-  assert(mbuf == &slots_[mbuf->pool_index] && "corrupted pool_index");
+  assert(mbuf == slots_ + mbuf->pool_index && "corrupted pool_index");
 #ifndef NDEBUG
   assert(!is_free_[mbuf->pool_index] && "double free of mbuf");
   is_free_[mbuf->pool_index] = true;

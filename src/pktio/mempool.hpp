@@ -1,4 +1,12 @@
-// Fixed-capacity mbuf pool (DPDK rte_mempool stand-in).
+// Capacity-bounded mbuf pool (DPDK rte_mempool stand-in).
+//
+// The pool reserves storage for `capacity` mbufs up front but builds a slot
+// only when it is first handed out: alloc() pops the most recently freed
+// slot, else builds the next never-used slot, else fails. That is the LIFO
+// order of a stack pre-filled with every slot [capacity-1 ... 0], index 0
+// on top — the hand-out order reports and traces depend on — while set-up
+// does no per-slot work and memory follows the peak number of mbufs in
+// use, not the cap. An mbuf's address is stable for the pool's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +19,7 @@ namespace nfv::pktio {
 class MbufPool {
  public:
   explicit MbufPool(std::uint32_t capacity);
+  ~MbufPool();
 
   MbufPool(const MbufPool&) = delete;
   MbufPool& operator=(const MbufPool&) = delete;
@@ -36,13 +45,17 @@ class MbufPool {
 
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint32_t in_use() const {
-    return capacity_ - static_cast<std::uint32_t>(free_list_.size());
+    return fresh_ - static_cast<std::uint32_t>(free_list_.size());
   }
   [[nodiscard]] std::uint64_t alloc_failures() const { return alloc_failures_; }
 
  private:
   std::uint32_t capacity_;
-  std::vector<Mbuf> slots_;
+  /// Slots [0, fresh_) have been handed out at least once; the rest of the
+  /// storage is raw and never written.
+  std::uint32_t fresh_ = 0;
+  Mbuf* slots_ = nullptr;  ///< Raw storage for capacity_ slots.
+  /// Freed slots, most recent on top.
   std::vector<std::uint32_t> free_list_;
   std::uint64_t alloc_failures_ = 0;
 #ifndef NDEBUG

@@ -142,7 +142,7 @@ void check_invariants(ChaosRun& r, io::AsyncIoEngine::OnIoFail policy,
 
   // Conservation: wire arrivals split exactly into admitted + entry drops;
   // admitted packets are egressed, dropped at a ring, lost to a (forced)
-  // crash, or still in flight (±16 for per-NF in-flight bursts).
+  // crash, or still queued or held in an NF's in-flight burst — exactly.
   const std::uint64_t wire = sim.manager().wire_ingress();
   std::uint64_t admitted = 0, entry_drops = 0, egress = 0;
   for (const auto chain : {r.chain1, r.chain2}) {
@@ -160,9 +160,8 @@ void check_invariants(ChaosRun& r, io::AsyncIoEngine::OnIoFail policy,
                  sim.nf(nf).in_flight_packets();
   }
   EXPECT_EQ(wire, admitted + entry_drops);
-  const std::uint64_t accounted = egress + ring_drops + crash_drops + in_queues;
-  EXPECT_LE(admitted, accounted + 16);
-  EXPECT_GE(admitted + 16, accounted);
+  EXPECT_EQ(admitted, egress + ring_drops + crash_drops + in_queues);
+  EXPECT_EQ(sim.mbufs_in_use(), in_queues);
 
   // Drain-to-zero: traffic stopped at 70 ms and every window closed by
   // 55 ms, so by 150 ms the pipeline must be empty and healthy.

@@ -1,6 +1,9 @@
 // Packet-conservation invariants: nothing is lost, duplicated, or leaked.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/simulation.hpp"
 #include "fault/fault_plan.hpp"
 
@@ -26,7 +29,7 @@ Accounting account(Simulation& sim, const std::vector<flow::NfId>& nfs,
                    const std::vector<flow::ChainId>& chains) {
   Accounting a;
   a.wire_ingress = sim.manager().wire_ingress();
-  a.pool_in_use = sim.pool().in_use();
+  a.pool_in_use = sim.mbufs_in_use();
   for (const auto chain : chains) {
     const auto cm = sim.chain_metrics(chain);
     a.entry_admitted += cm.entry_admitted;
@@ -47,15 +50,14 @@ Accounting account(Simulation& sim, const std::vector<flow::NfId>& nfs,
 
 // All admitted packets are either egressed, dropped at a ring, dropped by a
 // handler, lost in-flight to an NF crash, or still sitting in a queue (or
-// held in flight by an NF).
+// held in an NF's in-flight burst) — exactly, at any instant. Every packet
+// still in the platform holds exactly one mbuf.
 void expect_conservation(const Accounting& a) {
   EXPECT_EQ(a.wire_ingress,
             a.entry_admitted + a.entry_drops + a.admission_discards);
-  const std::uint64_t accounted =
-      a.egress + a.rx_full_drops + a.handler_drops + a.crash_drops + a.in_queues;
-  // In-flight packets (one per NF at most) explain any small gap.
-  EXPECT_LE(a.entry_admitted, accounted + 16);
-  EXPECT_GE(a.entry_admitted + 16, accounted);
+  EXPECT_EQ(a.entry_admitted, a.egress + a.rx_full_drops + a.handler_drops +
+                                  a.crash_drops + a.in_queues);
+  EXPECT_EQ(a.pool_in_use, a.in_queues);
 }
 
 TEST(Conservation, Underload) {
@@ -118,6 +120,7 @@ TEST(Conservation, DrainToZeroAfterTrafficStops) {
   sim.add_udp_flow(chain, 6e6, {.stop_seconds = 0.1});
   sim.run_for_seconds(0.3);
   const auto acc = account(sim, {a, b}, {chain});
+  expect_conservation(acc);
   EXPECT_EQ(acc.in_queues, 0u);
   EXPECT_EQ(acc.pool_in_use, 0u);
   EXPECT_EQ(acc.entry_admitted,
@@ -137,6 +140,7 @@ TEST(Conservation, HandlerDropsAccounted) {
   sim.add_udp_flow(chain, 1e6, {.stop_seconds = 0.05});
   sim.run_for_seconds(0.2);
   const auto acc = account(sim, {fw}, {chain});
+  expect_conservation(acc);
   EXPECT_GT(acc.handler_drops, 10'000u);
   EXPECT_EQ(acc.entry_admitted,
             acc.egress + acc.rx_full_drops + acc.handler_drops);
@@ -184,6 +188,7 @@ TEST(Conservation, DrainToZeroAfterCrash) {
   sim.set_fault_plan(std::move(plan));
   sim.run_for_seconds(0.5);
   const auto acc = account(sim, {a, b}, {chain});
+  expect_conservation(acc);
   EXPECT_EQ(sim.nf_lifecycle(b), fault::NfLifecycle::kRunning);
   EXPECT_GT(acc.crash_drops, 0u);
   EXPECT_EQ(acc.in_queues, 0u);
@@ -228,6 +233,54 @@ TEST(Conservation, UnderAdmissionShedding) {
   EXPECT_EQ(acc.pool_in_use, 0u);
   EXPECT_EQ(acc.entry_admitted,
             acc.egress + acc.rx_full_drops + acc.handler_drops);
+}
+
+// Sharded runs give every lane its own pool (DESIGN.md §14), so pool() —
+// lane 0's — sees only a slice; mbufs_in_use() sums the lanes. A packet in
+// transit between lanes holds no mbuf (the sender frees it, the receiver
+// allocates on delivery), so the sum equals ring occupancy plus in-flight
+// bursts at every barrier, with every chain crossing lanes.
+TEST(Conservation, ShardedLanePoolsMatchQueues) {
+  PlatformConfig cfg;
+  cfg.sim_shards = 2;
+  Simulation sim(cfg);
+  std::vector<flow::NfId> front, back;
+  for (int i = 0; i < 4; ++i) {
+    const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+    front.push_back(sim.add_nf("f" + std::to_string(i), core_id,
+                               nf::CostModel::fixed(220)));
+    back.push_back(sim.add_nf("b" + std::to_string(i), core_id,
+                              nf::CostModel::fixed(340)));
+  }
+  const std::vector<flow::ChainId> chains = {
+      sim.add_chain("ring", front),
+      sim.add_chain("pair_a", {back[1], back[2]}),
+      sim.add_chain("pair_b", {back[3], back[0]})};
+  sim.add_udp_flow(chains[0], 2.5e6, {.stop_seconds = 0.05});
+  sim.add_udp_flow(chains[1], 2e6, {.stop_seconds = 0.05});
+  sim.add_udp_flow(chains[2], 2e6, {.stop_seconds = 0.05});
+  sim.add_tcp_flow(chains[0], {.stop_seconds = 0.05});
+  ASSERT_TRUE(sim.sharded());
+  std::vector<flow::NfId> nfs = front;
+  nfs.insert(nfs.end(), back.begin(), back.end());
+
+  int lane0_short = 0;
+  for (int slice = 1; slice <= 5; ++slice) {
+    sim.run_for_seconds(0.01);
+    const auto acc = account(sim, nfs, chains);
+    EXPECT_GT(acc.in_queues, 0u) << "at " << slice * 10 << " ms";
+    EXPECT_EQ(acc.pool_in_use, acc.in_queues) << "at " << slice * 10 << " ms";
+    lane0_short += sim.pool().in_use() < acc.pool_in_use;
+  }
+  EXPECT_GT(lane0_short, 0) << "lane 0's pool alone should miss mbufs";
+
+  // Traffic stopped at 50 ms; 20 ms more drains every lane and mailbox.
+  sim.run_for_seconds(0.02);
+  const auto acc = account(sim, nfs, chains);
+  EXPECT_EQ(acc.in_queues, 0u);
+  EXPECT_EQ(acc.pool_in_use, 0u);
+  EXPECT_EQ(acc.entry_admitted, acc.egress + acc.rx_full_drops +
+                                    acc.handler_drops + acc.crash_drops);
 }
 
 // Sweep the invariant across schedulers and load levels.

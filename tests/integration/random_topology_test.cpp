@@ -96,7 +96,7 @@ RunResult run(const RandomTopology& topo, double secs) {
 
   RunResult result;
   result.wire_ingress = sim.manager().wire_ingress();
-  result.pool_in_use = sim.pool().in_use();
+  result.pool_in_use = sim.mbufs_in_use();
   result.elapsed = sim.engine().now();
   for (const auto chain : chains) {
     const auto cm = sim.chain_metrics(chain);
@@ -123,12 +123,10 @@ TEST_P(RandomTopologyTest, InvariantsHold) {
   // Admission accounting.
   EXPECT_EQ(r.wire_ingress, r.entry_admitted + r.entry_drops);
   // Conservation: admitted = egress + drops + still-queued + in-flight
-  // (one in-flight packet per NF at most; handler drops are zero here).
-  const std::uint64_t accounted = r.egress + r.rx_full_drops + r.in_queues;
-  EXPECT_LE(r.entry_admitted, accounted + topo.nfs.size());
-  EXPECT_GE(r.entry_admitted + topo.nfs.size(), accounted);
-  // Pool: everything alive is in a queue or in flight.
-  EXPECT_LE(r.pool_in_use, r.in_queues + topo.nfs.size());
+  // bursts, exactly (handler drops are zero here).
+  EXPECT_EQ(r.entry_admitted, r.egress + r.rx_full_drops + r.in_queues);
+  // Pool: every mbuf out of the pool is in a queue or an in-flight burst.
+  EXPECT_EQ(r.pool_in_use, r.in_queues);
   // No NF exceeds wall-clock CPU.
   for (const Cycles runtime : r.nf_runtime) {
     EXPECT_LE(runtime, r.elapsed);

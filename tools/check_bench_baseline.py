@@ -76,6 +76,17 @@ each kind. Deterministic simulation output:
   overload_gold_p99_ratio        gold-class whole-run p99, combined over
                                  baseline. Lower is better (ceiling).
 
+Set-up cost is lower-is-better too:
+
+  substrate_setup_ms             micro_substrate's BM_SimulationSetup: wall
+                                 ms to construct a default Simulation and
+                                 build the fig. 7 topology (min over the
+                                 repetitions). Additionally gated against an
+                                 absolute ceiling far below the ~60 ms of an
+                                 eagerly built 2^20-mbuf pool, so bringing
+                                 eager construction back fails whatever the
+                                 baseline recorded.
+
 Regenerate the baseline (e.g. on a hardware change or an accepted perf
 shift) with --update. CI machines are noisy, hence the wide tolerance;
 the baseline was captured on an idle box, so a genuine 20% regression is
@@ -189,8 +200,12 @@ TIMER_WHEEL_SPEEDUP_FLOOR = 3.0
 # feedback controller must produce strictly fewer violation-seconds than
 # rate-cost fairness no matter what the baseline recorded.
 LOWER_IS_BETTER = {"slo_violation_ratio", "slo_p99_us",
-                   "overload_gold_p99_ratio"}
+                   "overload_gold_p99_ratio", "substrate_setup_ms"}
 SLO_VIOLATION_RATIO_CEILING = 1.0
+
+# The mbuf pool builds its slots on first use (DESIGN.md §2): set-up must
+# not pay for the 2^20-slot cap, whatever the baseline recorded.
+SUBSTRATE_SETUP_MS_CEILING = 10.0
 
 # Absolute floor for the overload-control frontier (DESIGN.md §17): with
 # admission + push-aside on, the priority class must retain strictly more
@@ -199,22 +214,34 @@ SLO_VIOLATION_RATIO_CEILING = 1.0
 OVERLOAD_PRIORITY_GOODPUT_FLOOR = 1.02
 
 
-def run_micro_substrate(binary: pathlib.Path, repetitions: int) -> float:
+def micro_substrate_aggregate(binary: pathlib.Path, bench: str,
+                              repetitions: int, aggregate: str) -> float:
+    """real_time (ms per iteration) of one aggregate of one benchmark."""
     out = subprocess.run(
         [
             str(binary),
-            "--benchmark_filter=^BM_EndToEndChainMillisecond$",
+            f"--benchmark_filter=^{bench}$",
             f"--benchmark_repetitions={repetitions}",
             "--benchmark_report_aggregates_only=true",
             "--benchmark_format=json",
         ],
         check=True, capture_output=True, text=True).stdout
-    for bench in json.loads(out)["benchmarks"]:
-        if bench.get("aggregate_name") == "mean":
-            # real_time is ms of wall per iteration; one iteration
-            # simulates one millisecond.
-            return 1.0 / float(bench["real_time"])
-    raise RuntimeError("no mean aggregate in micro_substrate output")
+    for row in json.loads(out)["benchmarks"]:
+        if row.get("aggregate_name") == aggregate:
+            return float(row["real_time"])
+    raise RuntimeError(f"no {aggregate} aggregate of {bench} in "
+                       "micro_substrate output")
+
+
+def run_micro_substrate(binary: pathlib.Path, repetitions: int) -> dict:
+    # One BM_EndToEndChainMillisecond iteration simulates one millisecond.
+    ms_per_sim_ms = micro_substrate_aggregate(
+        binary, "BM_EndToEndChainMillisecond", repetitions, "mean")
+    return {
+        "substrate_sim_ms_per_wall_ms": 1.0 / ms_per_sim_ms,
+        "substrate_setup_ms": micro_substrate_aggregate(
+            binary, "BM_SimulationSetup", repetitions, "min"),
+    }
 
 
 def main() -> int:
@@ -232,15 +259,14 @@ def main() -> int:
     args = parser.parse_args()
 
     bench_dir = args.build_dir / "bench"
-    current = {
-        "substrate_sim_ms_per_wall_ms":
-            run_micro_substrate(bench_dir / "micro_substrate",
-                                args.repetitions),
+    current = run_micro_substrate(bench_dir / "micro_substrate",
+                                  args.repetitions)
+    current.update({
         "availability_goodput_ratio":
             run_fig_availability(bench_dir / "fig_availability"),
         "io_fault_goodput_ratio":
             run_fig_io_fault(bench_dir / "fig_io_fault"),
-    }
+    })
     current.update(run_micro_engine(bench_dir / "micro_engine"))
     current.update(run_micro_flowmap(bench_dir / "micro_flowmap"))
     current.update(run_fig_slo(bench_dir / "fig_slo"))
@@ -269,6 +295,8 @@ def main() -> int:
             ceiling = base * (1.0 + args.tolerance)
             if name == "slo_violation_ratio":
                 ceiling = min(ceiling, SLO_VIOLATION_RATIO_CEILING)
+            elif name == "substrate_setup_ms":
+                ceiling = min(ceiling, SUBSTRATE_SETUP_MS_CEILING)
             verdict = "OK" if now <= ceiling else "REGRESSION"
             failed |= now > ceiling
             print(f"{verdict:>10}  {name}: {now:.4g} "
