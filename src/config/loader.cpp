@@ -98,13 +98,13 @@ Topology load(std::istream& in, core::Simulation& sim) {
       if (tokens.size() != 2) throw ConfigError(line_no, "mode takes 1 arg");
       const std::string& mode = tokens[1];
       if (mode == "nfvnice") {
-        sim.manager().set_features(true, true, true);
+        sim.set_features(true, true, true);
       } else if (mode == "default") {
-        sim.manager().set_features(false, false, false);
+        sim.set_features(false, false, false);
       } else if (mode == "cgroup") {
-        sim.manager().set_features(true, false, false);
+        sim.set_features(true, false, false);
       } else if (mode == "backpressure") {
-        sim.manager().set_features(false, true, false);
+        sim.set_features(false, true, false);
       } else {
         throw ConfigError(line_no, "unknown mode '" + mode + "'");
       }

@@ -8,17 +8,17 @@ namespace nfv::core {
 Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
            const flow::FlowTable::Config& flow_cfg,
            std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-           mgr::ShardLink& link, Cycles latency, sim::EngineBackend backend,
+           mgr::ShardLink* link, Cycles latency, sim::EngineBackend backend,
            std::size_t pending_hint)
     : id(lane_id), ev(lane_id, backend), pool(mempool_capacity),
       flows(flow_cfg) {
   ev.engine().reserve(pending_hint);
   manager = std::make_unique<mgr::Manager>(ev.engine(), pool, flows, chains,
                                            mgr_cfg, &obs);
-  manager->set_shard_link(&link, lane_id, latency);
-  // The lane-local twins of the platform probes the legacy constructor
-  // registers (simulation.cpp): same keys, so the merged report sums them
-  // across lanes into the familiar series.
+  if (link != nullptr) manager->set_shard_link(link, lane_id, latency);
+  // Platform probes: every lane registers the same keys, so a merged report
+  // sums them across lanes into the familiar series. Sampled, so the hot
+  // paths pay nothing for them.
   obs.metrics().counter_fn("sim.dispatched_events", {}, [this] {
     return ev.engine().dispatched_events();
   });
@@ -39,6 +39,13 @@ Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
                          [this] { return flows.load_factor(); });
 }
 
+io::BlockDevice& Lane::disk() {
+  if (!block_device) {
+    block_device = std::make_unique<io::BlockDevice>(ev.engine());
+  }
+  return *block_device;
+}
+
 ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
                            const mgr::ManagerConfig& mgr_cfg,
                            const flow::FlowTable::Config& flow_cfg,
@@ -54,8 +61,9 @@ ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
       flow_cfg_(flow_cfg),
       mempool_capacity_(mempool_capacity),
       chains_(chains) {
-  assert(shards_ >= 1 && "sharded mode needs at least one worker");
-  assert(latency_ > 0 && "cross-lane latency bounds the lookahead");
+  assert((shards_ == 0 || latency_ > 0) &&
+         "cross-lane latency bounds the lookahead");
+  add_lane();
 }
 
 ShardRuntime::~ShardRuntime() = default;
@@ -63,20 +71,44 @@ ShardRuntime::~ShardRuntime() = default;
 Lane& ShardRuntime::add_lane() {
   assert(!exec_ && "topology is frozen once the simulation has run");
   const auto id = static_cast<std::uint32_t>(lanes_.size());
-  lanes_.push_back(std::make_unique<Lane>(id, mgr_cfg_, flow_cfg_,
-                                          mempool_capacity_, chains_, *this,
-                                          latency_, backend_, pending_hint_));
+  lanes_.push_back(std::make_unique<Lane>(
+      id, mgr_cfg_, flow_cfg_, mempool_capacity_, chains_,
+      shards_ > 0 ? this : nullptr, latency_, backend_, pending_hint_));
   return *lanes_.back();
+}
+
+Lane& ShardRuntime::add_core() {
+  const bool own_lane = shards_ > 0 && !core_lane_.empty();
+  Lane& lane = own_lane ? add_lane() : *lanes_[0];
+  core_lane_.push_back(lane.id);
+  return lane;
 }
 
 void ShardRuntime::set_engine_backend(sim::EngineBackend backend) {
   backend_ = backend;
-  for (auto& lane : lanes_) lane->ev.engine().set_backend(backend);
+  for (auto& lane : lanes_) {
+    lane->ev.engine().set_backend(backend);
+    lane->ev.engine().reserve(pending_hint_);
+  }
 }
 
 void ShardRuntime::set_pending_hint(std::size_t hint) {
   pending_hint_ = hint;
   for (auto& lane : lanes_) lane->ev.engine().reserve(hint);
+}
+
+void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
+  mgr_cfg_.enable_cgroups = cgroups;
+  mgr_cfg_.enable_backpressure = backpressure;
+  mgr_cfg_.enable_ecn = ecn;
+  for (auto& lane : lanes_) {
+    lane->manager->set_features(cgroups, backpressure, ecn);
+  }
+}
+
+void ShardRuntime::enable_lifecycle() {
+  mgr_cfg_.lifecycle.enabled = true;
+  for (auto& lane : lanes_) lane->manager->enable_lifecycle();
 }
 
 std::uint64_t ShardRuntime::dispatched_events() const {
@@ -95,8 +127,11 @@ void ShardRuntime::post(std::uint32_t src, std::uint32_t dst,
 }
 
 void ShardRuntime::run_until(Cycles target) {
-  if (lanes_.empty()) {
-    now_ = std::max(now_, target);
+  if (shards_ == 0) {
+    // One lane, nothing to exchange: no epochs, and the deadline itself is
+    // run — the monitor tick and the wakeup scan land exactly on it.
+    lanes_[0]->ev.engine().run_until(target);
+    now_ = target;
     return;
   }
   if (!exec_) {

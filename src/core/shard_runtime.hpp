@@ -1,21 +1,27 @@
-// Sharded simulation runtime (DESIGN.md §14): per-core event lanes under a
-// conservative-lookahead barrier.
+// Lane runtime (DESIGN.md §14): the simulated cores, grouped into event
+// lanes.
 //
-// A sharded Simulation gives every simulated core its own event *lane* — a
-// private engine plus private replicas of everything the packet path
-// touches (mbuf pool, flow table, Manager, observability, block device) —
-// and advances all lanes in lock-step epochs of length cross_lane_latency.
-// Within an epoch lanes run concurrently on worker threads and share
-// nothing; the only communication is ShardMsg traffic through per-(src,dst)
-// SPSC mailboxes, and because every message is stamped send_time + latency,
-// nothing posted during an epoch can be due before the epoch ends. At the
-// epoch barrier each destination lane drains its mailboxes in fixed
-// source-lane order and schedules the messages as ordinary engine events —
-// so the *decomposition* (one lane per core) is fixed by the topology and
-// the worker count only decides how many lanes run at once. That is the
-// determinism argument in one line: lane event sequences are independent of
-// NFV_SIM_SHARDS by construction, hence reports, traces and counters are
-// byte-identical at any worker count.
+// A lane is a group of simulated cores that share one engine plus one
+// replica of everything the packet path touches — mbuf pool, flow table,
+// Manager, observability, block device. Simulation always drives a
+// ShardRuntime, in one of two decompositions:
+//
+//  * shards == 0: one lane holding every core. Nothing crosses a lane, so
+//    its Manager has no ShardLink, no executor or mailboxes are built, and
+//    run_until is one inclusive Engine::run_until.
+//  * shards == N >= 1: one lane per core, advanced in lock-step epochs of
+//    length cross_lane_latency. Within an epoch lanes run concurrently on
+//    worker threads and share nothing; the only communication is ShardMsg
+//    traffic through per-(src,dst) SPSC mailboxes, and because every
+//    message is stamped send_time + latency, nothing posted during an
+//    epoch can be due before the epoch ends. At the epoch barrier each
+//    destination lane drains its mailboxes in fixed source-lane order and
+//    schedules the messages as ordinary engine events — so the
+//    *decomposition* (one lane per core) is fixed by the topology and the
+//    worker count only decides how many lanes run at once. That is the
+//    determinism argument in one line: lane event sequences are
+//    independent of NFV_SIM_SHARDS by construction, hence reports, traces
+//    and counters are byte-identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +45,18 @@
 
 namespace nfv::core {
 
-/// One event lane: a simulated core's private slice of the platform. Lane
-/// index equals core index; everything in here is touched only by the
-/// worker thread driving the lane (or by the main thread between runs).
+/// One event lane: a group of cores and their private slice of the
+/// platform. Everything in here is touched only by the worker thread
+/// driving the lane (or by the main thread between runs).
 struct Lane {
+  /// `link` is null for the one lane of the shards == 0 decomposition.
   Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
        const flow::FlowTable::Config& flow_cfg, std::uint32_t mempool_capacity,
-       flow::ChainRegistry& chains, mgr::ShardLink& link, Cycles latency,
+       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency,
        sim::EngineBackend backend, std::size_t pending_hint);
+
+  /// The lane's block device, built on first use.
+  io::BlockDevice& disk();
 
   std::uint32_t id;
   sim::EventLane ev;
@@ -54,11 +64,12 @@ struct Lane {
   flow::FlowTable flows;
   obs::Observability obs;
   std::unique_ptr<mgr::Manager> manager;
-  /// Per-lane trace buffer; merged into the user's recorder after each run
-  /// (sorted by timestamp, then lane, then intra-lane order).
+  /// Per-lane trace buffer (one lane per core only); merged into the
+  /// user's recorder after each run (sorted by timestamp, then lane, then
+  /// intra-lane order).
   std::unique_ptr<obs::TraceRecorder> trace;
   std::size_t trace_consumed = 0;  ///< Events already merged out.
-  std::unique_ptr<io::BlockDevice> disk;  ///< Lazy, like Simulation::disk().
+  std::unique_ptr<io::BlockDevice> block_device;
   std::unique_ptr<fault::FaultInjector> injector;
   /// In-flight cross-lane messages: drained from the mailboxes into this
   /// list, erased when their delivery event fires. A std::list so delivery
@@ -67,12 +78,13 @@ struct Lane {
 };
 
 /// Owns the lanes, the mailbox matrix and the worker pool, and implements
-/// the epoch loop. Simulation delegates run_for_seconds here when sharded.
+/// the epoch loop. Lane 0 exists from construction.
 class ShardRuntime final : public mgr::ShardLink {
  public:
-  /// `shards` is the requested worker count (>= 1); the effective count is
-  /// min(shards, lanes) at the first run. `latency` is the modelled
-  /// cross-lane transit time and the epoch length (must be > 0).
+  /// `shards` is 0 for one lane holding every core, else the requested
+  /// worker count; the effective count is min(shards, lanes) at the first
+  /// run. `latency` is the modelled cross-lane transit time and the epoch
+  /// length (must be > 0 when shards > 0).
   ShardRuntime(std::uint32_t shards, Cycles latency,
                const mgr::ManagerConfig& mgr_cfg,
                const flow::FlowTable::Config& flow_cfg,
@@ -81,24 +93,36 @@ class ShardRuntime final : public mgr::ShardLink {
                std::size_t pending_hint = 0);
   ~ShardRuntime() override;
 
-  /// Create the next lane (index = current count). Topology-build time only.
-  Lane& add_lane();
+  /// Place the next core and return its lane: lane 0 when shards == 0,
+  /// else a lane of its own (the first core takes lane 0). Topology-build
+  /// time only.
+  Lane& add_core();
+  [[nodiscard]] Lane& lane_of_core(std::size_t core) {
+    return *lanes_[core_lane_[core]];
+  }
 
   /// Ready-queue backend for lanes (existing lanes are switched too; only
   /// legal before anything is scheduled on them). Lane event *content* is
   /// backend-independent — this is purely a performance knob.
   void set_engine_backend(sim::EngineBackend backend);
-  [[nodiscard]] sim::EngineBackend engine_backend() const { return backend_; }
 
   /// Pending-events pre-size hint applied to every lane engine, existing
   /// and future (see PlatformConfig::pending_events_hint).
   void set_pending_hint(std::size_t hint);
 
+  /// Flip the Manager's control-plane features on every lane, existing and
+  /// future.
+  void set_features(bool cgroups, bool backpressure, bool ecn);
+  /// Arm the lifecycle watchdog on every lane, existing and future: remote-
+  /// death broadcasts and dead-hop routing consult it wherever the packet
+  /// happens to be.
+  void enable_lifecycle();
+
   [[nodiscard]] Lane& lane(std::size_t i) { return *lanes_[i]; }
-  [[nodiscard]] std::size_t size() const { return lanes_.size(); }
+  [[nodiscard]] const std::vector<std::unique_ptr<Lane>>& lanes() const {
+    return lanes_;
+  }
   [[nodiscard]] Cycles now() const { return now_; }
-  [[nodiscard]] Cycles latency() const { return latency_; }
-  [[nodiscard]] std::uint32_t shards() const { return shards_; }
   /// Sum of all lane engines' dispatched-event counts.
   [[nodiscard]] std::uint64_t dispatched_events() const;
 
@@ -109,11 +133,12 @@ class ShardRuntime final : public mgr::ShardLink {
     return static_cast<std::uint32_t>(lanes_.size());
   }
 
-  /// Advance every lane to `target` in lookahead epochs. Two barriers per
-  /// epoch: all lanes run, then all lanes drain — a message posted while
-  /// lane A runs epoch k must not be converted into an engine event while
-  /// lane B is still *running* epoch k, or B's event sequence numbers (and
-  /// with them same-timestamp tie-breaks) would depend on worker timing.
+  /// Advance every lane to `target`. With one lane per core this runs
+  /// lookahead epochs, two barriers each: all lanes run, then all lanes
+  /// drain — a message posted while lane A runs epoch k must not be
+  /// converted into an engine event while lane B is still *running* epoch
+  /// k, or B's event sequence numbers (and with them same-timestamp
+  /// tie-breaks) would depend on worker timing.
   void run_until(Cycles target);
 
  private:
@@ -126,6 +151,7 @@ class ShardRuntime final : public mgr::ShardLink {
     std::vector<mgr::ShardMsg> spill;
   };
 
+  Lane& add_lane();
   void drain_lane(std::size_t dst);
   void deliver(Lane& lane, const mgr::ShardMsg& msg);
 
@@ -133,8 +159,8 @@ class ShardRuntime final : public mgr::ShardLink {
   Cycles latency_;
   sim::EngineBackend backend_;
   std::size_t pending_hint_;
-  // Copies of the platform knobs, so lanes added later see the same config
-  // the legacy constructor would have captured.
+  // Copies of the platform knobs, so lanes added later see the config the
+  // simulation was built with.
   mgr::ManagerConfig mgr_cfg_;
   flow::FlowTable::Config flow_cfg_;
   std::uint32_t mempool_capacity_;
@@ -142,6 +168,7 @@ class ShardRuntime final : public mgr::ShardLink {
 
   Cycles now_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::uint32_t> core_lane_;  ///< Lane index per core.
   std::vector<std::unique_ptr<Mailbox>> boxes_;  ///< [src * n + dst].
   // Declared last: its destructor joins the workers before anything the
   // phase callbacks touch is torn down.

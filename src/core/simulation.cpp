@@ -54,18 +54,8 @@ ChainMetrics ChainMetrics::operator-(const ChainMetrics& rhs) const {
   return d;
 }
 
-namespace {
-
-/// Lazy per-lane block device, mirroring Simulation::disk().
-io::BlockDevice& lane_disk(Lane& lane) {
-  if (!lane.disk) lane.disk = std::make_unique<io::BlockDevice>(lane.ev.engine());
-  return *lane.disk;
-}
-
-}  // namespace
-
 Simulation::Simulation(PlatformConfig config)
-    : config_(config), clock_(config.cpu_hz), flows_(config.flow_table) {
+    : config_(config), clock_(config.cpu_hz) {
   // Sharded engine opt-in (DESIGN.md §14): an explicit config wins; when it
   // is left at 0 the NFV_SIM_SHARDS environment variable applies, so every
   // existing binary can be resharded without a rebuild.
@@ -90,40 +80,10 @@ Simulation::Simulation(PlatformConfig config)
   // it this platform's clock so the cycle conversion is right (no-op for
   // runs that never register a flow class).
   config_.manager.admission.cpu_hz = config_.cpu_hz;
-  if (config_.sim_shards > 0) {
-    // Every lane builds its own pool/manager/flow table as cores are added;
-    // the legacy singletons (and their root-registry probes) stay unbuilt
-    // so the legacy path remains byte-exact.
-    shard_ = std::make_unique<ShardRuntime>(
-        config_.sim_shards, config_.cross_lane_latency, config_.manager,
-        config_.flow_table, config_.mempool_capacity, chains_,
-        config_.engine_backend, config_.pending_events_hint);
-    return;
-  }
-  engine_.set_backend(config_.engine_backend);
-  engine_.reserve(config_.pending_events_hint);
-  pool_ = std::make_unique<pktio::MbufPool>(config_.mempool_capacity);
-  manager_ = std::make_unique<mgr::Manager>(engine_, *pool_, flows_, chains_,
-                                            config_.manager, &obs_);
-  obs_.metrics().counter_fn("sim.dispatched_events", {},
-                            [this] { return engine_.dispatched_events(); });
-  obs_.metrics().gauge_fn("sim.mbufs_in_use", {}, [this] {
-    return static_cast<double>(pool_->in_use());
-  });
-  // Flow-table instruments (DESIGN.md §13): sampled probes, so the lookup
-  // path pays nothing for them.
-  obs_.metrics().counter_fn("flow.hits", {}, [this] { return flows_.hits(); });
-  obs_.metrics().counter_fn("flow.misses", {},
-                            [this] { return flows_.misses(); });
-  obs_.metrics().counter_fn("flow.installs", {},
-                            [this] { return flows_.installs(); });
-  obs_.metrics().counter_fn("flow.expirations", {},
-                            [this] { return flows_.expirations(); });
-  obs_.metrics().gauge_fn("flow.table_size", {}, [this] {
-    return static_cast<double>(flows_.size());
-  });
-  obs_.metrics().gauge_fn("flow.load_factor", {},
-                          [this] { return flows_.load_factor(); });
+  shard_ = std::make_unique<ShardRuntime>(
+      config_.sim_shards, config_.cross_lane_latency, config_.manager,
+      config_.flow_table, config_.mempool_capacity, chains_,
+      config_.engine_backend, config_.pending_events_hint);
 }
 
 Simulation::~Simulation() = default;
@@ -131,21 +91,19 @@ Simulation::~Simulation() = default;
 void Simulation::set_engine_backend(sim::EngineBackend backend) {
   assert(!started_ && "the backend is frozen once the simulation has run");
   config_.engine_backend = backend;
-  if (shard_) {
-    shard_->set_engine_backend(backend);
-  } else {
-    engine_.set_backend(backend);
-    engine_.reserve(config_.pending_events_hint);
-  }
+  shard_->set_engine_backend(backend);
 }
 
 void Simulation::reserve_pending_events(std::size_t hint) {
   config_.pending_events_hint = hint;
-  if (shard_) {
-    shard_->set_pending_hint(hint);
-  } else {
-    engine_.reserve(hint);
-  }
+  shard_->set_pending_hint(hint);
+}
+
+void Simulation::set_features(bool cgroups, bool backpressure, bool ecn) {
+  config_.manager.enable_cgroups = cgroups;
+  config_.manager.enable_backpressure = backpressure;
+  config_.manager.enable_ecn = ecn;
+  shard_->set_features(cgroups, backpressure, ecn);
 }
 
 std::size_t Simulation::add_core(SchedPolicy policy, double rr_quantum_ms,
@@ -171,28 +129,21 @@ std::size_t Simulation::add_core(SchedPolicy policy, double rr_quantum_ms,
   const std::size_t index = cores_.size();
   sched::CoreConfig core_cfg = config_.core;
   core_cfg.numa_node = numa_node;
-  if (shard_) {
-    // One lane per core. NFs registered before this lane existed become
-    // remote placeholders on it.
-    Lane& lane = shard_->add_lane();
-    for (flow::NfId id = 0; id < nfs_.size(); ++id) {
-      lane.manager->register_remote_nf(id, nfs_[id]->config().name,
-                                       nf_lane_[id]);
-    }
-    if (user_trace_) {
-      obs::TraceRecorder::Config tc;
-      tc.max_events = user_trace_->config().max_events;
-      tc.cpu_hz = config_.cpu_hz;
-      lane.trace = std::make_unique<obs::TraceRecorder>(tc);
-      lane.obs.attach_trace(lane.trace.get());
+  Lane& lane = shard_->add_core();
+  // A lane new to the topology holds the NFs already placed on other lanes
+  // as remote placeholders.
+  for (flow::NfId id = 0; id < nfs_.size(); ++id) {
+    const Lane& owner = lane_of_nf(id);
+    if (&owner != &lane) {
+      lane.manager->register_remote_nf(id, nfs_[id]->config().name, owner.id);
     }
   }
-  sim::Engine& engine = shard_ ? shard_->lane(index).ev.engine() : engine_;
-  obs::Observability& obs = shard_ ? shard_->lane(index).obs : obs_;
+  if (user_trace_) attach_lane_trace(lane);
   cores_.push_back(std::make_unique<sched::Core>(
-      engine, std::move(scheduler), core_cfg,
+      lane.ev.engine(), std::move(scheduler), core_cfg,
       "core" + std::to_string(index)));
-  cores_.back()->set_observability(&obs, static_cast<std::uint32_t>(index));
+  cores_.back()->set_observability(&lane.obs,
+                                   static_cast<std::uint32_t>(index));
   return index;
 }
 
@@ -214,30 +165,19 @@ flow::NfId Simulation::add_nf(std::string name, std::size_t core_index,
   cfg.sample_window = clock_.from_millis(100.0);
   cfg.priority = options.priority;
 
-  sim::Engine& engine =
-      shard_ ? shard_->lane(core_index).ev.engine() : engine_;
-  nfs_.push_back(std::make_unique<nf::NfTask>(engine, cfg));
+  Lane& home = shard_->lane_of_core(core_index);
+  nfs_.push_back(std::make_unique<nf::NfTask>(home.ev.engine(), cfg));
   nf::NfTask* task = nfs_.back().get();
   const auto id = static_cast<flow::NfId>(nfs_.size() - 1);
-  nf_lane_.push_back(static_cast<std::uint32_t>(core_index));
-  if (shard_) {
-    // Register under the same global id everywhere: local on the owning
-    // lane, a named placeholder on every other lane.
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      if (l == core_index) {
-        shard_->lane(l).manager->register_nf_at(id, task,
-                                                cores_[core_index].get());
-      } else {
-        shard_->lane(l).manager->register_remote_nf(
-            id, task->config().name,
-            static_cast<std::uint32_t>(core_index));
-      }
+  nf_core_.push_back(static_cast<std::uint32_t>(core_index));
+  // Register under the same global id everywhere: local on the NF's lane, a
+  // named placeholder on every other lane.
+  for (const auto& lane : shard_->lanes()) {
+    if (lane.get() == &home) {
+      lane->manager->register_nf(id, task, cores_[core_index].get());
+    } else {
+      lane->manager->register_remote_nf(id, task->config().name, home.id);
     }
-  } else {
-    const flow::NfId got =
-        manager_->register_nf(task, cores_[core_index].get());
-    (void)got;
-    assert(got == id);
   }
   return id;
 }
@@ -250,41 +190,27 @@ flow::ChainId Simulation::add_chain(std::string name,
 
 io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
                                          io::AsyncIoEngine::Config io_config) {
-  const std::uint32_t lane_id = shard_ ? nf_lane_[nf_id] : 0;
-  sim::Engine& engine = shard_ ? shard_->lane(lane_id).ev.engine() : engine_;
-  io::BlockDevice& device =
-      shard_ ? lane_disk(shard_->lane(lane_id)) : disk();
-  obs::Observability& obs = shard_ ? shard_->lane(lane_id).obs : obs_;
-  io_engines_.push_back(
-      std::make_unique<io::AsyncIoEngine>(engine, device, io_config));
-  io_lane_.push_back(lane_id);
+  Lane& lane = lane_of_nf(nf_id);
+  io_engines_.push_back(std::make_unique<io::AsyncIoEngine>(
+      lane.ev.engine(), lane.disk(), io_config));
+  io_lane_.push_back(lane.id);
   nfs_[nf_id]->attach_io(io_engines_.back().get());
-  io_engines_.back()->set_observability(&obs, nfs_[nf_id]->config().name);
+  io_engines_.back()->set_observability(&lane.obs, nfs_[nf_id]->config().name);
   return *io_engines_.back();
 }
 
 void Simulation::set_fault_plan(fault::FaultPlan plan) {
   assert(!started_ && "install the fault plan before the first run");
-  if (shard_) {
-    assert(!fault_plan_ && "only one fault plan per simulation");
-    lifecycle_requested_ = true;
-    fault_plan_ = std::make_unique<fault::FaultPlan>(std::move(plan));
-    return;
-  }
-  assert(!injector_ && "only one fault plan per simulation");
-  manager_->enable_lifecycle();
-  injector_ = std::make_unique<fault::FaultInjector>(engine_, std::move(plan));
+  assert(!fault_plan_ && "only one fault plan per simulation");
+  shard_->enable_lifecycle();
+  fault_plan_ = std::make_unique<fault::FaultPlan>(std::move(plan));
 }
 
 void Simulation::set_dead_policy(flow::ChainId chain,
                                  fault::DeadNfPolicy policy) {
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      shard_->lane(l).manager->set_dead_policy(chain, policy);
-    }
-    return;
+  for (const auto& lane : shard_->lanes()) {
+    lane->manager->set_dead_policy(chain, policy);
   }
-  manager_->set_dead_policy(chain, policy);
 }
 
 Simulation::ChainSloReport Simulation::chain_slo_report(
@@ -292,46 +218,37 @@ Simulation::ChainSloReport Simulation::chain_slo_report(
   ChainSloReport out;
   std::vector<std::uint64_t> samples;
   std::uint64_t total = 0;
-  const auto fold = [&](const mgr::Manager& m) {
+  for (const auto& lane : shard_->lanes()) {
+    const mgr::Manager& m = *lane->manager;
     m.chain_tail(chain).append_samples(samples);
     total += m.chain_tail(chain).total_count();
     const mgr::ChainSloState& st = m.chain_slo(chain);
     out.target = std::max(out.target, st.target);
     out.violation_cycles += st.violation_cycles;
     out.boost = std::max(out.boost, st.boost);
-  };
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      fold(*shard_->lane(l).manager);
-    }
-  } else {
-    fold(*manager_);
   }
   out.tail = obs::LatencyEstimator::snapshot_of(std::move(samples), total);
   return out;
 }
 
+Histogram Simulation::chain_latency(flow::ChainId chain) const {
+  Histogram merged(1ULL << 40, 8);
+  for (const auto& lane : shard_->lanes()) {
+    merged.merge(lane->manager->chain_latency(chain));
+  }
+  return merged;
+}
+
 std::uint64_t Simulation::chain_latency_quantile(flow::ChainId chain,
                                                  double q) const {
-  if (shard_) {
-    Histogram merged(1ULL << 40, 8);
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      merged.merge(shard_->lane(l).manager->chain_latency(chain));
-    }
-    return merged.value_at_quantile(q);
-  }
-  return manager_->chain_latency(chain).value_at_quantile(q);
+  return chain_latency(chain).value_at_quantile(q);
 }
 
 void Simulation::set_chain_slo(flow::ChainId chain, double target_us) {
   const auto target = static_cast<Cycles>(clock_.from_micros(target_us));
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      shard_->lane(l).manager->set_slo_target(chain, target);
-    }
-    return;
+  for (const auto& lane : shard_->lanes()) {
+    lane->manager->set_slo_target(chain, target);
   }
-  manager_->set_slo_target(chain, target);
 }
 
 void Simulation::set_chain_class(flow::ChainId chain, double priority,
@@ -342,21 +259,17 @@ void Simulation::set_chain_class(flow::ChainId chain, double priority,
   spec.utility = utility;
   // Every lane learns the class: the home lane runs the gate, the tail
   // lane needs has_class() to decide whether to broadcast kChainOverload.
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      shard_->lane(l).manager->set_chain_class(chain, spec);
-    }
-    return;
+  for (const auto& lane : shard_->lanes()) {
+    lane->manager->set_chain_class(chain, spec);
   }
-  manager_->set_chain_class(chain, spec);
 }
 
 Simulation::ChainAdmissionReport Simulation::chain_admission_report(
     flow::ChainId chain) const {
   ChainAdmissionReport out;
-  const auto fold = [&](const mgr::Manager& m) {
-    const bp::AdmissionController* adm = m.admission();
-    if (adm == nullptr || !adm->has_class(chain)) return;
+  for (const auto& lane : shard_->lanes()) {
+    const bp::AdmissionController* adm = lane->manager->admission();
+    if (adm == nullptr || !adm->has_class(chain)) continue;
     out.classed = true;
     const bp::ClassSpec* spec = adm->class_of(chain);
     out.priority = spec->priority;
@@ -367,13 +280,6 @@ Simulation::ChainAdmissionReport Simulation::chain_admission_report(
     out.releases += st.releases;
     out.discards += st.discards;
     out.trickle_admits += st.trickle_admits;
-  };
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      fold(*shard_->lane(l).manager);
-    }
-  } else {
-    fold(*manager_);
   }
   return out;
 }
@@ -387,45 +293,46 @@ const fault::NfLifecycleStats& Simulation::nf_lifecycle_stats(
   return mgr_of(id).nf_lifecycle_stats(id);
 }
 
-mgr::Manager& Simulation::manager() {
-  if (shard_) return *shard_->lane(0).manager;
-  return *manager_;
+sim::Engine& Simulation::engine() { return shard_->lane(0).ev.engine(); }
+
+mgr::Manager& Simulation::manager() { return *shard_->lane(0).manager; }
+
+pktio::MbufPool& Simulation::pool() { return shard_->lane(0).pool; }
+
+io::BlockDevice& Simulation::disk() { return shard_->lane(0).disk(); }
+
+flow::FlowTable& Simulation::flow_table() { return shard_->lane(0).flows; }
+
+const flow::FlowTable& Simulation::flow_table() const {
+  return shard_->lane(0).flows;
 }
 
-pktio::MbufPool& Simulation::pool() {
-  if (shard_) return shard_->lane(0).pool;
-  return *pool_;
+obs::Observability& Simulation::observability() {
+  return shard_->lane(0).obs;
+}
+
+const obs::Observability& Simulation::observability() const {
+  return shard_->lane(0).obs;
 }
 
 std::uint64_t Simulation::mbufs_in_use() const {
-  if (!shard_) return pool_->in_use();
   std::uint64_t total = 0;
-  for (std::size_t l = 0; l < shard_->size(); ++l) {
-    total += shard_->lane(l).pool.in_use();
-  }
+  for (const auto& lane : shard_->lanes()) total += lane->pool.in_use();
   return total;
 }
 
-io::BlockDevice& Simulation::disk() {
-  if (shard_) return lane_disk(shard_->lane(0));
-  if (!disk_) disk_ = std::make_unique<io::BlockDevice>(engine_);
-  return *disk_;
-}
-
-Cycles Simulation::now_cycles() const {
-  return shard_ ? shard_->now() : engine_.now();
+Lane& Simulation::lane_of_nf(flow::NfId id) const {
+  return shard_->lane_of_core(nf_core_[id]);
 }
 
 mgr::Manager& Simulation::mgr_of(flow::NfId id) const {
-  if (shard_) return *shard_->lane(nf_lane_[id]).manager;
-  return *manager_;
+  return *lane_of_nf(id).manager;
 }
 
-Lane* Simulation::home_lane_ptr(flow::ChainId chain) {
-  if (!shard_) return nullptr;
+Lane& Simulation::home_lane(flow::ChainId chain) const {
   const auto& hops = chains_.get(chain).hops;
   assert(!hops.empty() && "a chain needs at least one hop");
-  return &shard_->lane(nf_lane_[hops.front()]);
+  return lane_of_nf(hops.front());
 }
 
 pktio::FlowKey Simulation::next_flow_key(std::uint8_t proto) {
@@ -441,11 +348,10 @@ pktio::FlowKey Simulation::next_flow_key(std::uint8_t proto) {
 flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
                                       UdpOptions options) {
   const pktio::FlowKey key = next_flow_key(pktio::kProtoUdp);
-  // Sharded: the flow lives on its chain's home lane — the first hop's
-  // lane, where the source injects and the flow table is consulted.
-  Lane* home = home_lane_ptr(chain);
-  const flow::FlowId flow_id =
-      (home ? home->flows : flows_).install(key, chain);
+  // The flow lives on its chain's home lane — the first hop's lane, where
+  // the source injects and the flow table is consulted.
+  Lane& home = home_lane(chain);
+  const flow::FlowId flow_id = home.flows.install(key, chain);
 
   traffic::UdpSource::Config cfg;
   cfg.key = key;
@@ -462,8 +368,7 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   udp_sources_.push_back(std::make_unique<traffic::UdpSource>(
-      home ? home->ev.engine() : engine_, home ? *home->manager : *manager_,
-      home ? home->pool : *pool_, clock_, cfg));
+      home.ev.engine(), *home.manager, home.pool, clock_, cfg));
   if (started_) udp_sources_.back()->start();
   return flow_id;
 }
@@ -471,9 +376,8 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
 std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
     flow::ChainId chain, TcpOptions options) {
   const pktio::FlowKey key = next_flow_key(pktio::kProtoTcp);
-  Lane* home = home_lane_ptr(chain);
-  const flow::FlowId flow_id =
-      (home ? home->flows : flows_).install(key, chain);
+  Lane& home = home_lane(chain);
+  const flow::FlowId flow_id = home.flows.install(key, chain);
 
   traffic::TcpSource::Config cfg;
   cfg.key = key;
@@ -488,8 +392,7 @@ std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   tcp_sources_.push_back(std::make_unique<traffic::TcpSource>(
-      home ? home->ev.engine() : engine_, home ? *home->manager : *manager_,
-      home ? home->pool : *pool_, flow_id, cfg));
+      home.ev.engine(), *home.manager, home.pool, flow_id, cfg));
   if (started_) tcp_sources_.back()->start();
   return {flow_id, tcp_sources_.back().get()};
 }
@@ -515,35 +418,36 @@ traffic::ChurnSource& Simulation::add_churn_workload(flow::ChainId chain,
                                        churn_sources_.size())
                                    << 20);
 
-  Lane* home = home_lane_ptr(chain);
+  Lane& home = home_lane(chain);
   churn_sources_.push_back(std::make_unique<traffic::ChurnSource>(
-      home ? home->ev.engine() : engine_, home ? *home->manager : *manager_,
-      home ? home->pool : *pool_, home ? home->flows : flows_, clock_, cfg));
+      home.ev.engine(), *home.manager, home.pool, home.flows, clock_, cfg));
   if (started_) churn_sources_.back()->start();
   return *churn_sources_.back();
 }
 
-fault::FaultPlan Simulation::lane_fault_plan(std::size_t lane_id) const {
+fault::FaultPlan Simulation::lane_fault_plan(const Lane& lane) const {
+  if (!fault_plan_) return {};
+  // One lane holding every core arms the whole plan, device faults
+  // included: its disk is built on demand, even with no io engine.
+  if (!sharded()) return *fault_plan_;
+  // One lane per core: NF faults go to the owning lane; device faults to
+  // every lane that has an io engine (each lane owns its own block-device
+  // replica, mirroring how every lane owns its own mbuf pool).
   fault::FaultPlan lp;
-  if (!fault_plan_) return lp;
-  // NF faults go to the owning lane; device faults to every lane that has
-  // an io engine (each lane owns its own block-device replica, mirroring
-  // how every lane owns its own mbuf pool).
   const bool lane_has_io =
-      std::find(io_lane_.begin(), io_lane_.end(),
-                static_cast<std::uint32_t>(lane_id)) != io_lane_.end();
+      std::find(io_lane_.begin(), io_lane_.end(), lane.id) != io_lane_.end();
   for (const fault::FaultSpec& s : fault_plan_->specs()) {
+    const bool owned =
+        s.kind != fault::FaultKind::kDevice && &lane_of_nf(s.nf) == &lane;
     switch (s.kind) {
       case fault::FaultKind::kCrash:
-        if (nf_lane_[s.nf] == lane_id) lp.add_crash(s.nf, s.at, s.restart_after);
+        if (owned) lp.add_crash(s.nf, s.at, s.restart_after);
         break;
       case fault::FaultKind::kStall:
-        if (nf_lane_[s.nf] == lane_id) lp.add_stall(s.nf, s.at, s.restart_after);
+        if (owned) lp.add_stall(s.nf, s.at, s.restart_after);
         break;
       case fault::FaultKind::kDegrade:
-        if (nf_lane_[s.nf] == lane_id) {
-          lp.add_degrade(s.nf, s.at, s.factor, s.duration);
-        }
+        if (owned) lp.add_degrade(s.nf, s.at, s.factor, s.duration);
         break;
       case fault::FaultKind::kDevice:
         if (!lane_has_io) break;
@@ -567,13 +471,15 @@ fault::FaultPlan Simulation::lane_fault_plan(std::size_t lane_id) const {
   return lp;
 }
 
-void Simulation::start_sharded() {
-  for (std::size_t l = 0; l < shard_->size(); ++l) {
-    Lane& lane = shard_->lane(l);
-    // Lifecycle must be armed on *every* replica: remote-death broadcasts
-    // and dead-hop routing consult it wherever the packet happens to be.
-    if (lifecycle_requested_) lane.manager->enable_lifecycle();
+void Simulation::ensure_started() {
+  if (started_) return;
+  started_ = true;
+  for (const auto& lane_ptr : shard_->lanes()) {
+    Lane& lane = *lane_ptr;
     lane.manager->start();
+    // Flow-expiry sweep (flow-state library, DESIGN.md §13): scheduled only
+    // when a timeout is configured, so default simulations dispatch exactly
+    // the seed event sequence.
     if (lane.flows.expiry_enabled()) {
       flow::FlowTable* flows = &lane.flows;
       sim::Engine* engine = &lane.ev.engine();
@@ -581,62 +487,31 @@ void Simulation::start_sharded() {
         flows->expire(engine->now());
       });
     }
-    fault::FaultPlan plan = lane_fault_plan(l);
+    // Storage fault domain (DESIGN.md §12): activate its observability only
+    // when it is actually in use — device faults in the plan, or an engine
+    // with a completion deadline configured — so fault-free reports keep
+    // the seed metrics layout byte-for-byte.
+    fault::FaultPlan plan = lane_fault_plan(lane);
     const bool device_faults = plan.has_device_faults();
     bool io_fault_domain = device_faults;
     for (std::size_t k = 0; k < io_engines_.size(); ++k) {
-      if (io_lane_[k] == l && io_engines_[k]->fault_domain_enabled()) {
+      if (io_lane_[k] == lane.id && io_engines_[k]->fault_domain_enabled()) {
         io_fault_domain = true;
       }
     }
     if (io_fault_domain) {
-      lane_disk(lane).set_observability(&lane.obs);
+      lane.disk().set_observability(&lane.obs);
       for (std::size_t k = 0; k < io_engines_.size(); ++k) {
-        if (io_lane_[k] == l) io_engines_[k]->register_fault_metrics();
+        if (io_lane_[k] == lane.id) io_engines_[k]->register_fault_metrics();
       }
     }
     if (!plan.empty()) {
       lane.injector = std::make_unique<fault::FaultInjector>(lane.ev.engine(),
                                                              std::move(plan));
       lane.injector->arm(*lane.manager,
-                         device_faults ? &lane_disk(lane) : nullptr);
+                         device_faults ? &lane.disk() : nullptr);
     }
   }
-}
-
-void Simulation::ensure_started() {
-  if (started_) return;
-  started_ = true;
-  if (shard_) {
-    start_sharded();
-    for (auto& src : udp_sources_) src->start();
-    for (auto& src : tcp_sources_) src->start();
-    for (auto& src : churn_sources_) src->start();
-    return;
-  }
-  manager_->start();
-  // Flow-expiry sweep (flow-state library, DESIGN.md §13): scheduled only
-  // when a timeout is configured, so default simulations dispatch exactly
-  // the seed event sequence.
-  if (flows_.expiry_enabled()) {
-    engine_.schedule_periodic(flows_.scan_period(),
-                              [this] { flows_.expire(engine_.now()); });
-  }
-  // Storage fault domain (DESIGN.md §12): activate its observability only
-  // when it is actually in use — device faults in the plan, or an engine
-  // with a completion deadline configured — so fault-free reports keep the
-  // seed metrics layout byte-for-byte.
-  const bool device_faults =
-      injector_ && injector_->plan().has_device_faults();
-  bool io_fault_domain = device_faults;
-  for (const auto& io : io_engines_) {
-    if (io->fault_domain_enabled()) io_fault_domain = true;
-  }
-  if (io_fault_domain) {
-    disk().set_observability(&obs_);
-    for (auto& io : io_engines_) io->register_fault_metrics();
-  }
-  if (injector_) injector_->arm(*manager_, device_faults ? &disk() : nullptr);
   for (auto& src : udp_sources_) src->start();
   for (auto& src : tcp_sources_) src->start();
   for (auto& src : churn_sources_) src->start();
@@ -644,16 +519,12 @@ void Simulation::ensure_started() {
 
 void Simulation::run_for_seconds(double seconds) {
   ensure_started();
-  if (shard_) {
-    shard_->run_until(shard_->now() + clock_.from_seconds(seconds));
-    if (user_trace_) merge_lane_traces();
-    return;
-  }
-  engine_.run_until(engine_.now() + clock_.from_seconds(seconds));
+  shard_->run_until(shard_->now() + clock_.from_seconds(seconds));
+  if (user_trace_) merge_lane_traces();
 }
 
 double Simulation::now_seconds() const {
-  return clock_.to_seconds(now_cycles());
+  return clock_.to_seconds(shard_->now());
 }
 
 NfMetrics Simulation::nf_metrics(flow::NfId id) const {
@@ -678,31 +549,22 @@ NfMetrics Simulation::nf_metrics(flow::NfId id) const {
 }
 
 ChainMetrics Simulation::chain_metrics(flow::ChainId id) const {
+  // Admission counts on the home lane, egress wherever the last hop ran;
+  // the chain total is the sum over lanes.
   ChainMetrics m;
-  if (shard_) {
-    // Admission counts on the home lane, egress wherever the last hop ran;
-    // the chain total is the sum over replicas.
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      const auto& cc = shard_->lane(l).manager->chain_counters(id);
-      m.entry_admitted += cc.entry_admitted;
-      m.entry_throttle_drops += cc.entry_throttle_drops;
-      m.admission_discards += cc.admission_discards;
-      m.egress_packets += cc.egress_packets;
-      m.egress_bytes += cc.egress_bytes;
-    }
-    return m;
+  for (const auto& lane : shard_->lanes()) {
+    const auto& cc = lane->manager->chain_counters(id);
+    m.entry_admitted += cc.entry_admitted;
+    m.entry_throttle_drops += cc.entry_throttle_drops;
+    m.admission_discards += cc.admission_discards;
+    m.egress_packets += cc.egress_packets;
+    m.egress_bytes += cc.egress_bytes;
   }
-  const auto& cc = manager_->chain_counters(id);
-  m.entry_admitted = cc.entry_admitted;
-  m.entry_throttle_drops = cc.entry_throttle_drops;
-  m.admission_discards = cc.admission_discards;
-  m.egress_packets = cc.egress_packets;
-  m.egress_bytes = cc.egress_bytes;
   return m;
 }
 
 double Simulation::nf_cpu_share(flow::NfId id) const {
-  const Cycles now = now_cycles();
+  const Cycles now = shard_->now();
   if (now == 0) return 0.0;
   return static_cast<double>(nfs_[id]->stats().runtime) /
          static_cast<double>(now);
@@ -718,24 +580,27 @@ void Simulation::attach_trace(obs::TraceRecorder& recorder) {
   recorder.set_lane_name(obs::kIoLane, "storage-io");
   recorder.set_lane_name(obs::kSloLane, "slo-controller");
   recorder.set_lane_name(obs::kAdmissionLane, "admission");
-  if (shard_) {
-    // Each lane records into a private buffer (worker threads must not
-    // share a recorder); after every run the buffers are merged into the
-    // user's recorder in (timestamp, lane, sequence) order — a total order
-    // independent of the worker count.
-    user_trace_ = &recorder;
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      Lane& lane = shard_->lane(l);
-      if (lane.trace) continue;
-      obs::TraceRecorder::Config tc;
-      tc.max_events = recorder.config().max_events;
-      tc.cpu_hz = config_.cpu_hz;
-      lane.trace = std::make_unique<obs::TraceRecorder>(tc);
-      lane.obs.attach_trace(lane.trace.get());
-    }
+  user_trace_ = &recorder;
+  for (const auto& lane : shard_->lanes()) attach_lane_trace(*lane);
+}
+
+void Simulation::attach_lane_trace(Lane& lane) {
+  // One lane holding every core records straight into the user's recorder:
+  // its stream is already in dispatch order, and a buffer would copy it.
+  if (!sharded()) {
+    lane.obs.attach_trace(user_trace_);
     return;
   }
-  obs_.attach_trace(&recorder);
+  // One lane per core: each records into a private buffer (worker threads
+  // must not share a recorder); after every run the buffers are merged into
+  // the user's recorder in (timestamp, lane, sequence) order — a total
+  // order independent of the worker count.
+  if (lane.trace) return;
+  obs::TraceRecorder::Config tc;
+  tc.max_events = user_trace_->config().max_events;
+  tc.cpu_hz = config_.cpu_hz;
+  lane.trace = std::make_unique<obs::TraceRecorder>(tc);
+  lane.obs.attach_trace(lane.trace.get());
 }
 
 void Simulation::merge_lane_traces() {
@@ -745,14 +610,13 @@ void Simulation::merge_lane_traces() {
     std::size_t idx;
   };
   std::vector<Item> items;
-  for (std::size_t l = 0; l < shard_->size(); ++l) {
-    Lane& lane = shard_->lane(l);
-    if (!lane.trace) continue;
-    const auto& events = lane.trace->events();
-    for (std::size_t i = lane.trace_consumed; i < events.size(); ++i) {
-      items.push_back({&events[i], l, i});
+  for (const auto& lane : shard_->lanes()) {
+    if (!lane->trace) continue;
+    const auto& events = lane->trace->events();
+    for (std::size_t i = lane->trace_consumed; i < events.size(); ++i) {
+      items.push_back({&events[i], lane->id, i});
     }
-    lane.trace_consumed = events.size();
+    lane->trace_consumed = events.size();
   }
   std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
     if (a.ev->ts != b.ev->ts) return a.ev->ts < b.ev->ts;
@@ -768,21 +632,16 @@ void Simulation::report_json(std::ostream& out) const {
   w.begin_object();
 
   std::uint64_t wire_ingress = 0;
-  if (shard_) {
-    for (std::size_t l = 0; l < shard_->size(); ++l) {
-      wire_ingress += shard_->lane(l).manager->wire_ingress();
-    }
-  } else {
-    wire_ingress = manager_->wire_ingress();
+  for (const auto& lane : shard_->lanes()) {
+    wire_ingress += lane->manager->wire_ingress();
   }
 
   w.key("meta");
   w.begin_object();
   w.field("elapsed_seconds", elapsed);
   w.field("cpu_hz", config_.cpu_hz);
-  w.field("now_cycles", static_cast<std::int64_t>(now_cycles()));
-  w.field("dispatched_events", shard_ ? shard_->dispatched_events()
-                                      : engine_.dispatched_events());
+  w.field("now_cycles", static_cast<std::int64_t>(shard_->now()));
+  w.field("dispatched_events", shard_->dispatched_events());
   w.field("wire_ingress", wire_ingress);
   w.end_object();
 
@@ -794,7 +653,7 @@ void Simulation::report_json(std::ostream& out) const {
     const auto& mc = mgr.nf_counters(id);
     w.begin_object();
     w.field("name", std::string_view(m.name));
-    w.field("core", std::string_view(cores_[nf_lane_[id]]->name()));
+    w.field("core", std::string_view(cores_[nf_core_[id]]->name()));
     w.field("offered", mc.offered);
     w.field("arrivals", m.arrivals);
     w.field("processed", m.processed);
@@ -840,20 +699,7 @@ void Simulation::report_json(std::ostream& out) const {
   w.begin_array();
   for (flow::ChainId id = 0; id < chains_.size(); ++id) {
     const ChainMetrics m = chain_metrics(id);
-    // Sharded: egress (and hence latency recording) happens on the last
-    // hop's lane; merge the per-lane histograms. Same bucketing as
-    // mgr::ChainLatency, so quantiles come out of the merged buckets
-    // exactly as a single-registry run would produce them.
-    Histogram merged_lat(1ULL << 40, 8);
-    const Histogram* lat = nullptr;
-    if (shard_) {
-      for (std::size_t l = 0; l < shard_->size(); ++l) {
-        merged_lat.merge(shard_->lane(l).manager->chain_latency(id));
-      }
-      lat = &merged_lat;
-    } else {
-      lat = &manager_->chain_latency(id);
-    }
+    const Histogram lat = chain_latency(id);
     w.begin_object();
     w.field("name", std::string_view(chains_.get(id).name));
     w.field("entry_admitted", m.entry_admitted);
@@ -866,9 +712,9 @@ void Simulation::report_json(std::ostream& out) const {
                 : 0.0);
     w.key("latency_cycles");
     w.begin_object();
-    w.field("p50", lat->value_at_quantile(0.5));
-    w.field("p99", lat->value_at_quantile(0.99));
-    w.field("max", lat->max());
+    w.field("p50", lat.value_at_quantile(0.5));
+    w.field("p99", lat.value_at_quantile(0.99));
+    w.field("max", lat.max());
     w.end_object();
     // Exact tail quantiles from the chain's sliding window (DESIGN.md §16).
     // Sharded: the window fills on the last hop's lane only; concatenating
@@ -928,7 +774,7 @@ void Simulation::report_json(std::ostream& out) const {
     w.field("busy_cycles", static_cast<std::int64_t>(core->busy_cycles()));
     w.field("switch_overhead_cycles",
             static_cast<std::int64_t>(core->switch_overhead_cycles()));
-    const Cycles now = now_cycles();
+    const Cycles now = shard_->now();
     w.field("utilization",
             now > 0 ? static_cast<double>(core->busy_cycles()) /
                           static_cast<double>(now)
@@ -937,21 +783,16 @@ void Simulation::report_json(std::ostream& out) const {
   }
   w.end_array();
 
-  // Full registry dump: every instrument any component registered. Sharded
-  // runs merge the per-lane registries (counters sum, histograms merge)
-  // into the same key space the legacy dump uses.
+  // Full registry dump: every instrument any component registered, the
+  // per-lane registries merged (counters sum, histograms merge) into one
+  // key space.
   {
     std::ostringstream metrics;
-    if (shard_) {
-      std::vector<const obs::MetricsRegistry*> parts;
-      parts.push_back(&obs_.metrics());
-      for (std::size_t l = 0; l < shard_->size(); ++l) {
-        parts.push_back(&shard_->lane(l).obs.metrics());
-      }
-      obs::MetricsRegistry::write_json_merged(parts, metrics);
-    } else {
-      obs_.metrics().write_json(metrics);
+    std::vector<const obs::MetricsRegistry*> parts;
+    for (const auto& lane : shard_->lanes()) {
+      parts.push_back(&lane->obs.metrics());
     }
+    obs::MetricsRegistry::write_json_merged(parts, metrics);
     w.key("metrics");
     w.raw(metrics.str());
   }

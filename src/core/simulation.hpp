@@ -1,8 +1,10 @@
 // Public facade: build an NFVnice deployment and run it.
 //
-// This is the library's quickstart surface. A Simulation owns the event
-// engine, the shared mbuf pool, the simulated cores with their scheduling
-// policies, the NF Manager, and the traffic sources. Typical use:
+// This is the library's quickstart surface. A Simulation owns the simulated
+// cores with their scheduling policies, the traffic sources, and the lane
+// runtime that groups the cores into event lanes, each with its own engine,
+// mbuf pool, flow table, metrics registry and NF Manager (DESIGN.md §14).
+// Typical use:
 //
 //   nfvnice::Simulation sim;                        // defaults: NFVnice on
 //   auto core = sim.add_core(SchedPolicy::kCfsBatch);
@@ -24,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
 #include "fault/lifecycle.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/service_chain.hpp"
@@ -59,10 +61,10 @@ struct PlatformConfig {
   double cpu_hz = kDefaultCpuHz;
   sched::CoreConfig core;
   mgr::ManagerConfig manager;
-  /// Cap on mbufs in use at once, per pool (the legacy engine's one pool,
-  /// or each lane's when sharded). A packet that arrives while the pool is
-  /// at the cap is a wire drop, as on a NIC out of mbufs. Slots are built
-  /// on first use, so memory follows the peak number in use, not the cap.
+  /// Cap on mbufs in use at once, per pool (each lane has its own). A
+  /// packet that arrives while the pool is at the cap is a wire drop, as on
+  /// a NIC out of mbufs. Slots are built on first use, so memory follows
+  /// the peak number in use, not the cap.
   std::uint32_t mempool_capacity = 1 << 20;
   /// Flow-table sizing and expiry (flow-state library, DESIGN.md §13). The
   /// default — grow on demand, no idle timeout — reproduces the historical
@@ -90,16 +92,16 @@ struct PlatformConfig {
   /// timestamps; 1 = one event per packet).
   std::uint32_t source_burst = 8;
 
-  // -- sharded engine (DESIGN.md §14) ---------------------------------------
-  /// 0 = the classic single-threaded engine (the byte-exact legacy path).
-  /// N >= 1 = sharded mode: one event lane per core, driven by
-  /// min(N, cores) worker threads under a conservative-lookahead barrier.
-  /// Sharded results are byte-identical for every N >= 1 (the lane
+  // -- lane runtime (DESIGN.md §14) -----------------------------------------
+  /// How the cores are grouped into event lanes. 0 = one lane holding every
+  /// core, run single-threaded: all cores interleave in one event queue
+  /// with no cross-core latency. N >= 1 = sharded mode: one lane per core,
+  /// driven by min(N, cores) worker threads under a conservative-lookahead
+  /// barrier. Sharded results are byte-identical for every N >= 1 (the lane
   /// decomposition is fixed by the topology; N only picks the parallelism)
-  /// but differ from the legacy path, which interleaves all cores in one
-  /// event queue with no cross-core latency. When left at 0, the
-  /// NFV_SIM_SHARDS environment variable (a positive integer) selects
-  /// sharded mode — mirroring NFV_BENCH_WORKERS.
+  /// but differ from the one-lane results. Lane 0 exists in both modes.
+  /// When left at 0, the NFV_SIM_SHARDS environment variable (a positive
+  /// integer) selects sharded mode — mirroring NFV_BENCH_WORKERS.
   std::uint32_t sim_shards = 0;
   /// Modelled cross-lane transit time: a packet handed to an NF on another
   /// core arrives this many cycles later. It also bounds the lanes'
@@ -109,11 +111,11 @@ struct PlatformConfig {
   Cycles cross_lane_latency = 26'000;
 
   // -- event-engine backend (DESIGN.md §15) ---------------------------------
-  /// Ready-queue backend for every engine this simulation owns (the legacy
-  /// engine and, when sharded, each lane's). kHeap is the default; kWheel
-  /// trades the heap's O(log n) schedule/pop for a hierarchical timer
-  /// wheel's O(1) schedule/cancel, which wins at huge pending-timer
-  /// populations (per-flow idle expiry, watchdogs, million-flow sweeps).
+  /// Ready-queue backend for every engine this simulation owns (one per
+  /// lane). kHeap is the default; kWheel trades the heap's O(log n)
+  /// schedule/pop for a hierarchical timer wheel's O(1) schedule/cancel,
+  /// which wins at huge pending-timer populations (per-flow idle expiry,
+  /// watchdogs, million-flow sweeps).
   /// Dispatch order is byte-identical either way — reports and traces do
   /// not change. When left at kHeap, the NFV_ENGINE_BACKEND environment
   /// variable ("heap" or "wheel") applies — mirroring NFV_SIM_SHARDS.
@@ -255,9 +257,8 @@ class Simulation {
   void set_fault_plan(fault::FaultPlan plan);
 
   /// Per-chain policy while an NF on the chain is down (default: the
-  /// LifecycleConfig's default_dead_policy, i.e. backpressure). Sharded
-  /// simulations apply the policy on every lane (routing decisions happen
-  /// wherever the packet is).
+  /// LifecycleConfig's default_dead_policy, i.e. backpressure). Applied on
+  /// every lane (routing decisions happen wherever the packet is).
   void set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy);
 
   // -- latency SLOs (DESIGN.md §16) -------------------------------------------
@@ -266,8 +267,8 @@ class Simulation {
   /// tail estimator and the violation clock) runs for every targeted chain;
   /// the share-boost controller additionally requires
   /// PlatformConfig::manager.slo.enabled (and enable_cgroups to act on the
-  /// boosts). 0 removes the target. Sharded simulations apply the target
-  /// on every lane, like set_dead_policy.
+  /// boosts). 0 removes the target. Applied on every lane, like
+  /// set_dead_policy.
   void set_chain_slo(flow::ChainId chain, double target_us);
 
   // -- overload control (DESIGN.md §17) ---------------------------------------
@@ -277,8 +278,8 @@ class Simulation {
   /// the lowest-utility classes sharing that queue are shed first (token-
   /// bucket trickle, engage/release hysteresis, minimum hold). Runs that
   /// never register a class execute no admission code and stay
-  /// byte-identical to earlier versions. Sharded simulations register the
-  /// class on every lane, like set_chain_slo. Call before the first run.
+  /// byte-identical to earlier versions. Registered on every lane, like
+  /// set_chain_slo. Call before the first run.
   void set_chain_class(flow::ChainId chain, double priority, double utility);
 
   /// Merged per-chain admission summary. `classed` is false (and the rest
@@ -300,9 +301,9 @@ class Simulation {
 
   /// Merged per-chain tail/SLO state: the window snapshot (exact nearest-
   /// rank quantiles), the violation clock, the controller's current boost
-  /// and the configured target. Sharded simulations fold the per-lane
-  /// replicas — the window lives on the last hop's lane, violation time is
-  /// owner-lane-only (summing is exact), boost is the max over lanes.
+  /// and the configured target, folded over the lanes — the window lives on
+  /// the last hop's lane, violation time is owner-lane-only (summing is
+  /// exact), boost is the max over lanes.
   struct ChainSloReport {
     Cycles target = 0;
     Cycles violation_cycles = 0;
@@ -312,8 +313,8 @@ class Simulation {
   [[nodiscard]] ChainSloReport chain_slo_report(flow::ChainId chain) const;
 
   /// Whole-run chain-completion latency quantile in cycles, from the
-  /// log-bucketed per-chain histogram (sharded: per-lane histograms
-  /// merged). Complements chain_slo_report().tail, which covers only the
+  /// log-bucketed per-chain histogram (per-lane histograms merged).
+  /// Complements chain_slo_report().tail, which covers only the
   /// estimator's sliding window of recent egresses.
   [[nodiscard]] std::uint64_t chain_latency_quantile(flow::ChainId chain,
                                                      double q) const;
@@ -349,25 +350,27 @@ class Simulation {
   /// CPU utilisation of an NF over the whole run so far (runtime/elapsed).
   [[nodiscard]] double nf_cpu_share(flow::NfId id) const;
 
-  /// The legacy single-engine event queue. Unused (never run) when
-  /// sharded() — schedule on a lane's engine instead.
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
+  // Lane accessors: with one lane holding every core these are the
+  // platform's only engine, Manager, disk, pool and flow table; when
+  // sharded() they are lane 0's (core 0's).
+  /// Lane 0's event queue.
+  [[nodiscard]] sim::Engine& engine();
   [[nodiscard]] const CpuClock& clock() const { return clock_; }
-  /// Legacy accessor; when sharded() returns lane 0's Manager replica.
+  /// Lane 0's Manager.
   [[nodiscard]] mgr::Manager& manager();
   [[nodiscard]] sched::Core& core(std::size_t index) { return *cores_[index]; }
   [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
   [[nodiscard]] nf::NfTask& nf(flow::NfId id) { return *nfs_[id]; }
   [[nodiscard]] std::size_t nf_count() const { return nfs_.size(); }
-  /// Legacy accessors; when sharded() they return lane 0's replicas.
+  /// Lane 0's block device and mbuf pool.
   [[nodiscard]] io::BlockDevice& disk();
   [[nodiscard]] pktio::MbufPool& pool();
-  /// Mbufs out of the pool right now, summed over every lane's pool when
-  /// sharded (pool() alone sees only lane 0's). A packet in transit between
-  /// lanes is in no pool: the sender frees it and the receiver allocates.
+  /// Mbufs out of the pool right now, summed over every lane's pool
+  /// (pool() alone sees only lane 0's). A packet in transit between lanes
+  /// is in no pool: the sender frees it and the receiver allocates.
   [[nodiscard]] std::uint64_t mbufs_in_use() const;
-  /// True when this simulation runs on the sharded engine (DESIGN.md §14).
-  [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
+  /// True when every core has a lane of its own (DESIGN.md §14).
+  [[nodiscard]] bool sharded() const { return config_.sim_shards > 0; }
   /// The ready-queue backend every engine of this simulation uses.
   [[nodiscard]] sim::EngineBackend engine_backend() const {
     return config_.engine_backend;
@@ -379,8 +382,12 @@ class Simulation {
   /// Apply a pending-events pre-size hint after construction; forwards to
   /// every engine (see PlatformConfig::pending_events_hint).
   void reserve_pending_events(std::size_t hint);
-  [[nodiscard]] flow::FlowTable& flow_table() { return flows_; }
-  [[nodiscard]] const flow::FlowTable& flow_table() const { return flows_; }
+  /// Flip the Manager's control-plane features (the config loader's `mode`
+  /// directive): updates config().manager and every lane's Manager.
+  void set_features(bool cgroups, bool backpressure, bool ecn);
+  /// Lane 0's flow table.
+  [[nodiscard]] flow::FlowTable& flow_table();
+  [[nodiscard]] const flow::FlowTable& flow_table() const;
   [[nodiscard]] flow::ChainRegistry& chains() { return chains_; }
   [[nodiscard]] PlatformConfig& config() { return config_; }
 
@@ -388,10 +395,11 @@ class Simulation {
   void print_report(std::ostream& out) const;
 
   // -- observability ----------------------------------------------------------
-  /// The platform's metrics registry + trace attachment point. Every
-  /// component registered its instruments here at construction.
-  [[nodiscard]] obs::Observability& observability() { return obs_; }
-  [[nodiscard]] const obs::Observability& observability() const { return obs_; }
+  /// Lane 0's metrics registry + trace attachment point. Every component
+  /// on lane 0 registered its instruments here at construction;
+  /// report_json() merges every lane's registry.
+  [[nodiscard]] obs::Observability& observability();
+  [[nodiscard]] const obs::Observability& observability() const;
 
   /// Start recording control-plane trace events (context switches, wakeups,
   /// backpressure transitions, cpu.shares writes, ECN marks, drops) into
@@ -410,39 +418,34 @@ class Simulation {
 
  private:
   void ensure_started();
-  void start_sharded();
   pktio::FlowKey next_flow_key(std::uint8_t proto);
-  // -- sharded-engine plumbing (DESIGN.md §14; no-ops / trivial in legacy
-  //    mode, where shard_ is null).
-  [[nodiscard]] Cycles now_cycles() const;
-  /// The Manager that owns `id`: the lane replica when sharded, else the
-  /// single legacy manager.
+  /// The lane running `id`'s core, and that lane's Manager.
+  [[nodiscard]] Lane& lane_of_nf(flow::NfId id) const;
   [[nodiscard]] mgr::Manager& mgr_of(flow::NfId id) const;
-  /// The lane a chain's traffic enters on (its first hop's lane); null in
-  /// legacy mode.
-  [[nodiscard]] Lane* home_lane_ptr(flow::ChainId chain);
+  /// The lane a chain's traffic enters on (its first hop's lane).
+  [[nodiscard]] Lane& home_lane(flow::ChainId chain) const;
+  /// A chain's latency histogram, merged over the lanes: egress (and with
+  /// it latency recording) happens on the last hop's lane. Same bucketing as
+  /// mgr::ChainLatency, so merged quantiles are exact.
+  [[nodiscard]] Histogram chain_latency(flow::ChainId chain) const;
   /// The slice of the installed fault plan that belongs to one lane.
-  [[nodiscard]] fault::FaultPlan lane_fault_plan(std::size_t lane_id) const;
+  [[nodiscard]] fault::FaultPlan lane_fault_plan(const Lane& lane) const;
+  /// Route one lane's trace events to the user's recorder.
+  void attach_lane_trace(Lane& lane);
   /// Move new per-lane trace events into the user's recorder, ordered by
   /// (timestamp, lane, intra-lane sequence).
   void merge_lane_traces();
 
   PlatformConfig config_;
   CpuClock clock_;
-  sim::Engine engine_;
-  // Owns the lane engines; declared (like engine_) before every component
-  // that runs on them, so workers join and engines die last.
-  std::unique_ptr<ShardRuntime> shard_;
-  std::unique_ptr<pktio::MbufPool> pool_;
-  flow::FlowTable flows_;
+  // Declared before the lanes, whose Managers hold it.
   flow::ChainRegistry chains_;
-  // Declared before the components that register instruments into it.
-  obs::Observability obs_;
+  // Owns the lanes (engines, pools, flow tables, registries, Managers);
+  // declared before every component that runs on them, so workers join and
+  // engines die last.
+  std::unique_ptr<ShardRuntime> shard_;
   std::vector<std::unique_ptr<sched::Core>> cores_;
   std::vector<std::unique_ptr<nf::NfTask>> nfs_;
-  std::unique_ptr<mgr::Manager> manager_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<io::BlockDevice> disk_;
   std::vector<std::unique_ptr<io::AsyncIoEngine>> io_engines_;
   std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources_;
   std::vector<std::unique_ptr<traffic::TcpSource>> tcp_sources_;
@@ -450,12 +453,10 @@ class Simulation {
   std::uint32_t next_ip_ = 1;
   bool started_ = false;
 
-  // -- sharded-engine state (empty / unused in legacy mode) -----------------
-  std::vector<std::uint32_t> nf_lane_;  ///< Core (= lane) index per NF.
+  std::vector<std::uint32_t> nf_core_;  ///< Core index per NF.
   std::vector<std::uint32_t> io_lane_;  ///< Lane index per io engine.
   /// Fault plan held until start, then split into per-lane plans.
   std::unique_ptr<fault::FaultPlan> fault_plan_;
-  bool lifecycle_requested_ = false;
   obs::TraceRecorder* user_trace_ = nullptr;
 };
 

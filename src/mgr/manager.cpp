@@ -5,8 +5,6 @@
 #include <cmath>
 #include <string>
 
-#include "common/logging.hpp"
-
 namespace nfv::mgr {
 
 namespace {
@@ -36,12 +34,6 @@ Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
   }
 }
 
-flow::NfId Manager::register_nf(nf::NfTask* task, sched::Core* core) {
-  const auto id = static_cast<flow::NfId>(records_.size());
-  register_nf_at(id, task, core);
-  return id;
-}
-
 void Manager::ensure_record(flow::NfId id) {
   if (id >= records_.size()) records_.resize(id + 1);
 }
@@ -56,8 +48,8 @@ void Manager::register_remote_nf(flow::NfId id, std::string name,
   rec.owner_lane = owner_lane;
 }
 
-void Manager::register_nf_at(flow::NfId id, nf::NfTask* task,
-                             sched::Core* core) {
+void Manager::register_nf(flow::NfId id, nf::NfTask* task,
+                          sched::Core* core) {
   assert(!started_ && "register NFs before start()");
   ensure_record(id);
   assert(records_[id].task == nullptr && records_[id].name.empty() &&

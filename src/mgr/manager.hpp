@@ -250,9 +250,9 @@ class Manager : public fault::FaultSink {
   Manager(const Manager&) = delete;
   Manager& operator=(const Manager&) = delete;
 
-  /// Register an NF running on `core`. Returns its NfId (the id space the
+  /// Register an NF running on `core` under `id` (the global id space the
   /// chain registry uses). Wires libnf's callbacks to this manager.
-  flow::NfId register_nf(nf::NfTask* task, sched::Core* core);
+  void register_nf(flow::NfId id, nf::NfTask* task, sched::Core* core);
 
   // -- sharded simulation (DESIGN.md §14) -----------------------------------
   // In a sharded Simulation every lane runs its own Manager replica over
@@ -265,9 +265,6 @@ class Manager : public fault::FaultSink {
   /// id, `latency` the modelled cross-lane transit time every message is
   /// stamped with (it bounds the lanes' conservative lookahead).
   void set_shard_link(ShardLink* link, std::uint32_t lane, Cycles latency);
-
-  /// Register a local NF under an externally assigned (global) id.
-  void register_nf_at(flow::NfId id, nf::NfTask* task, sched::Core* core);
 
   /// Register a placeholder for an NF owned by lane `owner_lane`. `name`
   /// feeds backpressure observability (mirrored states are queriable).

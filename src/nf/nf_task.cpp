@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace nfv::nf {
 
 NfTask::NfTask(sim::Engine& engine, Config config)

@@ -112,6 +112,10 @@ std::uint64_t MetricsRegistry::sample_counter(const std::string& name,
 
 void MetricsRegistry::write_json_merged(
     const std::vector<const MetricsRegistry*>& parts, std::ostream& out) {
+  if (parts.size() == 1 && parts.front() != nullptr) {
+    parts.front()->write_json(out);
+    return;
+  }
   struct Merged {
     const Entry* first = nullptr;
     std::uint64_t counter = 0;

@@ -111,9 +111,9 @@ class MetricsRegistry {
   /// Union of several registries in one export, in the same format and sort
   /// order as write_json. Series that appear in more than one registry are
   /// combined: counters (owned and sampled) sum, gauges sum, histograms
-  /// merge (identical bucketing required, as with Histogram::merge). The
-  /// sharded simulation uses this to present its per-lane registries as the
-  /// single namespace a one-lane run would produce.
+  /// merge (identical bucketing required, as with Histogram::merge); a
+  /// single registry is written directly, with no copies. The simulation
+  /// uses this to present its per-lane registries as one namespace.
   static void write_json_merged(const std::vector<const MetricsRegistry*>& parts,
                                 std::ostream& out);
 

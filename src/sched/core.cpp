@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace nfv::sched {
 
 Core::Core(sim::Engine& engine, std::unique_ptr<Scheduler> scheduler,

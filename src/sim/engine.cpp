@@ -91,11 +91,12 @@ void Engine::heap_pop() {
     }
     if (last <= best_key) break;
     // Large heaps are sift-down-bound on memory: start pulling the next
-    // level's children in while this level's store completes.
+    // level's children in while this level's store completes. A partial
+    // last level ends before the fourth child, so clamp to the last entry.
     const std::size_t grandchild = (best << kArityShift) + 1;
     if (grandchild < n) {
       __builtin_prefetch(&heap_[grandchild]);
-      __builtin_prefetch(&heap_[grandchild + kArity - 1]);
+      __builtin_prefetch(&heap_[std::min(grandchild + kArity - 1, n - 1)]);
     }
     heap_[i] = best_key;
     i = best;

@@ -1,13 +1,14 @@
-// One shard of the sharded simulation: an event engine plus its epoch
+// One event lane of the simulation: an event engine plus its epoch
 // bookkeeping.
 //
 // A lane owns a full Engine instance (slot pool, 4-ary heap, sequence
 // counter) and is the unit the ShardExecutor hands to a worker thread. All
-// simulation components pinned to a lane — its sched::Core, the NfTasks on
-// it, their Manager replica, traffic sources homed there — schedule against
-// this engine and never touch another lane's, so lanes are data-race free
-// by construction and an epoch's outcome does not depend on which worker
-// ran it.
+// simulation components pinned to a lane — its sched::Cores, the NfTasks
+// on them, their Manager replica, traffic sources homed there — schedule
+// against this engine and never touch another lane's, so lanes are
+// data-race free by construction and an epoch's outcome does not depend on
+// which worker ran it. A lane holding every core runs no epochs: its
+// engine runs each deadline inclusively.
 //
 // Epoch convention: the conservative-lookahead loop advances lanes in
 // epochs [start, horizon). Engine::run_until is *inclusive* of its

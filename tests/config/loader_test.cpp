@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 namespace nfv::config {
 namespace {
@@ -57,6 +59,44 @@ TEST(ConfigLoader, ModeDirectiveTogglesFeatures) {
   EXPECT_TRUE(sim.manager().config().enable_backpressure);
   load_string("mode nfvnice\n", sim);
   EXPECT_TRUE(sim.manager().config().enable_ecn);
+}
+
+// `mode` reaches every lane's Manager wherever it sits in the file: before
+// or after the cores, it reproduces the in-code PlatformConfig::set_nfvnice
+// run byte-for-byte, with every core in one lane and with a lane per core.
+TEST(ConfigLoader, ModeDirectiveReachesEveryLane) {
+  const std::string topology = R"(
+    core batch
+    core batch
+    nf a core=0 cost=300
+    nf b core=1 cost=600
+    chain ab a b
+    udp ab rate=3e6
+  )";
+  for (const std::uint32_t shards : {0u, 2u}) {
+    for (const bool nfvnice : {false, true}) {
+      core::PlatformConfig cfg;
+      cfg.sim_shards = shards;
+      cfg.set_nfvnice(nfvnice);
+      Simulation in_code(cfg);
+      load_string(topology, in_code);
+      in_code.run_for_seconds(0.02);
+      const std::string expected = in_code.report_json();
+
+      const std::string mode = nfvnice ? "mode nfvnice\n" : "mode default\n";
+      for (const bool mode_first : {true, false}) {
+        core::PlatformConfig opposite;
+        opposite.sim_shards = shards;
+        opposite.set_nfvnice(!nfvnice);
+        Simulation sim(opposite);
+        load_string(mode_first ? mode + topology : topology + mode, sim);
+        sim.run_for_seconds(0.02);
+        EXPECT_EQ(sim.report_json(), expected)
+            << "shards=" << shards << " " << mode
+            << (mode_first ? "before" : "after") << " the cores";
+      }
+    }
+  }
 }
 
 TEST(ConfigLoader, RrCoreWithQuantum) {

@@ -3,12 +3,15 @@
 // worker count. Each test builds the same simulation at sim_shards = 1 and
 // at higher counts and compares the serialized artifacts byte-for-byte —
 // the strongest equivalence we can assert, and the one CI's TSan job runs
-// to certify the barrier protocol.
+// to certify the barrier protocol. Every scenario also runs at
+// sim_shards = 0 (one lane holding every core), and the artifacts at 0 and
+// 1 are pinned to absolute digests, so neither decomposition can drift.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,13 +31,77 @@ struct RunArtifacts {
   std::string trace;
 };
 
-/// Run `build` at each shard count and require byte-identical artifacts.
+/// FNV-1a-64 of report_json() and of the Chrome trace for one scenario at
+/// one sim_shards setting.
+struct Pin {
+  const char* scenario;
+  std::uint32_t shards;
+  std::uint64_t report;
+  std::uint64_t trace;
+};
+
+// Captured at commit 8bc88e2, before the one-group lane replaced the
+// legacy single-engine path; a refactor of either runtime keeps these.
+constexpr Pin kPins[] = {
+    {"Fig07GridPoint", 0, 0x0282584644bdaa15, 0x9249a3924361ba10},
+    {"Fig07GridPoint", 1, 0x9f1c2e342f475970, 0x32da6ca2246a4567},
+    {"Tab03DropRatePoint", 0, 0x61c2a6a47f5410f3, 0x0e42d391a65fa02d},
+    {"Tab03DropRatePoint", 1, 0xaeaa24e568bcdf4e, 0x3cebf1aa94649c81},
+    {"MultiCoreCrossLaneChains", 0, 0xdc379736915f7258, 0x9bfc87d753174fef},
+    {"MultiCoreCrossLaneChains", 1, 0xefb2dc39043230b2, 0x139733fe64701b5a},
+    {"ChurnWorkload", 0, 0x7a567f324b76987e, 0x8a153406b88736b1},
+    {"ChurnWorkload", 1, 0xc8743398e38df53d, 0x5e63751902e5223b},
+    {"CrashAndDegradeFaultPlan", 0, 0xac4657df1ea7737d, 0xe90b452aaef39e33},
+    {"CrashAndDegradeFaultPlan", 1, 0x7e919e51c41b0bf6, 0xe950a03dcee678c6},
+    {"DeviceFaultWithAsyncIo", 0, 0x03a1457807881713, 0xe8f4b2a404f1f41d},
+    {"DeviceFaultWithAsyncIo", 1, 0x486894c5152cccfd, 0x857e9690ea1a60ee},
+    {"WorkerCountBeyondLanesIsClamped", 0, 0x882ce884d2585ca0,
+     0xb2ebe561d930b386},
+    {"WorkerCountBeyondLanesIsClamped", 1, 0x41d14b773a8a6e11,
+     0x58ba492c76849b44},
+};
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Compare the running test's artifacts at `shards` against its pin.
+void expect_pinned(std::uint32_t shards, const RunArtifacts& got) {
+  const std::string scenario =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::ostringstream actual;
+  actual << "{\"" << scenario << "\", " << shards << std::hex
+         << std::setfill('0') << ", 0x" << std::setw(16) << fnv1a(got.report)
+         << ", 0x" << std::setw(16) << fnv1a(got.trace) << "}";
+  for (const Pin& pin : kPins) {
+    if (scenario != pin.scenario || shards != pin.shards) continue;
+    EXPECT_EQ(fnv1a(got.report), pin.report)
+        << "report bytes moved at shards=" << shards << "; now "
+        << actual.str();
+    EXPECT_EQ(fnv1a(got.trace), pin.trace)
+        << "trace bytes moved at shards=" << shards << "; now "
+        << actual.str();
+    return;
+  }
+  ADD_FAILURE() << "no pin for " << actual.str();
+}
+
+/// Run `build` at sim_shards = 0 and at each shard count: the artifacts at
+/// 0 and at the first count must match their pins, and every count must
+/// reproduce the first count's artifacts byte-for-byte.
 void expect_identical(
     const std::function<RunArtifacts(std::uint32_t)>& run_at,
     std::vector<std::uint32_t> shard_counts) {
   ASSERT_GE(shard_counts.size(), 2u);
+  expect_pinned(0, run_at(0));
   const RunArtifacts base = run_at(shard_counts.front());
   ASSERT_FALSE(base.report.empty());
+  expect_pinned(shard_counts.front(), base);
   for (std::size_t i = 1; i < shard_counts.size(); ++i) {
     const RunArtifacts other = run_at(shard_counts[i]);
     const auto diverge = [](const std::string& a, const std::string& b) {

@@ -116,6 +116,36 @@ TEST(Simulation, AddFlowAfterStart) {
   EXPECT_GT(sim.manager().flow_counters(flow).egress_packets, 1000u);
 }
 
+// With a lane per core, the facade's engine, registry and flow table are
+// lane 0's live objects: the engine runs, the Manager's instruments are
+// registered, and the flows homed on lane 0 are in its table.
+TEST(Simulation, ShardedAccessorsAreLaneZeros) {
+  PlatformConfig cfg;
+  cfg.sim_shards = 2;
+  Simulation sim(cfg);
+  const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto c1 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto a = sim.add_nf("a", c0, nf::CostModel::fixed(200));
+  const auto b = sim.add_nf("b", c1, nf::CostModel::fixed(300));
+  const auto homed_on_0 = sim.add_chain("ab", {a, b});
+  const auto homed_on_1 = sim.add_chain("b", {b});
+  sim.add_udp_flow(homed_on_0, 1e6);
+  sim.add_udp_flow(homed_on_0, 1e6);
+  sim.add_udp_flow(homed_on_1, 1e6);
+  bool fired = false;
+  sim.engine().schedule_at(sim.clock().from_seconds(0.005),
+                           [&fired] { fired = true; });
+  sim.run_for_seconds(0.01);
+
+  EXPECT_TRUE(fired);
+  const Cycles run = sim.clock().from_seconds(0.01);
+  EXPECT_GE(sim.engine().now(), run - 1);
+  EXPECT_LE(sim.engine().now(), run);
+  EXPECT_NE(sim.observability().metrics().find_counter("mgr.unmatched_drops"),
+            nullptr);
+  EXPECT_EQ(sim.flow_table().size(), 2u);
+}
+
 TEST(Simulation, RrQuantumConfigurable) {
   Simulation sim;
   const auto fast_rr = sim.add_core(SchedPolicy::kRoundRobin, 1.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -297,6 +298,24 @@ TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
   ASSERT_EQ(times.size(), 10000u);
   for (std::size_t i = 1; i < times.size(); ++i) {
     ASSERT_LE(times[i - 1], times[i]);
+  }
+}
+
+TEST_P(EngineBackendTest, EveryPendingCountFiresInWhenSeqOrder) {
+  // Every queue size from 1 to 64 pending events, so most heaps end in a
+  // partial last level that each pop sifts through.
+  for (int n = 1; n <= 64; ++n) {
+    Engine e{GetParam()};
+    std::vector<std::pair<Cycles, int>> expected;
+    std::vector<std::pair<Cycles, int>> fired;
+    for (int i = 0; i < n; ++i) {
+      const Cycles when = (i * 37) % 11;  // scrambled, with ties
+      expected.emplace_back(when, i);
+      e.schedule_at(when, [&fired, &e, i] { fired.emplace_back(e.now(), i); });
+    }
+    std::sort(expected.begin(), expected.end());  // (when, scheduling order)
+    e.run();
+    EXPECT_EQ(fired, expected) << n << " pending events";
   }
 }
 
