@@ -28,7 +28,6 @@ namespace {
 
 using nfv::Cycles;
 using nfv::sim::Engine;
-using nfv::sim::EngineBackend;
 using nfv::sim::EventId;
 
 /// Deterministic LCG so every run (and both engine generations) sees the
@@ -185,60 +184,6 @@ ScenarioResult run_periodic() {
   return {"periodic", fired, fired * 2, elapsed};
 }
 
-/// Million-timer steady state (DESIGN.md §15): 500k self-re-arming tickers
-/// plus 500k long-dated guard timers that are cancelled and replaced in a
-/// churn mix — 1M pending at every instant of the timed region. This is the
-/// regime the hierarchical timer wheel exists for: the heap pays
-/// O(log 1M) ≈ 10 cache-missing levels per operation, the wheel O(1) list
-/// splices. Seeding happens outside the timed region, and the run stops at
-/// a fixed horizon (not drain-to-empty) so the measurement never leaves the
-/// 1M-pending regime. The workload is identical for both backends: every
-/// schedule/cancel consumes the same LCG draws in the same order because
-/// dispatch order is backend-invariant.
-ScenarioResult run_timer_heavy(EngineBackend backend) {
-  constexpr std::size_t kTickers = 500'000;
-  constexpr std::size_t kGuards = 500'000;
-  constexpr Cycles kHorizon = Cycles{1} << 18;
-  struct State {
-    Engine engine;
-    Lcg lcg{0x1e6f00dULL};
-    std::vector<EventId> guards;
-    std::uint64_t ticks = 0;
-    std::uint64_t ops = 0;
-    explicit State(EngineBackend b) : engine(b) {}
-    void tick() {
-      engine.schedule_after(1 + static_cast<Cycles>(lcg.next() % (1u << 16)),
-                            [this] { tick(); });
-      ops += 2;  // dispatch + re-arm
-      if ((++ticks & 3) == 0) {  // churn: replace one guard every 4th fire
-        EventId& g = guards[(ticks >> 2) % guards.size()];
-        engine.cancel(g);
-        g = engine.schedule_after(
-            (Cycles{1} << 16) + static_cast<Cycles>(lcg.next() % (1u << 24)),
-            [] {});
-        ops += 2;  // cancel + schedule
-      }
-    }
-  };
-  State st(backend);
-  st.engine.reserve(kTickers + kGuards + 8);
-  for (std::size_t i = 0; i < kTickers; ++i) {
-    st.engine.schedule_after(1 + static_cast<Cycles>(st.lcg.next() % (1u << 16)),
-                             [&st] { st.tick(); });
-  }
-  st.guards.reserve(kGuards);
-  for (std::size_t i = 0; i < kGuards; ++i) {
-    st.guards.push_back(st.engine.schedule_after(
-        (Cycles{1} << 16) + static_cast<Cycles>(st.lcg.next() % (1u << 24)),
-        [] {}));
-  }
-  const double t0 = now_seconds();
-  st.engine.run_until(kHorizon);
-  const double elapsed = now_seconds() - t0;
-  return {std::string("timer_1m_") + nfv::sim::to_string(backend),
-          st.engine.dispatched_events(), st.ops, elapsed};
-}
-
 /// Min-of-N CPU time over identical deterministic repetitions.
 template <typename Fn>
 ScenarioResult best_of(int reps, Fn&& fn) {
@@ -267,19 +212,6 @@ int main(int argc, char** argv) {
       best_of(kReps, [] { return run_cancel_heavy(); }),
       best_of(kReps, [] { return run_periodic(); }),
   };
-  // The million-timer scenario runs under both ready-queue backends; it is
-  // kept out of the legacy aggregate so `events_per_sec` stays comparable
-  // with historical baselines (the heap scenarios above are unchanged).
-  const ScenarioResult timer_results[] = {
-      best_of(kReps, [] { return run_timer_heavy(EngineBackend::kHeap); }),
-      best_of(kReps, [] { return run_timer_heavy(EngineBackend::kWheel); }),
-  };
-  const double timer_heap_rate =
-      static_cast<double>(timer_results[0].events) /
-      timer_results[0].cpu_seconds;
-  const double timer_wheel_rate =
-      static_cast<double>(timer_results[1].events) /
-      timer_results[1].cpu_seconds;
 
   std::uint64_t total_events = 0;
   double total_seconds = 0;
@@ -295,7 +227,7 @@ int main(int argc, char** argv) {
     writer.field("bench", "micro_engine");
     writer.key("rows");
     writer.begin_array();
-    const auto write_row = [&writer](const ScenarioResult& r) {
+    for (const auto& r : results) {
       writer.begin_object();
       writer.field("scenario", std::string_view(r.name));
       writer.field("events", r.events);
@@ -304,17 +236,12 @@ int main(int argc, char** argv) {
       writer.field("events_per_sec",
                    static_cast<double>(r.events) / r.cpu_seconds);
       writer.end_object();
-    };
-    for (const auto& r : results) write_row(r);
-    for (const auto& r : timer_results) write_row(r);
+    }
     writer.end_array();
     writer.field("total_events", total_events);
     writer.field("total_cpu_seconds", total_seconds);
     writer.field("events_per_sec",
                  static_cast<double>(total_events) / total_seconds);
-    writer.field("timer_events_per_sec_heap", timer_heap_rate);
-    writer.field("timer_events_per_sec_wheel", timer_wheel_rate);
-    writer.field("timer_wheel_speedup", timer_wheel_rate / timer_heap_rate);
     writer.end_object();
     std::printf("%s\n", out.str().c_str());
     return 0;
@@ -331,13 +258,5 @@ int main(int argc, char** argv) {
   std::printf("%-18s %12llu %12.3f %14.0f\n", "TOTAL",
               static_cast<unsigned long long>(total_events), total_seconds,
               static_cast<double>(total_events) / total_seconds);
-  std::printf("\nMillion-timer scenario (1M pending, schedule/cancel churn):\n");
-  for (const auto& r : timer_results) {
-    std::printf("%-18s %12llu %12.3f %14.0f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events), r.cpu_seconds,
-                static_cast<double>(r.events) / r.cpu_seconds);
-  }
-  std::printf("%-18s %43.2fx\n", "wheel speedup",
-              timer_wheel_rate / timer_heap_rate);
   return 0;
 }

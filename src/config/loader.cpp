@@ -1,5 +1,7 @@
 #include "config/loader.hpp"
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -32,15 +34,33 @@ bool split_kv(const std::string& token, std::string& key, std::string& value) {
   return true;
 }
 
+/// A finite number spanning the whole token; `nan` and `inf` are refused.
 double parse_double(int line, const std::string& value, const std::string& what) {
   try {
     std::size_t consumed = 0;
     const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
+    if (consumed != value.size() || !std::isfinite(parsed)) {
+      throw std::invalid_argument(value);
+    }
     return parsed;
   } catch (const std::exception&) {
     throw ConfigError(line, "bad number for " + what + ": '" + value + "'");
   }
+}
+
+/// Narrow a parsed number into the integer type T, refusing anything below
+/// `min` or beyond T's range: converting an out-of-range double to an
+/// integer is undefined behaviour, not a wrap.
+template <typename T>
+T narrow(int line, double value, const std::string& what, double min = 0.0) {
+  // 2^digits is exact in a double and one past T's largest value.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= min && value < limit)) {
+    std::ostringstream msg;
+    msg << what << " out of range: " << value;
+    throw ConfigError(line, msg.str());
+  }
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -55,46 +75,14 @@ Topology load(std::istream& in, core::Simulation& sim) {
   // One flow class per chain: re-classing silently overwrites shed state,
   // so the loader treats a second `class` line as a config bug.
   std::set<std::string> classed_chains;
-  // The engine directive rewires the ready queue, which is only safe while
-  // nothing is scheduled — so it must precede every topology directive.
-  bool topology_started = false;
 
   while (std::getline(in, line)) {
     ++line_no;
     const auto tokens = tokenize(line);
     if (tokens.empty()) continue;
     const std::string& verb = tokens[0];
-    if (verb != "mode" && verb != "engine") topology_started = true;
 
-    if (verb == "engine") {
-      if (topology_started) {
-        throw ConfigError(line_no,
-                          "engine must come before topology directives");
-      }
-      if (tokens.size() < 2) {
-        throw ConfigError(line_no,
-                          "engine takes a backend (heap|wheel) and options");
-      }
-      sim::EngineBackend backend;
-      if (!sim::parse_engine_backend(tokens[1].c_str(), backend)) {
-        throw ConfigError(line_no, "unknown engine backend '" + tokens[1] + "'");
-      }
-      sim.set_engine_backend(backend);
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        std::string key, value;
-        if (!split_kv(tokens[i], key, value)) {
-          throw ConfigError(line_no, "expected key=value, got '" + tokens[i] + "'");
-        }
-        if (key == "pending") {
-          const double hint = parse_double(line_no, value, "pending");
-          if (hint < 0.0) throw ConfigError(line_no, "pending must be >= 0");
-          sim.reserve_pending_events(static_cast<std::size_t>(hint));
-        } else {
-          throw ConfigError(line_no, "unknown engine option '" + key + "'");
-        }
-      }
-
-    } else if (verb == "mode") {
+    if (verb == "mode") {
       if (tokens.size() != 2) throw ConfigError(line_no, "mode takes 1 arg");
       const std::string& mode = tokens[1];
       if (mode == "nfvnice") {
@@ -152,12 +140,13 @@ Topology load(std::istream& in, core::Simulation& sim) {
           core_index = it->second;
           have_core = true;
         } else if (key == "cost") {
-          cost = static_cast<Cycles>(parse_double(line_no, value, "cost"));
+          cost = narrow<Cycles>(line_no, parse_double(line_no, value, "cost"),
+                                "cost");
         } else if (key == "priority") {
           options.priority = parse_double(line_no, value, "priority");
         } else if (key == "batch") {
-          options.batch_size = static_cast<std::uint32_t>(
-              parse_double(line_no, value, "batch"));
+          options.batch_size = narrow<std::uint32_t>(
+              line_no, parse_double(line_no, value, "batch"), "batch", 1.0);
         } else {
           throw ConfigError(line_no, "unknown nf option '" + key + "'");
         }
@@ -202,10 +191,11 @@ Topology load(std::istream& in, core::Simulation& sim) {
         }
         const double parsed = parse_double(line_no, value, key);
         if (key == "rate") {
+          if (!(parsed > 0.0)) throw ConfigError(line_no, "rate must be > 0");
           rate = parsed;
         } else if (key == "size") {
-          udp_opts.size_bytes = static_cast<std::uint16_t>(parsed);
-          tcp_opts.size_bytes = static_cast<std::uint16_t>(parsed);
+          udp_opts.size_bytes = narrow<std::uint16_t>(line_no, parsed, key);
+          tcp_opts.size_bytes = udp_opts.size_bytes;
         } else if (key == "start") {
           udp_opts.start_seconds = parsed;
           tcp_opts.start_seconds = parsed;
@@ -215,7 +205,7 @@ Topology load(std::istream& in, core::Simulation& sim) {
         } else if (key == "rtt_us") {
           tcp_opts.rtt_seconds = parsed * 1e-6;
         } else if (key == "classes") {
-          udp_opts.cost_classes = static_cast<std::uint8_t>(parsed);
+          udp_opts.cost_classes = narrow<std::uint8_t>(line_no, parsed, key);
         } else {
           throw ConfigError(line_no, "unknown flow option '" + key + "'");
         }
@@ -254,8 +244,8 @@ Topology load(std::istream& in, core::Simulation& sim) {
             throw ConfigError(line_no, "unknown io mode '" + value + "'");
           }
         } else if (key == "buffer") {
-          io_cfg.buffer_bytes = static_cast<std::uint64_t>(
-              parse_double(line_no, value, "buffer"));
+          io_cfg.buffer_bytes = narrow<std::uint64_t>(
+              line_no, parse_double(line_no, value, "buffer"), "buffer");
         } else if (key == "flush_us") {
           io_cfg.flush_interval = sim.clock().from_micros(
               parse_double(line_no, value, "flush_us"));
@@ -318,17 +308,16 @@ Topology load(std::istream& in, core::Simulation& sim) {
             throw ConfigError(line_no, "unknown io_retry option '" + key + "'");
           }
         }
-        if (max_attempts < 1.0) {
-          throw ConfigError(line_no, "io_retry needs max>=1");
-        }
+        const auto attempts =
+            narrow<std::uint32_t>(line_no, max_attempts, "max", 1.0);
         if (backoff_us <= 0.0) {
           throw ConfigError(line_no, "io_retry needs backoff_us=<0<..>");
         }
         if (jitter < 0.0 || jitter >= 1.0) {
           throw ConfigError(line_no, "io_retry jitter must be in [0,1)");
         }
-        io.set_retry(static_cast<std::uint32_t>(max_attempts),
-                     sim.clock().from_micros(backoff_us), multiplier, jitter);
+        io.set_retry(attempts, sim.clock().from_micros(backoff_us), multiplier,
+                     jitter);
       } else {  // on_io_fail
         const std::string& policy = tokens[2];
         if (policy == "block") {
@@ -485,19 +474,11 @@ Topology load(std::istream& in, core::Simulation& sim) {
       if (it == topo.chains.end()) {
         throw ConfigError(line_no, "unknown chain '" + tokens[1] + "'");
       }
-      const auto eq = tokens[2].find('=');
-      const std::string key =
-          eq == std::string::npos ? tokens[2] : tokens[2].substr(0, eq);
-      if (key != "target_us" || eq == std::string::npos) {
+      std::string key, value;
+      if (!split_kv(tokens[2], key, value) || key != "target_us") {
         throw ConfigError(line_no, "slo needs target_us=<microseconds>");
       }
-      double target_us = 0.0;
-      try {
-        target_us = std::stod(tokens[2].substr(eq + 1));
-      } catch (const std::exception&) {
-        throw ConfigError(line_no,
-                          "bad slo value '" + tokens[2].substr(eq + 1) + "'");
-      }
+      const double target_us = parse_double(line_no, value, key);
       if (target_us < 0.0) {
         throw ConfigError(line_no, "slo target_us must be >= 0");
       }

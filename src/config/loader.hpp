@@ -26,11 +26,14 @@
 //   device_fault wedge at=0.2 for=0.1            # or: slow factor=8 |
 //                                                #  error | torn fraction=0.5
 //
-// Identifiers are declared before use; errors carry line numbers. Fault
-// times are validated as the plan is built (negative times, non-positive
-// restart delays or factors, and overlapping fault windows on one NF or
-// the device are rejected with the offending line). The io_timeout /
-// io_retry / on_io_fail directives require the NF's `io` line first.
+// Identifiers are declared before use; errors carry line numbers. Numbers
+// must be finite (no nan/inf), rates positive, and a value stored in an
+// integer field (cost, batch, size, classes, buffer, max) within that
+// field's range. Fault times are validated as the plan is built (negative
+// times, non-positive restart delays or factors, and overlapping fault
+// windows on one NF or the device are rejected with the offending line).
+// The io_timeout / io_retry / on_io_fail directives require the NF's `io`
+// line first.
 #pragma once
 
 #include <iosfwd>

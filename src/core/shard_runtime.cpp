@@ -8,19 +8,16 @@ namespace nfv::core {
 Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
            const flow::FlowTable::Config& flow_cfg,
            std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-           mgr::ShardLink* link, Cycles latency, sim::EngineBackend backend,
-           std::size_t pending_hint)
-    : id(lane_id), ev(lane_id, backend), pool(mempool_capacity),
-      flows(flow_cfg) {
-  ev.engine().reserve(pending_hint);
-  manager = std::make_unique<mgr::Manager>(ev.engine(), pool, flows, chains,
+           mgr::ShardLink* link, Cycles latency)
+    : id(lane_id), pool(mempool_capacity), flows(flow_cfg) {
+  manager = std::make_unique<mgr::Manager>(engine, pool, flows, chains,
                                            mgr_cfg, &obs);
   if (link != nullptr) manager->set_shard_link(link, lane_id, latency);
   // Platform probes: every lane registers the same keys, so a merged report
   // sums them across lanes into the familiar series. Sampled, so the hot
   // paths pay nothing for them.
   obs.metrics().counter_fn("sim.dispatched_events", {}, [this] {
-    return ev.engine().dispatched_events();
+    return engine.dispatched_events();
   });
   obs.metrics().gauge_fn("sim.mbufs_in_use", {}, [this] {
     return static_cast<double>(pool.in_use());
@@ -41,7 +38,7 @@ Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
 
 io::BlockDevice& Lane::disk() {
   if (!block_device) {
-    block_device = std::make_unique<io::BlockDevice>(ev.engine());
+    block_device = std::make_unique<io::BlockDevice>(engine);
   }
   return *block_device;
 }
@@ -50,13 +47,9 @@ ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
                            const mgr::ManagerConfig& mgr_cfg,
                            const flow::FlowTable::Config& flow_cfg,
                            std::uint32_t mempool_capacity,
-                           flow::ChainRegistry& chains,
-                           sim::EngineBackend backend,
-                           std::size_t pending_hint)
+                           flow::ChainRegistry& chains)
     : shards_(shards),
       latency_(latency),
-      backend_(backend),
-      pending_hint_(pending_hint),
       mgr_cfg_(mgr_cfg),
       flow_cfg_(flow_cfg),
       mempool_capacity_(mempool_capacity),
@@ -73,7 +66,7 @@ Lane& ShardRuntime::add_lane() {
   const auto id = static_cast<std::uint32_t>(lanes_.size());
   lanes_.push_back(std::make_unique<Lane>(
       id, mgr_cfg_, flow_cfg_, mempool_capacity_, chains_,
-      shards_ > 0 ? this : nullptr, latency_, backend_, pending_hint_));
+      shards_ > 0 ? this : nullptr, latency_));
   return *lanes_.back();
 }
 
@@ -82,19 +75,6 @@ Lane& ShardRuntime::add_core() {
   Lane& lane = own_lane ? add_lane() : *lanes_[0];
   core_lane_.push_back(lane.id);
   return lane;
-}
-
-void ShardRuntime::set_engine_backend(sim::EngineBackend backend) {
-  backend_ = backend;
-  for (auto& lane : lanes_) {
-    lane->ev.engine().set_backend(backend);
-    lane->ev.engine().reserve(pending_hint_);
-  }
-}
-
-void ShardRuntime::set_pending_hint(std::size_t hint) {
-  pending_hint_ = hint;
-  for (auto& lane : lanes_) lane->ev.engine().reserve(hint);
 }
 
 void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
@@ -113,7 +93,7 @@ void ShardRuntime::enable_lifecycle() {
 
 std::uint64_t ShardRuntime::dispatched_events() const {
   std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->ev.engine().dispatched_events();
+  for (const auto& lane : lanes_) total += lane->engine.dispatched_events();
   return total;
 }
 
@@ -130,7 +110,7 @@ void ShardRuntime::run_until(Cycles target) {
   if (shards_ == 0) {
     // One lane, nothing to exchange: no epochs, and the deadline itself is
     // run — the monitor tick and the wakeup scan land exactly on it.
-    lanes_[0]->ev.engine().run_until(target);
+    lanes_[0]->engine.run_until(target);
     now_ = target;
     return;
   }
@@ -141,10 +121,16 @@ void ShardRuntime::run_until(Cycles target) {
     boxes_.resize(n * n);
     for (auto& box : boxes_) box = std::make_unique<Mailbox>();
   }
+  // Epochs are [now, horizon). Engine::run_until is inclusive of its
+  // deadline, so each lane runs to horizon - 1: events stamped exactly at
+  // the horizon belong to the next epoch, after this epoch's mailboxes
+  // have been drained. A drain schedules each delivery at send_time +
+  // latency, which the epoch length guarantees is >= horizon > horizon - 1
+  // = engine.now(), so it never schedules into a lane's past.
   while (now_ < target) {
     const Cycles horizon = std::min<Cycles>(now_ + latency_, target);
     exec_->run_phase(
-        [&](std::size_t i) { lanes_[i]->ev.run_epoch(horizon); });
+        [&](std::size_t i) { lanes_[i]->engine.run_until(horizon - 1); });
     exec_->run_phase([this](std::size_t i) { drain_lane(i); });
     now_ = horizon;
   }
@@ -173,7 +159,7 @@ void ShardRuntime::deliver(Lane& lane, const mgr::ShardMsg& msg) {
   const auto it = pending.insert(pending.end(), msg);
   mgr::Manager* manager = lane.manager.get();
   auto* list = &pending;
-  lane.ev.engine().schedule_at(it->when, [manager, list, it] {
+  lane.engine.schedule_at(it->when, [manager, list, it] {
     manager->apply_shard_msg(*it);
     list->erase(it);
   });

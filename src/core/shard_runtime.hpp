@@ -40,7 +40,7 @@
 #include "obs/trace.hpp"
 #include "pktio/mempool.hpp"
 #include "pktio/ring.hpp"
-#include "sim/event_lane.hpp"
+#include "sim/engine.hpp"
 #include "sim/shard_barrier.hpp"
 
 namespace nfv::core {
@@ -52,14 +52,16 @@ struct Lane {
   /// `link` is null for the one lane of the shards == 0 decomposition.
   Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
        const flow::FlowTable::Config& flow_cfg, std::uint32_t mempool_capacity,
-       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency,
-       sim::EngineBackend backend, std::size_t pending_hint);
+       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency);
 
   /// The lane's block device, built on first use.
   io::BlockDevice& disk();
 
   std::uint32_t id;
-  sim::EventLane ev;
+  /// Everything pinned to the lane's cores schedules against this engine
+  /// and never touches another lane's, so lanes are data-race free by
+  /// construction.
+  sim::Engine engine;
   pktio::MbufPool pool;
   flow::FlowTable flows;
   obs::Observability obs;
@@ -88,9 +90,7 @@ class ShardRuntime final : public mgr::ShardLink {
   ShardRuntime(std::uint32_t shards, Cycles latency,
                const mgr::ManagerConfig& mgr_cfg,
                const flow::FlowTable::Config& flow_cfg,
-               std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-               sim::EngineBackend backend = sim::EngineBackend::kHeap,
-               std::size_t pending_hint = 0);
+               std::uint32_t mempool_capacity, flow::ChainRegistry& chains);
   ~ShardRuntime() override;
 
   /// Place the next core and return its lane: lane 0 when shards == 0,
@@ -100,15 +100,6 @@ class ShardRuntime final : public mgr::ShardLink {
   [[nodiscard]] Lane& lane_of_core(std::size_t core) {
     return *lanes_[core_lane_[core]];
   }
-
-  /// Ready-queue backend for lanes (existing lanes are switched too; only
-  /// legal before anything is scheduled on them). Lane event *content* is
-  /// backend-independent — this is purely a performance knob.
-  void set_engine_backend(sim::EngineBackend backend);
-
-  /// Pending-events pre-size hint applied to every lane engine, existing
-  /// and future (see PlatformConfig::pending_events_hint).
-  void set_pending_hint(std::size_t hint);
 
   /// Flip the Manager's control-plane features on every lane, existing and
   /// future.
@@ -157,8 +148,6 @@ class ShardRuntime final : public mgr::ShardLink {
 
   std::uint32_t shards_;
   Cycles latency_;
-  sim::EngineBackend backend_;
-  std::size_t pending_hint_;
   // Copies of the platform knobs, so lanes added later see the config the
   // simulation was built with.
   mgr::ManagerConfig mgr_cfg_;

@@ -65,39 +65,16 @@ Simulation::Simulation(PlatformConfig config)
       if (v > 0) config_.sim_shards = static_cast<std::uint32_t>(v);
     }
   }
-  // Ready-queue backend opt-in (DESIGN.md §15): same contract as the shards
-  // knob — an explicit config wins, otherwise NFV_ENGINE_BACKEND applies.
-  // Either way the event *order* is identical; this only picks the queue's
-  // data structure.
-  if (config_.engine_backend == sim::EngineBackend::kHeap) {
-    sim::EngineBackend env_backend;
-    if (sim::parse_engine_backend(std::getenv("NFV_ENGINE_BACKEND"),
-                                  env_backend)) {
-      config_.engine_backend = env_backend;
-    }
-  }
   // The admission trickle bucket is specified in packets per second; give
   // it this platform's clock so the cycle conversion is right (no-op for
   // runs that never register a flow class).
   config_.manager.admission.cpu_hz = config_.cpu_hz;
   shard_ = std::make_unique<ShardRuntime>(
       config_.sim_shards, config_.cross_lane_latency, config_.manager,
-      config_.flow_table, config_.mempool_capacity, chains_,
-      config_.engine_backend, config_.pending_events_hint);
+      config_.flow_table, config_.mempool_capacity, chains_);
 }
 
 Simulation::~Simulation() = default;
-
-void Simulation::set_engine_backend(sim::EngineBackend backend) {
-  assert(!started_ && "the backend is frozen once the simulation has run");
-  config_.engine_backend = backend;
-  shard_->set_engine_backend(backend);
-}
-
-void Simulation::reserve_pending_events(std::size_t hint) {
-  config_.pending_events_hint = hint;
-  shard_->set_pending_hint(hint);
-}
 
 void Simulation::set_features(bool cgroups, bool backpressure, bool ecn) {
   config_.manager.enable_cgroups = cgroups;
@@ -140,7 +117,7 @@ std::size_t Simulation::add_core(SchedPolicy policy, double rr_quantum_ms,
   }
   if (user_trace_) attach_lane_trace(lane);
   cores_.push_back(std::make_unique<sched::Core>(
-      lane.ev.engine(), std::move(scheduler), core_cfg,
+      lane.engine, std::move(scheduler), core_cfg,
       "core" + std::to_string(index)));
   cores_.back()->set_observability(&lane.obs,
                                    static_cast<std::uint32_t>(index));
@@ -166,7 +143,7 @@ flow::NfId Simulation::add_nf(std::string name, std::size_t core_index,
   cfg.priority = options.priority;
 
   Lane& home = shard_->lane_of_core(core_index);
-  nfs_.push_back(std::make_unique<nf::NfTask>(home.ev.engine(), cfg));
+  nfs_.push_back(std::make_unique<nf::NfTask>(home.engine, cfg));
   nf::NfTask* task = nfs_.back().get();
   const auto id = static_cast<flow::NfId>(nfs_.size() - 1);
   nf_core_.push_back(static_cast<std::uint32_t>(core_index));
@@ -192,7 +169,7 @@ io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
                                          io::AsyncIoEngine::Config io_config) {
   Lane& lane = lane_of_nf(nf_id);
   io_engines_.push_back(std::make_unique<io::AsyncIoEngine>(
-      lane.ev.engine(), lane.disk(), io_config));
+      lane.engine, lane.disk(), io_config));
   io_lane_.push_back(lane.id);
   nfs_[nf_id]->attach_io(io_engines_.back().get());
   io_engines_.back()->set_observability(&lane.obs, nfs_[nf_id]->config().name);
@@ -293,7 +270,7 @@ const fault::NfLifecycleStats& Simulation::nf_lifecycle_stats(
   return mgr_of(id).nf_lifecycle_stats(id);
 }
 
-sim::Engine& Simulation::engine() { return shard_->lane(0).ev.engine(); }
+sim::Engine& Simulation::engine() { return shard_->lane(0).engine; }
 
 mgr::Manager& Simulation::manager() { return *shard_->lane(0).manager; }
 
@@ -368,7 +345,7 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   udp_sources_.push_back(std::make_unique<traffic::UdpSource>(
-      home.ev.engine(), *home.manager, home.pool, clock_, cfg));
+      home.engine, *home.manager, home.pool, clock_, cfg));
   if (started_) udp_sources_.back()->start();
   return flow_id;
 }
@@ -392,7 +369,7 @@ std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   tcp_sources_.push_back(std::make_unique<traffic::TcpSource>(
-      home.ev.engine(), *home.manager, home.pool, flow_id, cfg));
+      home.engine, *home.manager, home.pool, flow_id, cfg));
   if (started_) tcp_sources_.back()->start();
   return {flow_id, tcp_sources_.back().get()};
 }
@@ -420,7 +397,7 @@ traffic::ChurnSource& Simulation::add_churn_workload(flow::ChainId chain,
 
   Lane& home = home_lane(chain);
   churn_sources_.push_back(std::make_unique<traffic::ChurnSource>(
-      home.ev.engine(), *home.manager, home.pool, home.flows, clock_, cfg));
+      home.engine, *home.manager, home.pool, home.flows, clock_, cfg));
   if (started_) churn_sources_.back()->start();
   return *churn_sources_.back();
 }
@@ -482,7 +459,7 @@ void Simulation::ensure_started() {
     // the seed event sequence.
     if (lane.flows.expiry_enabled()) {
       flow::FlowTable* flows = &lane.flows;
-      sim::Engine* engine = &lane.ev.engine();
+      sim::Engine* engine = &lane.engine;
       engine->schedule_periodic(flows->scan_period(), [flows, engine] {
         flows->expire(engine->now());
       });
@@ -506,7 +483,7 @@ void Simulation::ensure_started() {
       }
     }
     if (!plan.empty()) {
-      lane.injector = std::make_unique<fault::FaultInjector>(lane.ev.engine(),
+      lane.injector = std::make_unique<fault::FaultInjector>(lane.engine,
                                                              std::move(plan));
       lane.injector->arm(*lane.manager,
                          device_faults ? &lane.disk() : nullptr);

@@ -110,23 +110,6 @@ struct PlatformConfig {
   /// wakeup period, comparable to a loaded inter-core ring + wakeup hop.
   Cycles cross_lane_latency = 26'000;
 
-  // -- event-engine backend (DESIGN.md §15) ---------------------------------
-  /// Ready-queue backend for every engine this simulation owns (one per
-  /// lane). kHeap is the default; kWheel trades the heap's O(log n)
-  /// schedule/pop for a hierarchical timer wheel's O(1) schedule/cancel,
-  /// which wins at huge pending-timer populations (per-flow idle expiry,
-  /// watchdogs, million-flow sweeps).
-  /// Dispatch order is byte-identical either way — reports and traces do
-  /// not change. When left at kHeap, the NFV_ENGINE_BACKEND environment
-  /// variable ("heap" or "wheel") applies — mirroring NFV_SIM_SHARDS.
-  sim::EngineBackend engine_backend = sim::EngineBackend::kHeap;
-  /// Expected maximum of concurrently pending engine events. When > 0,
-  /// every engine pre-sizes its slot pool and ready-queue storage (heap
-  /// array or wheel link table) up front, eliminating warm-up reallocation
-  /// spikes from benches and latency-sensitive sweeps. Purely a
-  /// performance hint; 0 keeps the grow-on-demand behaviour.
-  std::size_t pending_events_hint = 0;
-
   /// Force every per-burst knob to `window` (1 = the seed's fully
   /// per-packet event schedule; used by the equivalence tests).
   void set_burst_window(std::uint32_t window) {
@@ -371,17 +354,6 @@ class Simulation {
   [[nodiscard]] std::uint64_t mbufs_in_use() const;
   /// True when every core has a lane of its own (DESIGN.md §14).
   [[nodiscard]] bool sharded() const { return config_.sim_shards > 0; }
-  /// The ready-queue backend every engine of this simulation uses.
-  [[nodiscard]] sim::EngineBackend engine_backend() const {
-    return config_.engine_backend;
-  }
-  /// Switch the ready-queue backend after construction (the config-loader
-  /// path). Only legal before anything has been scheduled — in practice,
-  /// before the first core / NF / traffic directive.
-  void set_engine_backend(sim::EngineBackend backend);
-  /// Apply a pending-events pre-size hint after construction; forwards to
-  /// every engine (see PlatformConfig::pending_events_hint).
-  void reserve_pending_events(std::size_t hint);
   /// Flip the Manager's control-plane features (the config loader's `mode`
   /// directive): updates config().manager and every lane's Manager.
   void set_features(bool cgroups, bool backpressure, bool ecn);

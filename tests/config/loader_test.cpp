@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 namespace nfv::config {
@@ -150,6 +149,44 @@ TEST(ConfigLoader, ErrorsCarryLineNumbers) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
+  }
+}
+
+// Non-finite and out-of-range numbers are refused with the offending line
+// before they are narrowed into an integer field (converting a double
+// outside the target type's range is undefined behaviour) or reach a
+// component's preconditions (a source's rate must be positive).
+TEST(ConfigLoader, OutOfRangeNumbersCarryLineNumbers) {
+  const std::string prelude = "core batch\nnf a core=0 cost=1\nchain c a\n";
+  struct Case {
+    const char* lines;  ///< appended to the prelude
+    int line;
+    const char* key;  ///< the option the error must name
+  };
+  const Case cases[] = {
+      {"udp c size=70000", 4, "size"},
+      {"udp c size=-1", 4, "size"},
+      {"udp c classes=300", 4, "classes"},
+      {"udp c rate=0", 4, "rate"},
+      {"udp c rate=-5", 4, "rate"},
+      {"udp c rate=nan", 4, "rate"},
+      {"nf b core=0 batch=-1", 4, "batch"},
+      {"nf b core=0 cost=nan", 4, "cost"},
+      {"nf b core=0 cost=1e30", 4, "cost"},
+      {"io a buffer=-1", 4, "buffer"},
+      {"io a mode=async\nio_retry a max=1e20 backoff_us=10", 5, "max"},
+      {"slo c target_us=5abc", 4, "target_us"},
+  };
+  for (const Case& c : cases) {
+    Simulation sim;
+    try {
+      load_string(prelude + c.lines + "\n", sim);
+      ADD_FAILURE() << "accepted: " << c.lines;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), c.line) << c.lines;
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << c.lines << " -> " << e.what();
+    }
   }
 }
 
@@ -410,50 +447,6 @@ TEST(ConfigLoader, OverlappingDeviceFaultsCarryLineNumbers) {
     EXPECT_EQ(e.line(), 3);
     EXPECT_NE(std::string(e.what()).find("overlap"), std::string::npos);
   }
-}
-
-// -- engine directive (DESIGN.md §15) ---------------------------------------
-
-TEST(ConfigLoader, EngineDirectiveSelectsWheel) {
-  ::unsetenv("NFV_ENGINE_BACKEND");
-  Simulation sim;
-  const auto topo = load_string(R"(
-    engine wheel pending=100000
-    core batch
-    nf fwd core=0 cost=120
-    chain c fwd
-    udp c rate=1e5
-  )",
-                                sim);
-  EXPECT_EQ(sim.engine_backend(), nfv::sim::EngineBackend::kWheel);
-  sim.run_for_seconds(0.05);
-  EXPECT_GT(sim.chain_metrics(topo.chains.at("c")).egress_packets, 4000u);
-}
-
-TEST(ConfigLoader, EngineDirectiveHeapIsDefault) {
-  ::unsetenv("NFV_ENGINE_BACKEND");
-  Simulation sim;
-  load_string("engine heap\ncore batch\n", sim);
-  EXPECT_EQ(sim.engine_backend(), nfv::sim::EngineBackend::kHeap);
-}
-
-TEST(ConfigLoader, EngineAfterTopologyFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("core batch\nengine wheel\n", sim), ConfigError);
-}
-
-TEST(ConfigLoader, EngineUnknownBackendFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("engine quantum\n", sim), ConfigError);
-}
-
-TEST(ConfigLoader, EngineBadPendingFails) {
-  Simulation sim;
-  EXPECT_THROW(load_string("engine wheel pending=lots\n", sim), ConfigError);
-  Simulation sim2;
-  EXPECT_THROW(load_string("engine wheel pending=-5\n", sim2), ConfigError);
-  Simulation sim3;
-  EXPECT_THROW(load_string("engine wheel speed=11\n", sim3), ConfigError);
 }
 
 // -- slo directive (DESIGN.md §16) ------------------------------------------

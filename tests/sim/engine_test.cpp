@@ -3,35 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <string>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 namespace nfv::sim {
 namespace {
 
-// Every behavioural contract below must hold for both ready-queue backends
-// (DESIGN.md §15): the wheel is a performance substitute for the heap, not a
-// semantic variant. The suite is instantiated once per backend.
-class EngineBackendTest : public ::testing::TestWithParam<EngineBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EngineBackendTest,
-    ::testing::Values(EngineBackend::kHeap, EngineBackend::kWheel),
-    [](const ::testing::TestParamInfo<EngineBackend>& param) {
-      return std::string(to_string(param.param));
-    });
-
-TEST_P(EngineBackendTest, StartsAtZero) {
-  Engine e{GetParam()};
+TEST(Engine, StartsAtZero) {
+  Engine e;
   EXPECT_EQ(e.now(), 0);
   EXPECT_EQ(e.pending_events(), 0u);
-  EXPECT_EQ(e.backend(), GetParam());
 }
 
-TEST_P(EngineBackendTest, EventsFireInTimeOrder) {
-  Engine e{GetParam()};
+TEST(Engine, EventsFireInTimeOrder) {
+  Engine e;
   std::vector<int> order;
   e.schedule_at(30, [&] { order.push_back(3); });
   e.schedule_at(10, [&] { order.push_back(1); });
@@ -41,8 +32,8 @@ TEST_P(EngineBackendTest, EventsFireInTimeOrder) {
   EXPECT_EQ(e.now(), 30);
 }
 
-TEST_P(EngineBackendTest, TiesBreakInSchedulingOrder) {
-  Engine e{GetParam()};
+TEST(Engine, TiesBreakInSchedulingOrder) {
+  Engine e;
   std::vector<int> order;
   e.schedule_at(5, [&] { order.push_back(1); });
   e.schedule_at(5, [&] { order.push_back(2); });
@@ -51,8 +42,8 @@ TEST_P(EngineBackendTest, TiesBreakInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EngineBackendTest, ScheduleAfterIsRelative) {
-  Engine e{GetParam()};
+TEST(Engine, ScheduleAfterIsRelative) {
+  Engine e;
   Cycles fired_at = -1;
   e.schedule_at(100, [&] {
     e.schedule_after(50, [&] { fired_at = e.now(); });
@@ -61,8 +52,8 @@ TEST_P(EngineBackendTest, ScheduleAfterIsRelative) {
   EXPECT_EQ(fired_at, 150);
 }
 
-TEST_P(EngineBackendTest, NegativeDelayClampsToNow) {
-  Engine e{GetParam()};
+TEST(Engine, NegativeDelayClampsToNow) {
+  Engine e;
   Cycles fired_at = -1;
   e.schedule_at(10, [&] {
     e.schedule_after(-5, [&] { fired_at = e.now(); });
@@ -71,8 +62,8 @@ TEST_P(EngineBackendTest, NegativeDelayClampsToNow) {
   EXPECT_EQ(fired_at, 10);
 }
 
-TEST_P(EngineBackendTest, RunUntilStopsAtDeadline) {
-  Engine e{GetParam()};
+TEST(Engine, RunUntilStopsAtDeadline) {
+  Engine e;
   int fired = 0;
   e.schedule_at(10, [&] { ++fired; });
   e.schedule_at(20, [&] { ++fired; });
@@ -85,14 +76,14 @@ TEST_P(EngineBackendTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST_P(EngineBackendTest, RunUntilAdvancesClockWhenIdle) {
-  Engine e{GetParam()};
+TEST(Engine, RunUntilAdvancesClockWhenIdle) {
+  Engine e;
   e.run_until(1000);
   EXPECT_EQ(e.now(), 1000);
 }
 
-TEST_P(EngineBackendTest, CancelPreventsExecution) {
-  Engine e{GetParam()};
+TEST(Engine, CancelPreventsExecution) {
+  Engine e;
   bool fired = false;
   const EventId id = e.schedule_at(10, [&] { fired = true; });
   EXPECT_TRUE(e.cancel(id));
@@ -100,8 +91,8 @@ TEST_P(EngineBackendTest, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EngineBackendTest, CancelIsIdempotent) {
-  Engine e{GetParam()};
+TEST(Engine, CancelIsIdempotent) {
+  Engine e;
   const EventId id = e.schedule_at(10, [] {});
   EXPECT_TRUE(e.cancel(id));
   EXPECT_FALSE(e.cancel(id));
@@ -110,8 +101,8 @@ TEST_P(EngineBackendTest, CancelIsIdempotent) {
   e.run();
 }
 
-TEST_P(EngineBackendTest, CancelFromWithinEarlierEvent) {
-  Engine e{GetParam()};
+TEST(Engine, CancelFromWithinEarlierEvent) {
+  Engine e;
   bool fired = false;
   const EventId id = e.schedule_at(20, [&] { fired = true; });
   e.schedule_at(10, [&] { e.cancel(id); });
@@ -119,16 +110,16 @@ TEST_P(EngineBackendTest, CancelFromWithinEarlierEvent) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EngineBackendTest, PeriodicFiresRepeatedly) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicFiresRepeatedly) {
+  Engine e;
   int count = 0;
   e.schedule_periodic(10, [&] { ++count; });
   e.run_until(100);
   EXPECT_EQ(count, 10);  // t=10,20,...,100
 }
 
-TEST_P(EngineBackendTest, PeriodicCancelStops) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicCancelStops) {
+  Engine e;
   int count = 0;
   const EventId id = e.schedule_periodic(10, [&] { ++count; });
   e.schedule_at(35, [&] { e.cancel(id); });
@@ -136,8 +127,8 @@ TEST_P(EngineBackendTest, PeriodicCancelStops) {
   EXPECT_EQ(count, 3);  // t=10,20,30
 }
 
-TEST_P(EngineBackendTest, PeriodicCanCancelItself) {
-  Engine e{GetParam()};
+TEST(Engine, PeriodicCanCancelItself) {
+  Engine e;
   int count = 0;
   EventId id = kInvalidEventId;
   id = e.schedule_periodic(10, [&] {
@@ -147,15 +138,15 @@ TEST_P(EngineBackendTest, PeriodicCanCancelItself) {
   EXPECT_EQ(count, 5);
 }
 
-TEST_P(EngineBackendTest, DispatchedEventsCounts) {
-  Engine e{GetParam()};
+TEST(Engine, DispatchedEventsCounts) {
+  Engine e;
   for (int i = 0; i < 5; ++i) e.schedule_at(i, [] {});
   e.run();
   EXPECT_EQ(e.dispatched_events(), 5u);
 }
 
-TEST_P(EngineBackendTest, EventsScheduledDuringRunAreExecuted) {
-  Engine e{GetParam()};
+TEST(Engine, EventsScheduledDuringRunAreExecuted) {
+  Engine e;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 100) e.schedule_after(1, recurse);
@@ -166,10 +157,10 @@ TEST_P(EngineBackendTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(e.now(), 99);
 }
 
-TEST_P(EngineBackendTest, SameCycleInsertionDuringDispatchFires) {
+TEST(Engine, SameCycleInsertionDuringDispatchFires) {
   // A callback scheduling at the *current* cycle must see the new event run
-  // in the same batch (the wheel re-drains its level-0 cell for this).
-  Engine e{GetParam()};
+  // before the clock moves on, after every event already due then.
+  Engine e;
   std::vector<int> order;
   e.schedule_at(10, [&] {
     order.push_back(1);
@@ -181,10 +172,10 @@ TEST_P(EngineBackendTest, SameCycleInsertionDuringDispatchFires) {
   EXPECT_EQ(e.now(), 10);
 }
 
-TEST_P(EngineBackendTest, CancelAfterFireIsNoOp) {
+TEST(Engine, CancelAfterFireIsNoOp) {
   // Regression: cancelling an already-fired one-shot used to decrement
   // pending_events (underflowing the gauge) and leak heap bookkeeping.
-  Engine e{GetParam()};
+  Engine e;
   int fired = 0;
   const EventId id = e.schedule_at(10, [&] { ++fired; });
   e.run();
@@ -200,10 +191,10 @@ TEST_P(EngineBackendTest, CancelAfterFireIsNoOp) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, StaleIdCannotCancelReusedSlot) {
+TEST(Engine, StaleIdCannotCancelReusedSlot) {
   // After a one-shot fires, its slot is recycled for new events. A stale
   // EventId (same slot, older generation) must not cancel the new tenant.
-  Engine e{GetParam()};
+  Engine e;
   bool second_fired = false;
   const EventId old_id = e.schedule_at(1, [] {});
   e.run();
@@ -215,10 +206,10 @@ TEST_P(EngineBackendTest, StaleIdCannotCancelReusedSlot) {
   EXPECT_NE(old_id, new_id);
 }
 
-TEST_P(EngineBackendTest, CancelledSlotIsRecycledSafely) {
+TEST(Engine, CancelledSlotIsRecycledSafely) {
   // Cancelling an armed event frees its slot immediately; a stale cancel of
   // the same id after the slot is re-armed must be refused.
-  Engine e{GetParam()};
+  Engine e;
   const EventId a = e.schedule_at(50, [] { FAIL() << "cancelled event ran"; });
   EXPECT_TRUE(e.cancel(a));
   EXPECT_EQ(e.pending_events(), 0u);
@@ -229,10 +220,10 @@ TEST_P(EngineBackendTest, CancelledSlotIsRecycledSafely) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(EngineBackendTest, OneShotSelfCancelDuringDispatchIsNoOp) {
+TEST(Engine, OneShotSelfCancelDuringDispatchIsNoOp) {
   // A callback cancelling its own (already-firing) id must get `false` and
   // leave the engine consistent.
-  Engine e{GetParam()};
+  Engine e;
   EventId id = kInvalidEventId;
   bool self_cancel_result = true;
   id = e.schedule_at(10, [&] { self_cancel_result = e.cancel(id); });
@@ -241,10 +232,10 @@ TEST_P(EngineBackendTest, OneShotSelfCancelDuringDispatchIsNoOp) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, ManyCancelledEventsDoNotAccumulateState) {
+TEST(Engine, ManyCancelledEventsDoNotAccumulateState) {
   // With O(1) cancellation the slot must be reusable at once: heavy
   // schedule/cancel churn keeps pending_events exact.
-  Engine e{GetParam()};
+  Engine e;
   for (int round = 0; round < 1000; ++round) {
     const EventId id = e.schedule_after(100, [] {});
     EXPECT_TRUE(e.cancel(id));
@@ -257,12 +248,12 @@ TEST_P(EngineBackendTest, ManyCancelledEventsDoNotAccumulateState) {
   EXPECT_EQ(e.dispatched_events(), 1u);
 }
 
-TEST_P(EngineBackendTest, DeterministicUnderChurn) {
+TEST(Engine, DeterministicUnderChurn) {
   // Two engines fed the identical schedule/cancel pattern must observe the
   // identical dispatch sequence — the determinism contract every simulation
   // above relies on.
-  const auto run_once = [this] {
-    Engine e{GetParam()};
+  const auto run_once = [] {
+    Engine e;
     std::vector<Cycles> fire_times;
     std::vector<EventId> live;
     std::uint64_t seed = 99;
@@ -284,9 +275,9 @@ TEST_P(EngineBackendTest, DeterministicUnderChurn) {
   EXPECT_FALSE(a.empty());
 }
 
-TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
+TEST(Engine, HeavyLoadOrderingProperty) {
   // Many events at random times must still execute in nondecreasing order.
-  Engine e{GetParam()};
+  Engine e;
   std::vector<Cycles> times;
   std::uint64_t seed = 12345;
   for (int i = 0; i < 10000; ++i) {
@@ -301,11 +292,11 @@ TEST_P(EngineBackendTest, HeavyLoadOrderingProperty) {
   }
 }
 
-TEST_P(EngineBackendTest, EveryPendingCountFiresInWhenSeqOrder) {
+TEST(Engine, EveryPendingCountFiresInWhenSeqOrder) {
   // Every queue size from 1 to 64 pending events, so most heaps end in a
   // partial last level that each pop sifts through.
   for (int n = 1; n <= 64; ++n) {
-    Engine e{GetParam()};
+    Engine e;
     std::vector<std::pair<Cycles, int>> expected;
     std::vector<std::pair<Cycles, int>> fired;
     for (int i = 0; i < n; ++i) {
@@ -319,10 +310,10 @@ TEST_P(EngineBackendTest, EveryPendingCountFiresInWhenSeqOrder) {
   }
 }
 
-TEST_P(EngineBackendTest, FarFutureEventsFireInOrder) {
-  // Deltas spanning every wheel level (up to 2^56 cycles) must cascade down
-  // and fire in order; exercises multi-level rollover.
-  Engine e{GetParam()};
+TEST(Engine, FarFutureEventsFireInOrder) {
+  // Timestamps up to 2^56 cycles fill the high word of the packed 128-bit
+  // heap key; they must still order by `when` first, then by seq.
+  Engine e;
   std::vector<Cycles> times;
   for (int i = 0; i < 57; ++i) {
     e.schedule_at(Cycles{1} << i, [&times, &e] { times.push_back(e.now()); });
@@ -332,10 +323,10 @@ TEST_P(EngineBackendTest, FarFutureEventsFireInOrder) {
   for (int i = 0; i < 57; ++i) EXPECT_EQ(times[i], Cycles{1} << i);
 }
 
-TEST_P(EngineBackendTest, FarFutureCancelIsExact) {
-  // Cancelling events parked on high wheel levels must be O(1)-eager:
-  // pending_events drops immediately, and nothing fires later.
-  Engine e{GetParam()};
+TEST(Engine, FarFutureCancelIsExact) {
+  // Cancelling far-future events must be exact: pending_events drops at
+  // once, and the stale heap keys fire nothing when they surface.
+  Engine e;
   std::vector<EventId> ids;
   for (int i = 10; i < 50; ++i) {
     ids.push_back(e.schedule_at(Cycles{1} << i, [] { FAIL(); }));
@@ -347,20 +338,10 @@ TEST_P(EngineBackendTest, FarFutureCancelIsExact) {
   EXPECT_EQ(e.dispatched_events(), 0u);
 }
 
-TEST_P(EngineBackendTest, ReserveIsBehaviourNeutral) {
-  Engine e{GetParam()};
-  e.reserve(1 << 16);
-  std::vector<int> order;
-  e.schedule_at(2, [&] { order.push_back(2); });
-  e.schedule_at(1, [&] { order.push_back(1); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST_P(EngineBackendTest, PeriodicWithLongPeriodCrossesLevels) {
-  // Period > one level-0 revolution (256 cycles): each re-arm lands on a
-  // higher level and must cascade back down exactly on time.
-  Engine e{GetParam()};
+TEST(Engine, PeriodicWithLongPeriodCrossesLevels) {
+  // A period far above the gaps between other events: each re-arm is pushed
+  // at now + period with a fresh seq and must surface exactly on time.
+  Engine e;
   std::vector<Cycles> times;
   e.schedule_periodic(1000, [&] { times.push_back(e.now()); });
   e.run_until(10'000);
@@ -368,77 +349,155 @@ TEST_P(EngineBackendTest, PeriodicWithLongPeriodCrossesLevels) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(times[i], Cycles{1000} * (i + 1));
 }
 
-TEST(EngineBackend, ParseAndName) {
-  EngineBackend b = EngineBackend::kHeap;
-  EXPECT_TRUE(parse_engine_backend("wheel", b));
-  EXPECT_EQ(b, EngineBackend::kWheel);
-  EXPECT_TRUE(parse_engine_backend("heap", b));
-  EXPECT_EQ(b, EngineBackend::kHeap);
-  EXPECT_FALSE(parse_engine_backend("bogus", b));
-  EXPECT_FALSE(parse_engine_backend("", b));
-  EXPECT_FALSE(parse_engine_backend(nullptr, b));
-  EXPECT_STREQ(to_string(EngineBackend::kHeap), "heap");
-  EXPECT_STREQ(to_string(EngineBackend::kWheel), "wheel");
-}
+// Reference model of the dispatch contract for the differential test
+// below: a std::set ordered by (when, seq) under one global seq counter. A
+// periodic re-arm takes a fresh seq once its callback has returned, and
+// cancel erases the entry. Deliberately naive, so it shares nothing with
+// Engine but the contract. Events are addressed by handle, an index into
+// `events`.
+struct RefQueue {
+  using Entry = std::tuple<Cycles, std::uint64_t, std::size_t>;
+  struct Event {
+    int tag;
+    Cycles period;  ///< 0 = one-shot
+    int fired = 0;
+    std::optional<Entry> armed;
+  };
 
-// Differential contract: the two backends, fed an identical randomized
-// schedule/cancel/periodic workload, must produce the *identical* dispatch
-// log — same tags at the same times in the same order. This is the unit-level
-// form of the byte-identical-reports guarantee DESIGN.md §15 claims.
-TEST(EngineBackend, HeapWheelDifferentialChurn) {
-  const auto run_ops = [](EngineBackend backend) {
-    Engine e{backend};
-    std::vector<std::pair<Cycles, int>> log;
-    std::vector<EventId> live;
-    std::uint64_t seed = 0xabcdef12345ULL;
-    const auto next = [&seed] {
-      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-      return seed >> 16;
-    };
-    for (int i = 0; i < 5000; ++i) {
-      const std::uint64_t r = next();
-      switch (r % 5) {
-        case 0:
-        case 1: {  // one-shot at a near/far mix of horizons
-          const Cycles t =
-              e.now() + static_cast<Cycles>((r % 3 == 0)
-                                                ? next() % (Cycles{1} << 34)
-                                                : next() % 4096);
-          const int tag = i;
-          live.push_back(e.schedule_at(
-              t, [&log, &e, tag] { log.emplace_back(e.now(), tag); }));
-          break;
+  std::set<Entry> queue;
+  std::vector<Event> events;
+  Cycles now = 0;
+  std::uint64_t next_seq = 1;
+  std::uint64_t dispatched = 0;
+
+  std::size_t add(Cycles when, int tag, Cycles period = 0) {
+    events.push_back({tag, period, 0, std::nullopt});
+    arm(events.size() - 1, when);
+    return events.size() - 1;
+  }
+  void arm(std::size_t handle, Cycles when) {
+    const Entry entry{when, next_seq++, handle};
+    queue.insert(entry);
+    events[handle].armed = entry;
+  }
+  bool cancel(std::size_t handle) {
+    Event& ev = events[handle];
+    if (!ev.armed) return false;
+    queue.erase(*ev.armed);
+    ev.armed.reset();
+    return true;
+  }
+  /// `on_fire` plays the callback: it logs, may schedule, and says whether
+  /// a periodic re-arms.
+  void run_until(Cycles deadline,
+                 const std::function<bool(std::size_t)>& on_fire) {
+    while (!queue.empty() && std::get<0>(*queue.begin()) <= deadline) {
+      const auto [when, seq, handle] = *queue.begin();
+      queue.erase(queue.begin());
+      events[handle].armed.reset();
+      now = when;
+      ++dispatched;
+      if (on_fire(handle)) arm(handle, now + events[handle].period);
+    }
+    now = std::max(now, deadline);
+  }
+};
+
+// Differential contract: a randomized schedule/cancel/periodic workload —
+// one-shots near and far (up to 2^34 cycles ahead), periodics that cancel
+// themselves on their fourth firing, random cancels of one-shots and
+// periodics, one-shots that schedule a same-or-next-cycle child while
+// dispatching, and partial run_until drains — must produce the reference
+// queue's dispatch log exactly: same tags at the same times in the same
+// order, with every cancel result, pending count and clock agreeing.
+TEST(Engine, MatchesReferenceQueueUnderChurn) {
+  using Log = std::vector<std::pair<Cycles, int>>;
+  constexpr int kChildTag = 1 << 20;
+  constexpr int kFirings = 4;
+  // One-shot tags divisible by 4 spawn one child, `tag % 3` cycles later.
+  const auto spawns = [](int tag) {
+    return tag >= 0 && tag < kChildTag && tag % 4 == 0;
+  };
+
+  Engine e;
+  RefQueue ref;
+  Log got;
+  Log want;
+  std::vector<std::pair<EventId, std::size_t>> live;  // (engine id, handle)
+
+  std::function<void(int)> fire_one_shot = [&](int tag) {
+    got.emplace_back(e.now(), tag);
+    if (spawns(tag)) {
+      e.schedule_after(tag % 3, [&fire_one_shot, tag] {
+        fire_one_shot(kChildTag + tag);
+      });
+    }
+  };
+  const auto ref_fire = [&](std::size_t handle) {
+    RefQueue::Event& ev = ref.events[handle];
+    want.emplace_back(ref.now, ev.tag);
+    if (ev.period > 0) return ++ev.fired < kFirings;
+    if (spawns(ev.tag)) ref.add(ref.now + ev.tag % 3, kChildTag + ev.tag);
+    return false;
+  };
+
+  std::uint64_t seed = 0xabcdef12345ULL;
+  const auto next = [&seed] {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return seed >> 16;
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t r = next();
+    switch (r % 5) {
+      case 0:
+      case 1: {  // one-shot at a near/far mix of horizons
+        const Cycles t =
+            e.now() + static_cast<Cycles>((r % 3 == 0)
+                                              ? next() % (Cycles{1} << 34)
+                                              : next() % 4096);
+        const EventId id =
+            e.schedule_at(t, [&fire_one_shot, i] { fire_one_shot(i); });
+        live.emplace_back(id, ref.add(t, i));
+        break;
+      }
+      case 2: {  // periodic that cancels itself on its fourth firing
+        const Cycles period = 1 + static_cast<Cycles>(next() % 700);
+        const int tag = -(i + 1);
+        struct Periodic {
+          EventId id = kInvalidEventId;
+          int count = 0;
+        };
+        auto st = std::make_shared<Periodic>();
+        st->id = e.schedule_periodic(period, [&got, &e, tag, st] {
+          got.emplace_back(e.now(), tag);
+          if (++st->count == kFirings) e.cancel(st->id);
+        });
+        live.emplace_back(st->id, ref.add(ref.now + period, tag, period));
+        break;
+      }
+      case 3:  // cancel a random live event (it may have fired already)
+        if (!live.empty()) {
+          const auto [id, handle] = live[next() % live.size()];
+          ASSERT_EQ(e.cancel(id), ref.cancel(handle)) << "op " << i;
         }
-        case 2: {  // periodic that cancels itself after a few firings
-          const Cycles period = 1 + static_cast<Cycles>(next() % 700);
-          const int tag = -i;
-          struct Periodic {
-            EventId id = kInvalidEventId;
-            int count = 0;
-          };
-          auto st = std::make_shared<Periodic>();
-          st->id = e.schedule_periodic(period, [&log, &e, tag, st] {
-            log.emplace_back(e.now(), tag);
-            if (++st->count == 4) e.cancel(st->id);
-          });
-          break;
-        }
-        case 3:  // cancel a random live event
-          if (!live.empty()) e.cancel(live[next() % live.size()]);
-          break;
-        case 4:  // partial drain, then keep scheduling
-          e.run_until(e.now() + static_cast<Cycles>(next() % 2000));
-          break;
+        break;
+      case 4: {  // partial drain, then keep scheduling
+        const Cycles deadline = e.now() + static_cast<Cycles>(next() % 2000);
+        e.run_until(deadline);
+        ref.run_until(deadline, ref_fire);
+        ASSERT_EQ(e.now(), ref.now) << "op " << i;
+        break;
       }
     }
-    e.run_until(Cycles{1} << 35);
-    log.emplace_back(e.now(), static_cast<int>(e.dispatched_events()));
-    return log;
-  };
-  const auto heap_log = run_ops(EngineBackend::kHeap);
-  const auto wheel_log = run_ops(EngineBackend::kWheel);
-  ASSERT_FALSE(heap_log.empty());
-  EXPECT_EQ(heap_log, wheel_log);
+    ASSERT_EQ(e.pending_events(), ref.queue.size()) << "op " << i;
+  }
+  e.run_until(Cycles{1} << 35);
+  ref.run_until(Cycles{1} << 35, ref_fire);
+  EXPECT_EQ(e.now(), ref.now);
+  EXPECT_EQ(e.dispatched_events(), ref.dispatched);
+  EXPECT_EQ(e.pending_events(), 0u);
+  ASSERT_GT(got.size(), 1000u);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

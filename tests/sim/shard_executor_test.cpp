@@ -1,5 +1,6 @@
-// ShardExecutor / EventLane: the phase barrier and epoch bookkeeping under
-// the sharded simulation engine (DESIGN.md §14).
+// ShardExecutor: the phase barrier under the sharded simulation engine
+// (DESIGN.md §14). The epochs it separates end one cycle before their
+// horizon; shard_determinism_test's pinned digests cover that boundary.
 
 #include "sim/shard_barrier.hpp"
 
@@ -8,8 +9,6 @@
 #include <atomic>
 #include <thread>
 #include <vector>
-
-#include "sim/event_lane.hpp"
 
 namespace nfv::sim {
 namespace {
@@ -82,20 +81,6 @@ TEST(ShardExecutor, LaneToWorkerAssignmentIsStatic) {
   EXPECT_EQ(first[1], first[4]);
   EXPECT_EQ(first[2], first[5]);
   EXPECT_NE(first[0], first[1]);
-}
-
-TEST(EventLane, RunEpochExcludesHorizon) {
-  EventLane lane(0);
-  std::vector<int> fired;
-  lane.engine().schedule_at(99, [&] { fired.push_back(99); });
-  lane.engine().schedule_at(100, [&] { fired.push_back(100); });
-  lane.run_epoch(100);
-  // Events stamped exactly at the horizon belong to the next epoch.
-  EXPECT_EQ(fired, (std::vector<int>{99}));
-  EXPECT_EQ(lane.engine().now(), 99);
-  lane.run_epoch(200);
-  EXPECT_EQ(fired, (std::vector<int>{99, 100}));
-  EXPECT_EQ(lane.epochs(), 2u);
 }
 
 }  // namespace
