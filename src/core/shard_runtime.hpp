@@ -67,10 +67,11 @@ struct Lane {
   obs::Observability obs;
   std::unique_ptr<mgr::Manager> manager;
   /// Per-lane trace buffer (one lane per core only); merged into the
-  /// user's recorder after each run (sorted by timestamp, then lane, then
-  /// intra-lane order).
+  /// user's recorder and emptied after each run (sorted by timestamp, then
+  /// lane, then intra-lane order).
   std::unique_ptr<obs::TraceRecorder> trace;
-  std::size_t trace_consumed = 0;  ///< Events already merged out.
+  /// The user recorder's id for each string `trace` has interned.
+  std::vector<obs::StrId> trace_ids;
   std::unique_ptr<io::BlockDevice> block_device;
   std::unique_ptr<fault::FaultInjector> injector;
   /// In-flight cross-lane messages: drained from the mailboxes into this

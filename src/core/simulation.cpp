@@ -572,35 +572,55 @@ void Simulation::attach_lane_trace(Lane& lane) {
   // must not share a recorder); after every run the buffers are merged into
   // the user's recorder in (timestamp, lane, sequence) order — a total
   // order independent of the worker count.
+  //
+  // A lane keeps at most the recorder's remaining room, its earliest
+  // events by (timestamp, sequence): any later one has at least that many
+  // of its own lane's events ahead of it in the merged order, so it could
+  // never be stored, and counting it as dropped is exact.
   if (lane.trace) return;
   obs::TraceRecorder::Config tc;
-  tc.max_events = user_trace_->config().max_events;
+  tc.max_events = user_trace_room();
   tc.cpu_hz = config_.cpu_hz;
+  tc.keep_earliest = true;
   lane.trace = std::make_unique<obs::TraceRecorder>(tc);
   lane.obs.attach_trace(lane.trace.get());
+}
+
+std::size_t Simulation::user_trace_room() const {
+  const std::size_t cap = user_trace_->config().max_events;
+  return cap - std::min(cap, user_trace_->events().size());
 }
 
 void Simulation::merge_lane_traces() {
   struct Item {
     const obs::TraceEvent* ev;
-    std::size_t lane;
+    const Lane* lane;
     std::size_t idx;
   };
   std::vector<Item> items;
   for (const auto& lane : shard_->lanes()) {
     if (!lane->trace) continue;
+    user_trace_->map_strings(*lane->trace, lane->trace_ids);
     const auto& events = lane->trace->events();
-    for (std::size_t i = lane->trace_consumed; i < events.size(); ++i) {
-      items.push_back({&events[i], lane->id, i});
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      items.push_back({&events[i], lane.get(), i});
     }
-    lane->trace_consumed = events.size();
   }
   std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
     if (a.ev->ts != b.ev->ts) return a.ev->ts < b.ev->ts;
-    if (a.lane != b.lane) return a.lane < b.lane;
+    if (a.lane->id != b.lane->id) return a.lane->id < b.lane->id;
     return a.idx < b.idx;
   });
-  for (const Item& item : items) user_trace_->record(*item.ev);
+  for (const Item& item : items) {
+    user_trace_->record(*item.ev, item.lane->trace_ids);
+  }
+  const std::size_t room = user_trace_room();
+  for (const auto& lane : shard_->lanes()) {
+    if (!lane->trace) continue;
+    user_trace_->add_dropped(lane->trace->dropped_events());
+    lane->trace->clear();
+    lane->trace->set_max_events(room);
+  }
 }
 
 void Simulation::report_json(std::ostream& out) const {
@@ -764,14 +784,12 @@ void Simulation::report_json(std::ostream& out) const {
   // per-lane registries merged (counters sum, histograms merge) into one
   // key space.
   {
-    std::ostringstream metrics;
     std::vector<const obs::MetricsRegistry*> parts;
     for (const auto& lane : shard_->lanes()) {
       parts.push_back(&lane->obs.metrics());
     }
-    obs::MetricsRegistry::write_json_merged(parts, metrics);
     w.key("metrics");
-    w.raw(metrics.str());
+    obs::MetricsRegistry::write_json_merged(parts, w);
   }
 
   w.end_object();

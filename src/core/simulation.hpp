@@ -404,8 +404,11 @@ class Simulation {
   [[nodiscard]] fault::FaultPlan lane_fault_plan(const Lane& lane) const;
   /// Route one lane's trace events to the user's recorder.
   void attach_lane_trace(Lane& lane);
-  /// Move new per-lane trace events into the user's recorder, ordered by
-  /// (timestamp, lane, intra-lane sequence).
+  /// Events the user's recorder can still store.
+  [[nodiscard]] std::size_t user_trace_room() const;
+  /// Move the lanes' trace events into the user's recorder, ordered by
+  /// (timestamp, lane, intra-lane sequence), with the lanes' drop counts;
+  /// then empty the lane buffers and cap them at the recorder's room.
   void merge_lane_traces();
 
   PlatformConfig config_;

@@ -468,12 +468,11 @@ Cycles AsyncIoEngine::backoff_delay(std::uint32_t attempts) {
   return std::max<Cycles>(1, static_cast<Cycles>(delay));
 }
 
-void AsyncIoEngine::trace(
-    const char* name,
-    std::vector<std::pair<std::string, std::int64_t>> num_args) {
+void AsyncIoEngine::trace(const char* name,
+                          std::initializer_list<obs::NumArg> num_args) {
   if (auto* tr = obs::trace_of(obs_)) {
     tr->instant(engine_.now(), obs::kIoLane, "io", name,
-                {{"nf", owner_name_}}, std::move(num_args));
+                {{"nf", owner_name_}}, num_args);
   }
 }
 

@@ -239,7 +239,7 @@ class AsyncIoEngine {
   void on_probe();
   [[nodiscard]] Cycles backoff_delay(std::uint32_t attempts);
   void trace(const char* name,
-             std::vector<std::pair<std::string, std::int64_t>> num_args = {});
+             std::initializer_list<obs::NumArg> num_args = {});
 
   sim::Engine& engine_;
   BlockDevice& device_;

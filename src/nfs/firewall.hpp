@@ -21,6 +21,7 @@
 
 #include "flow/flow_store.hpp"
 #include "nf/nf_task.hpp"
+#include "nfs/lazy_store.hpp"
 #include "pktio/flow_key.hpp"
 
 namespace nfv::nfs {
@@ -65,7 +66,7 @@ class Firewall {
   explicit Firewall(Verdict default_policy = Verdict::kAllow,
                     std::uint32_t cache_flows = 1u << 16)
       : default_policy_(default_policy),
-        cache_(flow::FlowStore<pktio::FlowKey, std::int32_t>::Config{
+        cache_(Cache::Config{
             .max_flows = cache_flows,
             .idle_timeout = 0,
             .evict_lru_when_full = true,
@@ -75,7 +76,7 @@ class Firewall {
   /// cache: flows cached on the default policy might now match this rule.
   FirewallRule& add_rule(FirewallRule rule) {
     rules_.push_back(std::move(rule));
-    cache_.clear();
+    if (cache_.built()) cache_.get().clear();
     return rules_.back();
   }
 
@@ -98,8 +99,9 @@ class Firewall {
     flow::StorePath path;
   };
   CachedVerdict evaluate_cached(const pktio::FlowKey& key) {
-    const auto result = cache_.install(key, static_cast<Cycles>(++tick_));
-    std::int32_t& rule_index = cache_.state(result.index);
+    Cache& cache = cache_.get();
+    const auto result = cache.install(key, static_cast<Cycles>(++tick_));
+    std::int32_t& rule_index = cache.state(result.index);
     if (result.path == flow::StorePath::kHit) {
       if (rule_index >= 0) {
         auto& rule = rules_[static_cast<std::size_t>(rule_index)];
@@ -167,13 +169,17 @@ class Firewall {
   [[nodiscard]] std::uint64_t allowed() const { return allowed_; }
   [[nodiscard]] std::uint64_t denied() const { return denied_; }
   [[nodiscard]] std::uint64_t default_hits() const { return default_hits_; }
-  [[nodiscard]] std::size_t cached_flows() const { return cache_.size(); }
+  [[nodiscard]] std::size_t cached_flows() const {
+    return cache_.view().size();
+  }
 
  private:
+  using Cache = flow::FlowStore<pktio::FlowKey, std::int32_t>;
+
   Verdict default_policy_;
   std::vector<FirewallRule> rules_;
   /// Per-flow cache: index of the matching rule, -1 = default policy.
-  flow::FlowStore<pktio::FlowKey, std::int32_t> cache_;
+  LazyFlowStore<Cache> cache_;
   std::uint64_t tick_ = 0;
   std::uint64_t allowed_ = 0;
   std::uint64_t denied_ = 0;

@@ -17,6 +17,7 @@
 
 #include "flow/flow_store.hpp"
 #include "nf/nf_task.hpp"
+#include "nfs/lazy_store.hpp"
 #include "pktio/flow_key.hpp"
 
 namespace nfv::nfs {
@@ -42,7 +43,7 @@ class LoadBalancer {
                Policy policy = Policy::kFlowHash,
                std::uint32_t max_connections = 1u << 16)
       : policy_(policy),
-        connections_(flow::FlowStore<pktio::FlowKey, std::uint32_t>::Config{
+        connections_(Connections::Config{
             .max_flows = max_connections,
             .idle_timeout = 0,
             .evict_lru_when_full = true,
@@ -57,9 +58,10 @@ class LoadBalancer {
     std::size_t index = 0;
     flow::StorePath path = flow::StorePath::kHit;
     if (policy_ == Policy::kFlowHash) {
+      Connections& connections = connections_.get();
       const auto result =
-          connections_.install(pkt.key, static_cast<Cycles>(++tick_));
-      std::uint32_t& pinned = connections_.state(result.index);
+          connections.install(pkt.key, static_cast<Cycles>(++tick_));
+      std::uint32_t& pinned = connections.state(result.index);
       if (result.path != flow::StorePath::kHit) {
         pinned = static_cast<std::uint32_t>(pktio::FlowKeyHash{}(pkt.key) %
                                             backends_.size());
@@ -112,16 +114,18 @@ class LoadBalancer {
     return backends_;
   }
   [[nodiscard]] std::size_t active_connections() const {
-    return connections_.size();
+    return connections_.view().size();
   }
   [[nodiscard]] std::uint64_t connection_evictions() const {
-    return connections_.lru_evictions();
+    return connections_.view().lru_evictions();
   }
 
  private:
+  using Connections = flow::FlowStore<pktio::FlowKey, std::uint32_t>;
+
   Policy policy_;
   std::vector<Backend> backends_;
-  flow::FlowStore<pktio::FlowKey, std::uint32_t> connections_;
+  LazyFlowStore<Connections> connections_;
   std::uint64_t tick_ = 0;
   std::size_t next_rr_ = 0;
 };

@@ -16,6 +16,7 @@
 
 #include "flow/flow_store.hpp"
 #include "nf/nf_task.hpp"
+#include "nfs/lazy_store.hpp"
 #include "pktio/flow_key.hpp"
 
 namespace nfv::nfs {
@@ -37,7 +38,7 @@ class FlowMonitor {
 
   FlowMonitor() : FlowMonitor(1u << 16) {}
   explicit FlowMonitor(std::uint32_t max_flows)
-      : flows_(flow::FlowStore<pktio::FlowKey, FlowStats>::Config{
+      : flows_(Flows::Config{
             .max_flows = max_flows,
             .idle_timeout = 0,
             .evict_lru_when_full = true,
@@ -45,8 +46,9 @@ class FlowMonitor {
 
   /// Account one packet, reporting the flow-cache path it took.
   flow::StorePath observe_path(const pktio::Mbuf& pkt) {
-    const auto result = flows_.install(pkt.key, static_cast<Cycles>(++tick_));
-    FlowStats& stats = flows_.state(result.index);
+    Flows& flows = flows_.get();
+    const auto result = flows.install(pkt.key, static_cast<Cycles>(++tick_));
+    FlowStats& stats = flows.state(result.index);
     ++stats.packets;
     stats.bytes += pkt.size_bytes;
     ++total_packets_;
@@ -82,23 +84,25 @@ class FlowMonitor {
         [](pktio::Mbuf&) { return nf::NfAction::kForward; });
   }
 
-  [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
+  [[nodiscard]] std::size_t flow_count() const { return flows_.view().size(); }
   [[nodiscard]] std::uint64_t total_packets() const { return total_packets_; }
   [[nodiscard]] std::uint64_t cache_evictions() const {
-    return flows_.lru_evictions();
+    return flows_.view().lru_evictions();
   }
 
   [[nodiscard]] FlowStats stats_for(const pktio::FlowKey& key) const {
-    const std::uint32_t idx = flows_.peek(key);
-    return idx == flow::IndexPool::kNoIndex ? FlowStats{} : flows_.state(idx);
+    const Flows& flows = flows_.view();
+    const std::uint32_t idx = flows.peek(key);
+    return idx == flow::IndexPool::kNoIndex ? FlowStats{} : flows.state(idx);
   }
 
   /// The k flows with the most bytes, descending.
   [[nodiscard]] std::vector<std::pair<pktio::FlowKey, FlowStats>> top_talkers(
       std::size_t k) const {
+    const Flows& flows = flows_.view();
     std::vector<std::pair<pktio::FlowKey, FlowStats>> all;
-    all.reserve(flows_.size());
-    flows_.for_each([&](std::uint32_t, const pktio::FlowKey& key,
+    all.reserve(flows.size());
+    flows.for_each([&](std::uint32_t, const pktio::FlowKey& key,
                         const FlowStats& stats) { all.emplace_back(key, stats); });
     std::partial_sort(all.begin(), all.begin() + std::min(k, all.size()),
                       all.end(), [](const auto& a, const auto& b) {
@@ -109,7 +113,9 @@ class FlowMonitor {
   }
 
  private:
-  flow::FlowStore<pktio::FlowKey, FlowStats> flows_;
+  using Flows = flow::FlowStore<pktio::FlowKey, FlowStats>;
+
+  LazyFlowStore<Flows> flows_;
   std::uint64_t tick_ = 0;
   std::uint64_t total_packets_ = 0;
 };

@@ -14,6 +14,7 @@
 
 #include "flow/flow_store.hpp"
 #include "nf/nf_task.hpp"
+#include "nfs/lazy_store.hpp"
 #include "pktio/flow_key.hpp"
 
 namespace nfv::nfs {
@@ -39,11 +40,10 @@ class Nat {
   Nat() : Nat(Config{}) {}
   explicit Nat(Config config)
       : config_(config),
-        bindings_(flow::FlowStore<BindingKey, Empty, BindingKeyFastHash>::
-                      Config{.max_flows = config.port_count,
-                             .idle_timeout = 0,
-                             .evict_lru_when_full = true,
-                             .auto_grow = false}) {}
+        bindings_(Bindings::Config{.max_flows = config.port_count,
+                                   .idle_timeout = 0,
+                                   .evict_lru_when_full = true,
+                                   .auto_grow = false}) {}
 
   struct Translation {
     std::uint32_t orig_ip;
@@ -57,7 +57,8 @@ class Nat {
   /// pool is exhausted.
   flow::StorePath translate_path(pktio::Mbuf& pkt) {
     const BindingKey key{pkt.key.src_ip, pkt.key.src_port, pkt.key.proto};
-    const auto result = bindings_.install(key, static_cast<Cycles>(++tick_));
+    const auto result =
+        bindings_.get().install(key, static_cast<Cycles>(++tick_));
     if (result.path != flow::StorePath::kHit) {
       ++allocations_;
       if (result.path == flow::StorePath::kEvicted) ++evictions_;
@@ -104,12 +105,13 @@ class Nat {
   /// Existing binding for a source (for tests/inspection); 0 if none.
   [[nodiscard]] std::uint16_t binding(std::uint32_t ip, std::uint16_t port,
                                       std::uint8_t proto) const {
-    const std::uint32_t idx = bindings_.peek(BindingKey{ip, port, proto});
+    const std::uint32_t idx =
+        bindings_.view().peek(BindingKey{ip, port, proto});
     return idx == flow::IndexPool::kNoIndex ? 0 : port_of(idx);
   }
 
   [[nodiscard]] std::size_t active_bindings() const {
-    return bindings_.size();
+    return bindings_.view().size();
   }
   [[nodiscard]] std::uint64_t translated() const { return translated_; }
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
@@ -134,13 +136,14 @@ class Nat {
     }
   };
   struct Empty {};
+  using Bindings = flow::FlowStore<BindingKey, Empty, BindingKeyFastHash>;
 
   [[nodiscard]] std::uint16_t port_of(std::uint32_t index) const {
     return static_cast<std::uint16_t>(config_.port_base + index);
   }
 
   Config config_;
-  flow::FlowStore<BindingKey, Empty, BindingKeyFastHash> bindings_;
+  LazyFlowStore<Bindings> bindings_;
   std::uint64_t tick_ = 0;  ///< Logical clock ordering the LRU chain.
   std::uint64_t translated_ = 0;
   std::uint64_t allocations_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <ostream>
 
 #include "obs/json.hpp"
@@ -110,138 +111,103 @@ std::uint64_t MetricsRegistry::sample_counter(const std::string& name,
              : 0;
 }
 
-void MetricsRegistry::write_json_merged(
-    const std::vector<const MetricsRegistry*>& parts, std::ostream& out) {
-  if (parts.size() == 1 && parts.front() != nullptr) {
-    parts.front()->write_json(out);
-    return;
-  }
-  struct Merged {
-    const Entry* first = nullptr;
-    std::uint64_t counter = 0;
-    double gauge = 0.0;
-    std::vector<const Histogram*> histograms;
-    bool is_counter = false;
-    bool is_gauge = false;
-  };
-  // std::map keyed identically to entries_, so the merged export iterates in
-  // exactly the order write_json would.
-  std::map<std::string, Merged> merged;
-  for (const MetricsRegistry* part : parts) {
-    if (part == nullptr) continue;
-    for (const auto& [key, entry] : part->entries_) {
-      Merged& m = merged[key];
-      if (m.first == nullptr) m.first = &entry;
-      switch (entry.kind) {
-        case Kind::kCounter:
-          m.is_counter = true;
-          m.counter += entry.counter->value();
-          break;
-        case Kind::kCounterFn:
-          m.is_counter = true;
-          m.counter += entry.counter_fn ? entry.counter_fn() : 0;
-          break;
-        case Kind::kGauge:
-          m.is_gauge = true;
-          m.gauge += entry.gauge->value();
-          break;
-        case Kind::kGaugeFn:
-          m.is_gauge = true;
-          m.gauge += entry.gauge_fn ? entry.gauge_fn() : 0.0;
-          break;
-        case Kind::kHistogram:
-          m.histograms.push_back(entry.histogram.get());
-          break;
-      }
-      assert(!(m.is_counter && m.is_gauge) &&
-             "series registered as counter in one registry, gauge in another");
-      assert((m.histograms.empty() || (!m.is_counter && !m.is_gauge)) &&
-             "series registered as histogram in one registry, scalar in another");
-    }
-  }
-
-  JsonWriter json(out);
-  json.begin_array();
-  for (const auto& [key, m] : merged) {
-    (void)key;
-    const Entry& entry = *m.first;
-    json.begin_object();
-    json.field("name", std::string_view(entry.name));
-    json.key("labels");
-    json.begin_object();
-    for (const auto& [k, v] : entry.labels) {
-      json.field(std::string_view(k), std::string_view(v));
-    }
-    json.end_object();
-    if (m.is_counter) {
-      json.field("type", "counter");
-      json.field("value", m.counter);
-    } else if (m.is_gauge) {
-      json.field("type", "gauge");
-      json.field("value", m.gauge);
-    } else {
-      Histogram h = *m.histograms.front();
-      for (std::size_t i = 1; i < m.histograms.size(); ++i) {
-        h.merge(*m.histograms[i]);
-      }
-      json.field("type", "histogram");
-      json.field("count", h.count());
-      json.field("sum", h.sum());
-      json.field("min", h.min());
-      json.field("max", h.max());
-      json.field("p50", h.value_at_quantile(0.50));
-      json.field("p90", h.value_at_quantile(0.90));
-      json.field("p99", h.value_at_quantile(0.99));
-      json.field("p999", h.value_at_quantile(0.999));
-    }
-    json.end_object();
-  }
-  json.end_array();
-}
-
 void MetricsRegistry::write_json(std::ostream& out) const {
   JsonWriter json(out);
+  const MetricsRegistry* self = this;
+  write_json_merged({&self, 1}, json);
+}
+
+void MetricsRegistry::write_json_merged(
+    std::span<const MetricsRegistry* const> parts, JsonWriter& json) {
+  // Every registry's entries_ is sorted by the same key, so one pass over
+  // all of them in key order (a k-way merge) visits each series once, in
+  // exactly the order a single registry's export would.
+  using Cursor = std::pair<std::map<std::string, Entry>::const_iterator,
+                           std::map<std::string, Entry>::const_iterator>;
+  std::vector<Cursor> cursors;
+  for (const MetricsRegistry* part : parts) {
+    if (part != nullptr) {
+      cursors.emplace_back(part->entries_.begin(), part->entries_.end());
+    }
+  }
   json.begin_array();
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
+  for (;;) {
+    const std::string* key = nullptr;
+    for (const auto& [it, end] : cursors) {
+      if (it != end && (key == nullptr || it->first < *key)) key = &it->first;
+    }
+    if (key == nullptr) break;
+
+    const Entry* first = nullptr;
+    bool is_counter = false;
+    bool is_gauge = false;
+    std::uint64_t counter = 0;
+    double gauge = 0.0;
+    const Histogram* hist = nullptr;
+    std::optional<Histogram> merged;  // only when several parts hold one
+    for (auto& [it, end] : cursors) {
+      // `key` lives in a map node, so it stays valid as cursors advance.
+      if (it == end || it->first != *key) continue;
+      const Entry& entry = it->second;
+      if (first == nullptr) first = &entry;
+      switch (entry.kind) {
+        case Kind::kCounter:
+          is_counter = true;
+          counter += entry.counter->value();
+          break;
+        case Kind::kCounterFn:
+          is_counter = true;
+          counter += entry.counter_fn ? entry.counter_fn() : 0;
+          break;
+        case Kind::kGauge:
+          is_gauge = true;
+          gauge += entry.gauge->value();
+          break;
+        case Kind::kGaugeFn:
+          is_gauge = true;
+          gauge += entry.gauge_fn ? entry.gauge_fn() : 0.0;
+          break;
+        case Kind::kHistogram:
+          if (hist == nullptr) {
+            hist = entry.histogram.get();
+          } else {
+            if (!merged) merged.emplace(*hist);
+            merged->merge(*entry.histogram);
+            hist = &*merged;
+          }
+          break;
+      }
+      assert(!(is_counter && is_gauge) &&
+             "series registered as counter in one registry, gauge in another");
+      assert((hist == nullptr || (!is_counter && !is_gauge)) &&
+             "series registered as histogram in one registry, scalar in another");
+      ++it;
+    }
+
     json.begin_object();
-    json.field("name", std::string_view(entry.name));
+    json.field("name", std::string_view(first->name));
     json.key("labels");
     json.begin_object();
-    for (const auto& [k, v] : entry.labels) {
+    for (const auto& [k, v] : first->labels) {
       json.field(std::string_view(k), std::string_view(v));
     }
     json.end_object();
-    switch (entry.kind) {
-      case Kind::kCounter:
-        json.field("type", "counter");
-        json.field("value", entry.counter->value());
-        break;
-      case Kind::kCounterFn:
-        json.field("type", "counter");
-        json.field("value", entry.counter_fn ? entry.counter_fn() : 0);
-        break;
-      case Kind::kGauge:
-        json.field("type", "gauge");
-        json.field("value", entry.gauge->value());
-        break;
-      case Kind::kGaugeFn:
-        json.field("type", "gauge");
-        json.field("value", entry.gauge_fn ? entry.gauge_fn() : 0.0);
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        json.field("type", "histogram");
-        json.field("count", h.count());
-        json.field("sum", h.sum());
-        json.field("min", h.min());
-        json.field("max", h.max());
-        json.field("p50", h.value_at_quantile(0.50));
-        json.field("p90", h.value_at_quantile(0.90));
-        json.field("p99", h.value_at_quantile(0.99));
-        json.field("p999", h.value_at_quantile(0.999));
-        break;
-      }
+    if (is_counter) {
+      json.field("type", "counter");
+      json.field("value", counter);
+    } else if (is_gauge) {
+      json.field("type", "gauge");
+      json.field("value", gauge);
+    } else {
+      json.field("type", "histogram");
+      json.field("count", hist->count());
+      json.field("sum", hist->sum());
+      json.field("min", hist->min());
+      json.field("max", hist->max());
+      json.field("p50", hist->value_at_quantile(0.50));
+      json.field("p90", hist->value_at_quantile(0.90));
+      json.field("p99", hist->value_at_quantile(0.99));
+      json.field("p999", hist->value_at_quantile(0.999));
     }
     json.end_object();
   }

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +37,8 @@
 #include "common/histogram.hpp"
 
 namespace nfv::obs {
+
+class JsonWriter;
 
 /// Label set: (key, value) pairs. Sorted by key at registration so that
 /// {"a","1"},{"b","2"} and {"b","2"},{"a","1"} name the same series.
@@ -108,14 +111,15 @@ class MetricsRegistry {
   /// Histograms export count/sum/min/max plus p50/p90/p99/p999.
   void write_json(std::ostream& out) const;
 
-  /// Union of several registries in one export, in the same format and sort
-  /// order as write_json. Series that appear in more than one registry are
+  /// Union of several registries as one such array, written as the next
+  /// value of `json`. Series that appear in more than one registry are
   /// combined: counters (owned and sampled) sum, gauges sum, histograms
   /// merge (identical bucketing required, as with Histogram::merge); a
-  /// single registry is written directly, with no copies. The simulation
-  /// uses this to present its per-lane registries as one namespace.
-  static void write_json_merged(const std::vector<const MetricsRegistry*>& parts,
-                                std::ostream& out);
+  /// series held by one registry is written from it, with no copy. The
+  /// simulation uses this to present its per-lane registries as one
+  /// namespace.
+  static void write_json_merged(std::span<const MetricsRegistry* const> parts,
+                                JsonWriter& json);
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram, kCounterFn, kGaugeFn };

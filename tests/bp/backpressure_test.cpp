@@ -322,10 +322,10 @@ TEST_F(BackpressureTest, ObservabilityCountsTransitionsPerNf) {
   // on the backpressure lane, in order.
   ASSERT_EQ(trace.events().size(), 3u);
   EXPECT_EQ(trace.events()[0].lane, obs::kBackpressureLane);
-  EXPECT_EQ(trace.events()[0].args[1].second, "CLEAR");
-  EXPECT_EQ(trace.events()[0].args[2].second, "WATCH");
-  EXPECT_EQ(trace.events()[1].args[2].second, "THROTTLE");
-  EXPECT_EQ(trace.events()[2].args[2].second, "CLEAR");
+  EXPECT_EQ(trace.decode(trace.events()[0]).args[1].second, "CLEAR");
+  EXPECT_EQ(trace.decode(trace.events()[0]).args[2].second, "WATCH");
+  EXPECT_EQ(trace.decode(trace.events()[1]).args[2].second, "THROTTLE");
+  EXPECT_EQ(trace.decode(trace.events()[2]).args[2].second, "CLEAR");
 }
 
 // --- sharded-simulation mirror hooks (DESIGN.md §14) ---

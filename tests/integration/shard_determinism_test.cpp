@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <functional>
 #include <iomanip>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -323,6 +325,98 @@ TEST(ShardDeterminism, WorkerCountBeyondLanesIsClamped) {
         return finish(sim, rec);
       },
       {1, 16});  // 16 workers, 2 lanes: clamped to 2
+}
+
+/// Run `run_capped` uncapped and at each cap: the capped recorder must
+/// store exactly the uncapped trace's first `cap` events and count every
+/// other event as dropped.
+void expect_capped_prefix(
+    const std::function<std::unique_ptr<nfv::obs::TraceRecorder>(std::size_t)>&
+        run_capped,
+    const std::vector<std::size_t>& caps, const std::string& label) {
+  const auto full = run_capped(std::numeric_limits<std::size_t>::max());
+  const std::size_t total = full->events().size();
+  ASSERT_EQ(full->dropped_events(), 0u);
+  for (const std::size_t cap : caps) {
+    ASSERT_LT(cap, total) << label;
+    const auto capped = run_capped(cap);
+    ASSERT_EQ(capped->events().size(), cap) << label;
+    EXPECT_EQ(capped->events().size() + capped->dropped_events(), total)
+        << label << " cap=" << cap;
+    for (std::size_t i = 0; i < cap; ++i) {
+      ASSERT_TRUE(capped->decode(capped->events()[i]) ==
+                  full->decode(full->events()[i]))
+          << label << " cap=" << cap << " event " << i;
+    }
+  }
+}
+
+// The trace cap when lanes buffer events: a capped recorder holds exactly
+// the uncapped trace's first N events and counts every other one as
+// dropped, whichever run window the cap falls in.
+TEST(ShardDeterminism, TraceCapKeepsTheUncappedPrefix) {
+  const auto run = [](std::uint32_t shards, std::size_t max_events) {
+    PlatformConfig cfg;
+    cfg.sim_shards = shards;
+    Simulation sim(cfg);
+    std::vector<nfv::flow::NfId> nfs;
+    for (int i = 0; i < 4; ++i) {
+      const auto core = sim.add_core(SchedPolicy::kCfsBatch);
+      nfs.push_back(sim.add_nf("nf" + std::to_string(i), core,
+                               nfv::nf::CostModel::fixed(300 + 90 * i)));
+    }
+    const auto ring = sim.add_chain("ring", {nfs[0], nfs[1], nfs[2], nfs[3]});
+    const auto pair = sim.add_chain("pair", {nfs[3], nfs[1]});
+    sim.add_udp_flow(ring, 6e6);
+    sim.add_udp_flow(pair, 4e6);
+    sim.add_tcp_flow(ring);
+    nfv::obs::TraceRecorder::Config tc;
+    tc.max_events = max_events;
+    auto rec = std::make_unique<nfv::obs::TraceRecorder>(tc);
+    sim.attach_trace(*rec);
+    sim.run_for_seconds(0.003);
+    sim.run_for_seconds(0.003);
+    return rec;
+  };
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    // 16,199 events, 427 of them in the first window: caps inside each
+    // window and at the first one's edge (the second window then starts
+    // with room 0 or 1).
+    expect_capped_prefix(
+        [&](std::size_t cap) { return run(shards, cap); },
+        {1, 100, 427, 428, 8'000, 16'198}, "shards=" + std::to_string(shards));
+  }
+}
+
+// A lane's stream is not timestamp-monotone: with backpressure on, the
+// entry drops of a traffic burst carry their packets' earlier arrival
+// times. One lane recording the whole trace makes every cap a lane cap,
+// and a lane that kept its first N recorded events instead of its N
+// earliest misses events at several of these caps (63-65 and 72-73, for
+// instance).
+TEST(ShardDeterminism, TraceCapIsExactWhenOneLaneRecordsEverything) {
+  std::vector<std::size_t> caps;
+  for (std::size_t cap = 1; cap <= 120; ++cap) caps.push_back(cap);
+  expect_capped_prefix(
+      [](std::size_t max_events) {
+        PlatformConfig cfg;
+        cfg.sim_shards = 1;
+        cfg.set_nfvnice(true);
+        Simulation sim(cfg);
+        const auto core = sim.add_core(SchedPolicy::kCfsBatch);
+        const auto a = sim.add_nf("low", core, nfv::nf::CostModel::fixed(120));
+        const auto b = sim.add_nf("med", core, nfv::nf::CostModel::fixed(270));
+        const auto c = sim.add_nf("high", core, nfv::nf::CostModel::fixed(550));
+        sim.add_udp_flow(sim.add_chain("c", {a, b, c}), 6e6);
+        nfv::obs::TraceRecorder::Config tc;
+        tc.max_events = max_events;
+        auto rec = std::make_unique<nfv::obs::TraceRecorder>(tc);
+        sim.attach_trace(*rec);
+        sim.run_for_seconds(0.003);
+        sim.run_for_seconds(0.003);
+        return rec;
+      },
+      caps, "one lane");
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace nfv::obs {
 namespace {
@@ -16,7 +20,7 @@ TEST(TraceRecorder, RecordsInstantAndCounterEvents) {
   rec.counter(200, kManagerLane, "mgr", "cpu_shares", "NF1", 512);
 
   ASSERT_EQ(rec.events().size(), 2u);
-  const TraceEvent& a = rec.events()[0];
+  const DecodedEvent a = rec.decode(rec.events()[0]);
   EXPECT_EQ(a.ts, 100);
   EXPECT_EQ(a.phase, 'i');
   EXPECT_EQ(a.lane, 0u);
@@ -26,7 +30,7 @@ TEST(TraceRecorder, RecordsInstantAndCounterEvents) {
   EXPECT_EQ(a.args[0].first, "task");
   EXPECT_EQ(a.args[0].second, "NF1");
 
-  const TraceEvent& b = rec.events()[1];
+  const DecodedEvent b = rec.decode(rec.events()[1]);
   EXPECT_EQ(b.phase, 'C');
   EXPECT_EQ(b.lane, kManagerLane);
   ASSERT_EQ(b.num_args.size(), 1u);
@@ -46,6 +50,124 @@ TEST(TraceRecorder, CapCountsDroppedEvents) {
   rec.clear();
   EXPECT_TRUE(rec.events().empty());
   EXPECT_EQ(rec.dropped_events(), 0u);
+}
+
+TEST(TraceRecorder, InterningReturnsStableIds) {
+  TraceRecorder rec;
+  const StrId sched = rec.intern("sched");
+  const StrId wakeup = rec.intern("wakeup");
+  EXPECT_NE(sched, wakeup);
+  EXPECT_EQ(rec.intern(std::string("sched")), sched);
+  EXPECT_EQ(rec.str(sched), "sched");
+  EXPECT_EQ(rec.string_count(), 2u);
+
+  // Recording reuses the interned ids and adds only unseen strings.
+  rec.instant(1, 0, "sched", "wakeup", {{"task", "NF1"}});
+  EXPECT_EQ(rec.events()[0].cat, sched);
+  EXPECT_EQ(rec.events()[0].name, wakeup);
+  EXPECT_EQ(rec.string_count(), 4u);  // + "task", "NF1"
+  const StrId task = rec.intern("task");
+
+  // Ids survive clear(); strings interned later get fresh ids.
+  rec.clear();
+  EXPECT_EQ(rec.intern("sched"), sched);
+  EXPECT_EQ(rec.intern("task"), task);
+  EXPECT_EQ(rec.intern("yield"), 4u);
+  EXPECT_EQ(rec.str(task), "task");
+}
+
+TEST(TraceRecorder, DecodedEventEqualsWhatWasRecorded) {
+  TraceRecorder rec;
+  const std::string nf = "NF2-med";
+  rec.instant(2600, kBackpressureLane, "bp", "bp_transition",
+              {{"nf", nf}, {"from", "CLEAR"}, {"to", "WATCH"}},
+              {{"qlen", -52}});
+  rec.instant(2700, 3, "mgr", "ecn_mark", {},
+              {{"flow", INT64_MIN}, {"qlen", INT64_MAX}});
+  rec.counter(2800, kSloLane, "slo", "chain_boost", "lmh", 1250);
+
+  DecodedEvent bp;
+  bp.ts = 2600;
+  bp.lane = kBackpressureLane;
+  bp.cat = "bp";
+  bp.name = "bp_transition";
+  bp.args = {{"nf", "NF2-med"}, {"from", "CLEAR"}, {"to", "WATCH"}};
+  bp.num_args = {{"qlen", -52}};
+  EXPECT_EQ(rec.decode(rec.events()[0]), bp);
+
+  DecodedEvent ecn;
+  ecn.ts = 2700;
+  ecn.lane = 3;
+  ecn.cat = "mgr";
+  ecn.name = "ecn_mark";
+  ecn.num_args = {{"flow", INT64_MIN}, {"qlen", INT64_MAX}};
+  EXPECT_EQ(rec.decode(rec.events()[1]), ecn);
+
+  DecodedEvent boost;
+  boost.ts = 2800;
+  boost.phase = 'C';
+  boost.lane = kSloLane;
+  boost.cat = "slo";
+  boost.name = "chain_boost";
+  boost.num_args = {{"lmh", 1250}};
+  EXPECT_EQ(rec.decode(rec.events()[2]), boost);
+}
+
+TEST(TraceRecorder, MoreArgumentsThanAnEventHoldsAreRefused) {
+  TraceRecorder rec;
+  EXPECT_THROW(rec.instant(0, 0, "c", "e",
+                           {{"a", "1"}, {"b", "2"}, {"c", "3"}},
+                           {{"d", 4}, {"e", 5}}),
+               std::invalid_argument);
+  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(rec.dropped_events(), 0u);
+}
+
+TEST(TraceRecorder, KeepEarliestKeepsTheEarliestByTimestampThenOrder) {
+  TraceRecorder::Config cfg;
+  cfg.max_events = 3;
+  cfg.keep_earliest = true;
+  TraceRecorder rec(cfg);
+  const std::pair<Cycles, const char*> stream[] = {
+      {5, "a"}, {1, "b"}, {4, "c"}, {1, "d"}, {9, "e"}, {2, "f"}, {1, "g"}};
+  for (const auto& [ts, name] : stream) rec.instant(ts, 0, "c", name);
+  ASSERT_EQ(rec.events().size(), 3u);
+  EXPECT_EQ(rec.dropped_events(), 4u);
+  // (1,b) (1,d) (1,g) beat every later timestamp; equal stamps keep their
+  // recording order.
+  EXPECT_EQ(rec.decode(rec.events()[0]).name, "b");
+  EXPECT_EQ(rec.decode(rec.events()[1]).name, "d");
+  EXPECT_EQ(rec.decode(rec.events()[2]).name, "g");
+
+  // The default keeps the first events recorded.
+  TraceRecorder::Config first_cfg;
+  first_cfg.max_events = 3;
+  TraceRecorder first(first_cfg);
+  for (const auto& [ts, name] : stream) first.instant(ts, 0, "c", name);
+  EXPECT_EQ(first.decode(first.events()[2]).name, "c");
+  EXPECT_EQ(first.dropped_events(), 4u);
+}
+
+TEST(TraceRecorder, MapStringsCarriesEventsBetweenRecorders) {
+  TraceRecorder lane;
+  TraceRecorder merged;
+  merged.intern("unrelated");  // the two id spaces differ
+  std::vector<StrId> ids;
+  lane.instant(10, 1, "sched", "ctx_switch", {{"from", "a"}, {"to", "b"}},
+               {{"cost_cycles", 7}});
+  merged.map_strings(lane, ids);
+  EXPECT_EQ(ids.size(), lane.string_count());
+  merged.record(lane.events()[0], ids);
+
+  lane.instant(11, 1, "sched", "wakeup", {{"task", "a"}});
+  merged.map_strings(lane, ids);  // maps only "wakeup" and "task"
+  EXPECT_EQ(ids.size(), lane.string_count());
+  merged.record(lane.events()[1], ids);
+
+  ASSERT_EQ(merged.events().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(merged.decode(merged.events()[i]), lane.decode(lane.events()[i]));
+  }
 }
 
 TEST(TraceRecorder, ChromeJsonEncoding) {
