@@ -17,12 +17,12 @@ std::size_t Histogram::bucket_index(std::uint64_t value) const {
   value = std::clamp<std::uint64_t>(value, 1, max_value_);
   // log2(value) * buckets_per_octave, computed without floating point for
   // the integer part and with a linear interpolation within the octave.
+  // value >= 1, so the octave base is exactly 1 << msb and dividing by it
+  // is a shift.
   const unsigned msb = static_cast<unsigned>(std::bit_width(value)) - 1;
-  const std::uint64_t base = 1ULL << msb;
-  const std::uint64_t frac_num = value - base;  // in [0, base)
+  const std::uint64_t frac_num = value - (1ULL << msb);  // in [0, 2^msb)
   const std::size_t sub =
-      base == 0 ? 0
-                : static_cast<std::size_t>((frac_num * buckets_per_octave_) / base);
+      static_cast<std::size_t>((frac_num * buckets_per_octave_) >> msb);
   const std::size_t index = static_cast<std::size_t>(msb) * buckets_per_octave_ + sub;
   return std::min(index, counts_.size() - 1);
 }

@@ -45,13 +45,14 @@ const FlowEntry* FlowTable::lookup(const pktio::FlowKey& key) const {
   return &store_.state(idx);
 }
 
-const FlowEntry* FlowTable::lookup(const pktio::FlowKey& key, Cycles now) {
+const FlowEntry* FlowTable::lookup(const pktio::FlowKey& key, Cycles now,
+                                   std::uint64_t packets) {
   const std::uint32_t idx = store_.lookup(key, now);
   if (idx == FlowStore<pktio::FlowKey, FlowEntry>::kNoIndex) {
-    ++misses_;
+    misses_ += packets;
     return nullptr;
   }
-  ++hits_;
+  hits_ += packets;
   return &store_.state(idx);
 }
 

@@ -58,9 +58,11 @@ class FlowTable {
   /// Lookup; nullptr on miss (the manager drops unmatched packets).
   [[nodiscard]] const FlowEntry* lookup(const pktio::FlowKey& key) const;
 
-  /// Data-plane lookup: additionally refreshes the flow's last-touch time
-  /// so active flows stay ahead of the expiry sweep.
-  [[nodiscard]] const FlowEntry* lookup(const pktio::FlowKey& key, Cycles now);
+  /// Data-plane lookup for `packets` arrivals of `key`, the last at `now`:
+  /// one probe that refreshes the flow's last-touch time, so active flows
+  /// stay ahead of the expiry sweep, and counts `packets` hits or misses.
+  [[nodiscard]] const FlowEntry* lookup(const pktio::FlowKey& key, Cycles now,
+                                        std::uint64_t packets = 1);
 
   /// Reclaim flows idle past the timeout as of `now`; returns the number
   /// expired. The expiry listener (if any) sees each entry before its id

@@ -142,7 +142,8 @@ void Manager::apply_shard_msg(const ShardMsg& msg) {
       const auto pool_index = pkt->pool_index;
       *pkt = msg.pkt;
       pkt->pool_index = pool_index;  // descriptor identity stays local
-      enqueue_to_nf(msg.nf, pkt, engine_.now());
+      pkt->enqueue_time = engine_.now();
+      enqueue_to_nf(msg.nf, &pkt, 1);
       break;
     }
     case ShardMsg::Kind::kFlowEgress: {
@@ -351,103 +352,152 @@ void Manager::ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key) {
 
 void Manager::ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key,
                       Cycles arrival) {
+  if (const flow::FlowEntry* entry = rx_entry(key, &arrival, 1)) {
+    rx_admit(*entry, key, &pkt, &arrival, 1);
+  } else {
+    drop(pkt);
+  }
+}
+
+const flow::FlowEntry* Manager::rx_entry(const pktio::FlowKey& key,
+                                         const Cycles* arrivals,
+                                         std::size_t n) {
   assert(started_ && "call start() before sending traffic");
-  assert(arrival <= engine_.now() && "arrival timestamps cannot be future");
-  ++wire_ingress_;
+  assert(arrivals[n - 1] <= engine_.now() &&
+         "arrival timestamps cannot be future");
+  wire_ingress_ += n;
   // Touching lookup: refreshes the flow's last-touch time so active flows
-  // stay ahead of the table's expiry sweep (idle ones age out).
-  const flow::FlowEntry* entry = flows_.lookup(key, arrival);
+  // stay ahead of the table's expiry sweep (idle ones age out). One touch
+  // at the last arrival leaves the same state as n touches: no sweep can
+  // run inside one callback.
+  const flow::FlowEntry* entry = flows_.lookup(key, arrivals[n - 1], n);
+  auto* tr = obs::trace_of(obs_);
   if (entry == nullptr) {
-    obs::inc(ctr_unmatched_drops_);
-    if (auto* tr = obs::trace_of(obs_)) {
-      tr->instant(arrival, obs::kManagerLane, "mgr", "drop",
+    // Unmatched traffic is not steered anywhere.
+    obs::inc(ctr_unmatched_drops_, n);
+    for (std::size_t i = 0; tr != nullptr && i < n; ++i) {
+      tr->instant(arrivals[i], obs::kManagerLane, "mgr", "drop",
                   {{"reason", "unmatched"}});
     }
-    drop(pkt);  // unmatched traffic is not steered anywhere
-    return;
+    return nullptr;
   }
-  pkt->flow_id = entry->flow_id;
-  pkt->chain_id = entry->chain;
-  pkt->chain_pos = 0;
-  pkt->arrival_time = arrival;
-  pkt->key = key;
-  pkt->numa_node = static_cast<std::int8_t>(config_.nic_numa_node);
-
-  if (pkt->chain_id >= chain_counters_.size()) {
-    chain_counters_.resize(pkt->chain_id + 1);
-  }
-  auto& cc = chain_counters_[pkt->chain_id];
+  const flow::ChainId chain = entry->chain;
+  if (chain >= chain_counters_.size()) chain_counters_.resize(chain + 1);
 
   // Selective early discard: shed throttled chains where they first enter
   // the system, before any CPU is spent on them (Fig. 5). The chain head
-  // still counts the packet as offered load for rate estimation.
-  if (config_.enable_backpressure && bp_->chain_throttled(pkt->chain_id)) {
-    ++records_[chain_head(pkt->chain_id)].counters.offered;
-    ++cc.entry_throttle_drops;
-    if (auto* tr = obs::trace_of(obs_)) {
-      tr->instant(arrival, obs::kManagerLane, "mgr", "drop",
+  // still counts the packets as offered load for rate estimation. Only
+  // wakeup_scan, force_dead and remote mirrors change the verdict, so it
+  // holds for the whole burst.
+  if (config_.enable_backpressure && bp_->chain_throttled(chain)) {
+    records_[chain_head(chain)].counters.offered += n;
+    chain_counters_[chain].entry_throttle_drops += n;
+    for (std::size_t i = 0; tr != nullptr && i < n; ++i) {
+      tr->instant(arrivals[i], obs::kManagerLane, "mgr", "drop",
                   {{"reason", "entry_throttle"}},
-                  {{"chain", static_cast<std::int64_t>(pkt->chain_id)}});
+                  {{"chain", static_cast<std::int64_t>(chain)}});
     }
-    drop(pkt);
-    return;
+    return nullptr;
   }
-  // Admission gate (DESIGN.md §17): a shed flow class spends a trickle
-  // token or is discarded at the wire — before any chain CPU, into its own
-  // conservation sink. Like the entry-throttle discard above, the chain
-  // head still counts the packet as offered load so λ stays honest.
-  if (adm_ != nullptr && !adm_->admit(pkt->chain_id, arrival)) {
-    ++records_[chain_head(pkt->chain_id)].counters.offered;
-    ++cc.admission_discards;
-    if (auto* tr = obs::trace_of(obs_)) {
-      tr->instant(arrival, obs::kAdmissionLane, "adm", "drop",
-                  {{"reason", "admission"}},
-                  {{"chain", static_cast<std::int64_t>(pkt->chain_id)}});
-    }
-    drop(pkt);
-    return;
-  }
-  ++cc.entry_admitted;
-  const auto& hops = chains_.get(pkt->chain_id).hops;
-  // Dead-NF bypass (DESIGN.md §11): the chain head itself may be down.
-  if (pkt->chain_id < dead_on_chain_.size() &&
-      dead_on_chain_[pkt->chain_id] > 0 &&
-      dead_policy(pkt->chain_id) == fault::DeadNfPolicy::kBypass) {
-    skip_dead_hops(pkt, pkt->chain_id);
-    if (pkt->chain_pos >= hops.size()) {  // every hop on the chain is dead
-      egress(pkt);
-      pool_.free(pkt);
-      return;
-    }
-  }
-  enqueue_to_nf(hops[pkt->chain_pos], pkt, arrival);
+  return entry;
 }
 
-void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* pkt, Cycles when) {
+void Manager::rx_admit(const flow::FlowEntry& entry, const pktio::FlowKey& key,
+                       pktio::Mbuf** pkts, const Cycles* arrivals,
+                       std::size_t n) {
+  const flow::ChainId chain = entry.chain;
+  auto& cc = chain_counters_[chain];
+  // Admitted packets are compacted into pkts[0, run) and handed off as one
+  // run; a discard first flushes the run ahead of it, so every trace event
+  // keeps its per-packet order.
+  const std::size_t max_run = bypassing(chain) ? 1 : n;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    pktio::Mbuf* pkt = pkts[i];
+    pkt->flow_id = entry.flow_id;
+    pkt->chain_id = chain;
+    pkt->chain_pos = 0;
+    pkt->arrival_time = arrivals[i];
+    pkt->enqueue_time = arrivals[i];
+    pkt->key = key;
+    pkt->numa_node = static_cast<std::int8_t>(config_.nic_numa_node);
+    // Admission gate (DESIGN.md §17): a shed flow class spends a trickle
+    // token or is discarded at the wire — before any chain CPU, into its
+    // own conservation sink. Like the entry-throttle discard, the chain
+    // head still counts the packet as offered load so λ stays honest.
+    if (adm_ != nullptr && !adm_->admit(chain, arrivals[i])) {
+      hand_off(pkts, run);
+      run = 0;
+      ++records_[chain_head(chain)].counters.offered;
+      ++cc.admission_discards;
+      if (auto* tr = obs::trace_of(obs_)) {
+        tr->instant(arrivals[i], obs::kAdmissionLane, "adm", "drop",
+                    {{"reason", "admission"}},
+                    {{"chain", static_cast<std::int64_t>(chain)}});
+      }
+      drop(pkt);
+      continue;
+    }
+    ++cc.entry_admitted;
+    pkts[run++] = pkt;
+    if (run == max_run) {
+      hand_off(pkts, run);
+      run = 0;
+    }
+  }
+  hand_off(pkts, run);
+}
+
+void Manager::hand_off(pktio::Mbuf** pkts, std::size_t n) {
+  if (n == 0) return;
+  pktio::Mbuf& first = *pkts[0];
+  // Dead-NF bypass (DESIGN.md §11): skip the dead hops ahead.
+  if (bypassing(first.chain_id)) {
+    assert(n == 1 && "runs never cross a dead-hop bypass");
+    skip_dead_hops(&first, first.chain_id);
+  }
+  const auto& hops = chains_.get(first.chain_id).hops;
+  if (first.chain_pos >= hops.size()) {
+    egress(pkts, n);
+  } else {
+    enqueue_to_nf(hops[first.chain_pos], pkts, n);
+  }
+}
+
+void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
+                            std::size_t n) {
   NfRecord& rec = records_[nf_id];
   if (rec.task == nullptr) {
-    // Next hop lives on another lane: hand the packet off by value. The
+    // Next hop lives on another lane: hand each packet off by value. The
     // descriptor returns to this lane's pool; the owning lane re-allocates
     // from its own and counts the packet as offered on delivery.
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kPacket;
-    msg.nf = nf_id;
-    msg.pkt = *pkt;
-    post_remote(rec.owner_lane, msg);
-    pool_.free(pkt);
+    for (std::size_t i = 0; i < n; ++i) {
+      ShardMsg msg;
+      msg.kind = ShardMsg::Kind::kPacket;
+      msg.nf = nf_id;
+      msg.pkt = *pkts[i];
+      post_remote(rec.owner_lane, msg);
+      pool_.free(pkts[i]);
+    }
     return;
   }
   nf::NfTask& task = *rec.task;
-  ++rec.counters.offered;
-
-  if (config_.enable_ecn) {
-    auto& fc = flow_counters_;
-    if (ecn_->on_enqueue(nf_id, task.rx_ring(), *pkt)) {
+  pktio::Ring& ring = task.rx_ring();
+  rec.counters.offered += n;
+  std::size_t enqueued = 0;
+  bool overloaded = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    pktio::Mbuf* pkt = pkts[i];
+    const Cycles when = pkt->enqueue_time;
+    // The EWMA is a serial recurrence over the running occupancy: one
+    // observation per packet, packets about to be dropped included.
+    if (config_.enable_ecn && ecn_->on_enqueue(nf_id, ring, *pkt)) {
       // Per-flow accounting lives on the flow's home lane (the lane of the
       // chain's first hop, which owns the flow-table entry and so the
       // meaning of pkt->flow_id). Mid-chain lanes route the count home.
       const flow::NfId head = chain_head(pkt->chain_id);
       if (records_[head].task != nullptr) {
+        auto& fc = flow_counters_;
         if (pkt->flow_id >= fc.size()) fc.resize(pkt->flow_id + 1);
         ++fc[pkt->flow_id].ecn_marked;
       } else {
@@ -461,49 +511,48 @@ void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* pkt, Cycles when) {
         tr->instant(when, obs::kManagerLane, "mgr", "ecn_mark",
                     {{"nf", task.config().name}},
                     {{"flow", static_cast<std::int64_t>(pkt->flow_id)},
-                     {"qlen", static_cast<std::int64_t>(task.rx_ring().size())}});
+                     {"qlen", static_cast<std::int64_t>(ring.size())}});
+      }
+    }
+
+    const pktio::EnqueueResult result = ring.enqueue(pkt);
+    if (result == pktio::EnqueueResult::kFull) {
+      ++rec.counters.rx_full_drops;
+      if (pkt->chain_pos > 0) {
+        ++rec.counters.wasted_drops_here;
+        // Attribute the wasted work to the NF that processed it last.
+        const auto& hops = chains_.get(pkt->chain_id).hops;
+        NfRecord& prev = records_[hops[pkt->chain_pos - 1]];
+        if (prev.task != nullptr) {
+          ++prev.counters.downstream_drops;
+        } else {
+          ShardMsg msg;
+          msg.kind = ShardMsg::Kind::kDownstreamDrop;
+          msg.nf = hops[pkt->chain_pos - 1];
+          post_remote(prev.owner_lane, msg);
+        }
+      }
+      if (auto* tr = obs::trace_of(obs_)) {
+        tr->instant(when, obs::kManagerLane, "mgr", "drop",
+                    {{"reason", "rx_full"}, {"nf", task.config().name}},
+                    {{"chain_pos", static_cast<std::int64_t>(pkt->chain_pos)}});
+      }
+      drop(pkt);
+      continue;
+    }
+    ++enqueued;
+    // The data path only ever moves Clear -> Watch, so the first
+    // overloaded enqueue of the run is the only one that can act.
+    if (result == pktio::EnqueueResult::kOkOverloaded && !overloaded) {
+      overloaded = true;
+      task.set_overload_flag(true);
+      if (config_.enable_backpressure) {
+        bp_->on_enqueue_feedback(nf_id, result, when);
       }
     }
   }
-
-  pkt->enqueue_time = when;
-  const pktio::EnqueueResult result = task.rx_ring().enqueue(pkt);
-  if (result == pktio::EnqueueResult::kFull) {
-    ++rec.counters.rx_full_drops;
-    if (pkt->chain_pos > 0) {
-      ++rec.counters.wasted_drops_here;
-      // Attribute the wasted work to the NF that processed it last.
-      const auto& hops = chains_.get(pkt->chain_id).hops;
-      NfRecord& prev = records_[hops[pkt->chain_pos - 1]];
-      if (prev.task != nullptr) {
-        ++prev.counters.downstream_drops;
-      } else {
-        ShardMsg msg;
-        msg.kind = ShardMsg::Kind::kDownstreamDrop;
-        msg.nf = hops[pkt->chain_pos - 1];
-        post_remote(prev.owner_lane, msg);
-      }
-    }
-    if (auto* tr = obs::trace_of(obs_)) {
-      tr->instant(when, obs::kManagerLane, "mgr", "drop",
-                  {{"reason", "rx_full"}, {"nf", task.config().name}},
-                  {{"chain_pos", static_cast<std::int64_t>(pkt->chain_pos)}});
-    }
-    drop(pkt);
-    return;
-  }
-
-  ++rec.counters.rx_enqueued;
-  task.note_arrival();
-  if (result == pktio::EnqueueResult::kOkOverloaded) {
-    task.set_overload_flag(true);
-    if (config_.enable_backpressure) {
-      bp_->on_enqueue_feedback(nf_id, result, when);
-    }
-  }
-  if (config_.wake_on_arrival && !task.yield_flag()) {
-    rec.core->wake(&task);
-  }
+  rec.counters.rx_enqueued += enqueued;
+  task.note_arrival(enqueued);
 }
 
 void Manager::schedule_drain(flow::NfId nf_id) {
@@ -519,29 +568,28 @@ void Manager::drain_tx(flow::NfId nf_id) {
   rec.drain_scheduled = false;
 
   pktio::Mbuf* burst[256];
-  pktio::Mbuf* done[256];
-  std::size_t done_n = 0;
   const std::size_t max_burst =
       std::min<std::size_t>(config_.tx_burst, std::size(burst));
   const bool was_full = rec.task->tx_ring().full();
   const std::size_t n = rec.task->tx_ring().dequeue_burst(burst, max_burst);
-  for (std::size_t i = 0; i < n; ++i) {
-    pktio::Mbuf* pkt = burst[i];
-    const auto& hops = chains_.get(pkt->chain_id).hops;
-    ++pkt->chain_pos;
-    if (pkt->chain_id < dead_on_chain_.size() &&
-        dead_on_chain_[pkt->chain_id] > 0 &&
-        dead_policy(pkt->chain_id) == fault::DeadNfPolicy::kBypass) {
-      skip_dead_hops(pkt, pkt->chain_id);
+  const Cycles now = engine_.now();
+  // Forward maximal runs of consecutive packets bound for the same next
+  // hop: same chain, same position, no bypass on the chain.
+  for (std::size_t i = 0, end = 0; i < n; i = end) {
+    const pktio::Mbuf& first = *burst[i];
+    end = i + 1;
+    if (!bypassing(first.chain_id)) {
+      while (end < n && burst[end]->chain_id == first.chain_id &&
+             burst[end]->chain_pos == first.chain_pos) {
+        ++end;
+      }
     }
-    if (pkt->chain_pos >= hops.size()) {
-      egress(pkt);
-      done[done_n++] = pkt;  // freed in one burst below
-    } else {
-      enqueue_to_nf(hops[pkt->chain_pos], pkt, engine_.now());
+    for (std::size_t k = i; k < end; ++k) {
+      ++burst[k]->chain_pos;
+      burst[k]->enqueue_time = now;
     }
+    hand_off(burst + i, end - i);
   }
-  if (done_n > 0) pool_.free_burst(done, done_n);
 
   if (!rec.task->tx_ring().empty()) schedule_drain(nf_id);
   // Freed TX space may unblock a locally backpressured NF.
@@ -550,47 +598,47 @@ void Manager::drain_tx(flow::NfId nf_id) {
   }
 }
 
-void Manager::egress(pktio::Mbuf* pkt) {
-  auto& cc = chain_counters_[pkt->chain_id];
-  ++cc.egress_packets;
-  cc.egress_bytes += pkt->size_bytes;
-  if (pkt->chain_id >= chain_latency_.size()) {
-    chain_latency_.resize(pkt->chain_id + 1);
+void Manager::egress(pktio::Mbuf* const* pkts, std::size_t n) {
+  const flow::ChainId chain = pkts[0]->chain_id;
+  auto& cc = chain_counters_[chain];
+  cc.egress_packets += n;
+  if (chain >= chain_latency_.size()) chain_latency_.resize(chain + 1);
+  if (chain >= chain_tail_.size()) {
+    chain_tail_.resize(chain + 1, obs::LatencyEstimator(config_.slo.window));
   }
-  const Cycles latency = engine_.now() - pkt->arrival_time;
-  chain_latency_[pkt->chain_id].record(latency);
-  // Tail telemetry (DESIGN.md §16): same wire-arrival -> wire-egress span,
-  // into the chain's fixed-window estimator. O(1), allocation-free.
-  if (pkt->chain_id >= chain_tail_.size()) {
-    chain_tail_.resize(pkt->chain_id + 1,
-                       obs::LatencyEstimator(config_.slo.window));
-  }
-  chain_tail_[pkt->chain_id].record(static_cast<std::uint64_t>(latency));
-
+  ChainLatency& histogram = chain_latency_[chain];
+  obs::LatencyEstimator& tail = chain_tail_[chain];
   // Per-flow counters and the egress sink live on the flow's home lane;
   // when the chain's last hop is elsewhere, route the event home (the
   // packet travels by value so e.g. a TCP sink still sees its fields).
-  const flow::NfId head = chain_head(pkt->chain_id);
-  if (records_[head].task == nullptr) {
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kFlowEgress;
-    msg.pkt = *pkt;
-    post_remote(records_[head].owner_lane, msg);
-    return;
+  const NfRecord& home = records_[chain_head(chain)];
+  const Cycles now = engine_.now();
+  for (std::size_t i = 0; i < n; ++i) {
+    const pktio::Mbuf& pkt = *pkts[i];
+    cc.egress_bytes += pkt.size_bytes;
+    const Cycles latency = now - pkt.arrival_time;
+    histogram.record(latency);
+    // Tail telemetry (DESIGN.md §16): same wire-arrival -> wire-egress
+    // span, into the chain's fixed-window estimator.
+    tail.record(static_cast<std::uint64_t>(latency));
+    if (home.task == nullptr) {
+      ShardMsg msg;
+      msg.kind = ShardMsg::Kind::kFlowEgress;
+      msg.pkt = pkt;
+      post_remote(home.owner_lane, msg);
+      continue;
+    }
+    if (pkt.flow_id >= flow_counters_.size()) {
+      flow_counters_.resize(pkt.flow_id + 1);
+    }
+    auto& fc = flow_counters_[pkt.flow_id];
+    ++fc.egress_packets;
+    fc.egress_bytes += pkt.size_bytes;
+    if (pkt.flow_id < egress_sinks_.size() && egress_sinks_[pkt.flow_id]) {
+      egress_sinks_[pkt.flow_id](pkt);
+    }
   }
-
-  if (pkt->flow_id >= flow_counters_.size()) {
-    flow_counters_.resize(pkt->flow_id + 1);
-  }
-  auto& fc = flow_counters_[pkt->flow_id];
-  ++fc.egress_packets;
-  fc.egress_bytes += pkt->size_bytes;
-
-  if (pkt->flow_id < egress_sinks_.size() && egress_sinks_[pkt->flow_id]) {
-    egress_sinks_[pkt->flow_id](*pkt);
-  }
-  // Ownership note: the caller (drain_tx) frees egressed packets in one
-  // free_burst after the whole TX burst is dispatched.
+  pool_.free_burst(pkts, static_cast<std::uint32_t>(n));
 }
 
 void Manager::drop(pktio::Mbuf* pkt) { pool_.free(pkt); }

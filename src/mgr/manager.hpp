@@ -4,12 +4,14 @@
 // on dedicated cores and ferry packet descriptors between the NIC and NF
 // rings over shared memory. Here each thread is an event-driven actor:
 //
-//  * Rx path   — ingress(): flow-table lookup, chain-entry admission
-//                (selective early discard for throttled chains), enqueue to
-//                the first NF with ECN marking and watermark feedback.
-//  * Tx path   — per-NF drain events: move processed packets to the next NF
-//                in the chain (zero-copy descriptor hand-off) or out the
-//                wire; detect overload from the enqueue return value (§3.5).
+//  * Rx path   — ingress(): one flow-table lookup and chain-entry verdict
+//                per source burst (selective early discard for throttled
+//                chains), enqueue to the first NF with ECN marking and
+//                watermark feedback.
+//  * Tx path   — per-NF drain events: move runs of processed packets to the
+//                next NF in the chain (zero-copy descriptor hand-off) or out
+//                the wire; detect overload from the enqueue return value
+//                (§3.5).
 //  * Wakeup    — periodic scan that advances the backpressure state machine,
 //                sets/clears relinquish flags, and posts semaphores of NFs
 //                with pending work (§3.2 "Activating NFs", §3.5).
@@ -48,14 +50,6 @@ struct ManagerConfig {
   bool enable_cgroups = true;
   bool enable_backpressure = true;
   bool enable_ecn = true;
-
-  /// Wake an NF directly from the enqueue path (netmap/ClickOS-style,
-  /// §3.2's comparison). NFVnice instead lets the Wakeup thread post the
-  /// semaphores (§3.1: "the Wakeup subsystem brings the NF process into
-  /// the runnable state"), which naturally coalesces wakeups to the scan
-  /// period — per-packet zero-latency wakes would hammer SCHED_NORMAL
-  /// with a wakeup-preemption storm no real semaphore could sustain.
-  bool wake_on_arrival = false;
 
   /// Latency for a Tx thread to notice and move a processed packet
   /// (manager runs on its own cores; ~100 ns).
@@ -301,8 +295,31 @@ class Manager : public fault::FaultSink {
   /// traffic sources deliver several packets from one timer callback; the
   /// per-packet arrival time keeps latency accounting, ECN and watermark
   /// feedback stamped at the exact instants an unbatched source would have
-  /// produced.
+  /// produced. A burst of one through the burst path's code.
   void ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key, Cycles arrival);
+
+  /// Rx-thread entry for one source burst: `n` packets of flow `key`
+  /// arriving at `arrivals[0..n)` (ascending, <= now). The flow lookup and
+  /// the entry verdict run once per burst; a shed burst is accounted in
+  /// full without taking a descriptor. An admitted burst takes its `n`
+  /// descriptors in one alloc_burst and `stamp(mbuf, i)` writes the
+  /// source's fields into packet i. Returns false, having done nothing,
+  /// when the pool lacks room for all `n`: the caller then allocates and
+  /// delivers one packet at a time, counting its own alloc failures. Not
+  /// reentrant: an egress sink must not start a burst ingress.
+  template <typename Stamp>
+  bool ingress(const pktio::FlowKey& key, const Cycles* arrivals,
+               std::size_t n, Stamp&& stamp) {
+    if (n == 0) return true;
+    if (pool_.available() < n) return false;
+    const flow::FlowEntry* entry = rx_entry(key, arrivals, n);
+    if (entry == nullptr) return true;
+    if (rx_burst_.size() < n) rx_burst_.resize(n);
+    pool_.alloc_burst(rx_burst_.data(), static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < n; ++i) stamp(*rx_burst_[i], i);
+    rx_admit(*entry, key, rx_burst_.data(), arrivals, n);
+    return true;
+  }
 
   /// Per-flow egress hook (TCP sources use it to observe deliveries and
   /// ECN marks). The packet is freed after the sink returns.
@@ -441,7 +458,27 @@ class Manager : public fault::FaultSink {
     std::uint64_t push_givebacks = 0;
   };
 
-  void enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* pkt, Cycles when);
+  // -- data plane: every hand-off moves a run of packets --------------------
+  /// Entry half of ingress: count `n` arrivals of `key`, probe the flow
+  /// table once and give the burst's verdict. nullptr = shed (unmatched or
+  /// entry-throttled), fully accounted; else the flow's entry.
+  const flow::FlowEntry* rx_entry(const pktio::FlowKey& key,
+                                  const Cycles* arrivals, std::size_t n);
+  /// Chain half of ingress: stamp the platform's fields into `pkts`, run
+  /// the admission gate per packet and hand the admitted runs to the chain.
+  void rx_admit(const flow::FlowEntry& entry, const pktio::FlowKey& key,
+                pktio::Mbuf** pkts, const Cycles* arrivals, std::size_t n);
+  /// Move a run — one chain, one chain_pos, enqueue_time stamped with the
+  /// hand-off instant — to its next hop: the NF at chain_pos, or egress
+  /// past the last hop. A run on a bypassing chain is one packet long.
+  void hand_off(pktio::Mbuf** pkts, std::size_t n);
+  void enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
+                     std::size_t n);
+  /// Does kBypass currently route `chain`'s packets around a dead hop?
+  [[nodiscard]] bool bypassing(flow::ChainId chain) const {
+    return chain < dead_on_chain_.size() && dead_on_chain_[chain] > 0 &&
+           dead_policy(chain) == fault::DeadNfPolicy::kBypass;
+  }
   /// First hop of `chain`, from the start()-built cache. The registry walk
   /// (`chains_.get(id).hops.front()`: bounds-checked at(), two pointer
   /// chases) used to run once per throttled-ingress packet, per ECN mark
@@ -458,7 +495,8 @@ class Manager : public fault::FaultSink {
   void broadcast_remote(const ShardMsg& msg);
   void schedule_drain(flow::NfId nf_id);
   void drain_tx(flow::NfId nf_id);
-  void egress(pktio::Mbuf* pkt);
+  /// Egress a run of one chain's packets; frees them.
+  void egress(pktio::Mbuf* const* pkts, std::size_t n);
   void wakeup_scan();
   void monitor_tick();
   void update_shares();
@@ -544,6 +582,8 @@ class Manager : public fault::FaultSink {
   sched::CGroupController cgroup_;
 
   std::uint64_t wire_ingress_ = 0;
+  /// Descriptors of the admitted source burst being ingested.
+  std::vector<pktio::Mbuf*> rx_burst_;
   std::uint32_t monitor_ticks_ = 0;
   bool started_ = false;
 

@@ -122,10 +122,9 @@ void NfTask::on_preempt(Cycles now) {
   // their exact times. The packet straddling `now` stays in flight with
   // its unserved remainder (strict <: completing exactly at the preempt
   // instant still counts as in flight, as the per-packet engine did).
-  while (burst_pos_ < burst_.size() && burst_[burst_pos_].done_at < now) {
-    finalize_packet(burst_[burst_pos_]);
-    ++burst_pos_;
-  }
+  std::size_t done = burst_pos_;
+  while (done < burst_.size() && burst_[done].done_at < now) ++done;
+  finalize_through(done);
   assert(burst_pos_ < burst_.size() && "armed burst cannot be fully done");
   resume_remaining_ = burst_[burst_pos_].done_at - now;
   assert(resume_remaining_ >= 0);
@@ -248,10 +247,7 @@ void NfTask::start_next_burst(Cycles now) {
 void NfTask::on_burst_done() {
   const Cycles now = engine_.now();
   work_event_ = sim::kInvalidEventId;
-  while (burst_pos_ < burst_.size()) {
-    finalize_packet(burst_[burst_pos_]);
-    ++burst_pos_;
-  }
+  finalize_through(burst_.size());
   burst_.clear();
   burst_pos_ = 0;
 
@@ -271,25 +267,31 @@ void NfTask::on_burst_done() {
   start_next_burst(now);
 }
 
-void NfTask::finalize_packet(const BurstEntry& entry) {
-  maybe_sample(entry.done_at, entry.cost);
-  ++counters_.processed;
-
-  pktio::Mbuf* pkt = entry.pkt;
-  const NfAction action = handler_ ? handler_(*pkt) : NfAction::kForward;
-  if (action == NfAction::kDrop) {
-    ++counters_.handler_drops;
-    if (release_) release_(pkt);
-  } else {
+void NfTask::finalize_through(std::size_t end) {
+  const std::uint64_t forwarded = counters_.forwarded;
+  for (; burst_pos_ < end; ++burst_pos_) {
+    const BurstEntry& entry = burst_[burst_pos_];
+    maybe_sample(entry.done_at, entry.cost);
+    ++counters_.processed;
+    ++batch_count_;
+    pktio::Mbuf* pkt = entry.pkt;
+    const NfAction action = handler_ ? handler_(*pkt) : NfAction::kForward;
+    if (action == NfAction::kDrop) {
+      ++counters_.handler_drops;
+      if (release_) release_(pkt);
+      continue;
+    }
     // Room for the whole burst was guaranteed at assembly and only the
     // manager's Tx thread drains this ring, so enqueue cannot fail.
     const auto result = tx_ring_.enqueue(pkt);
     assert(result != pktio::EnqueueResult::kFull);
     (void)result;
     ++counters_.forwarded;
-    if (tx_notify_) tx_notify_(*this);
   }
-  ++batch_count_;
+  // One notify per finalized burst. It runs before the caller arms any
+  // other event, so the drain it schedules keeps the (when, seq) the
+  // first forwarded packet's notify used to give it.
+  if (counters_.forwarded != forwarded && tx_notify_) tx_notify_(*this);
 }
 
 void NfTask::block_self() {

@@ -86,7 +86,8 @@ class NfTask : public sched::Task {
   /// May call io().write()/read(). Default (unset) forwards every packet.
   using Handler = std::function<NfAction(pktio::Mbuf&)>;
 
-  /// Platform callbacks (installed by the NF Manager).
+  /// Platform callbacks (installed by the NF Manager). Notify fires once
+  /// per finalized burst that put at least one packet on the TX ring.
   using Notify = std::function<void(NfTask&)>;
   using Release = std::function<void(pktio::Mbuf*)>;
 
@@ -110,8 +111,9 @@ class NfTask : public sched::Task {
   [[nodiscard]] pktio::Ring& tx_ring() { return tx_ring_; }
   [[nodiscard]] const pktio::Ring& tx_ring() const { return tx_ring_; }
 
-  /// Called by the manager after a successful RX enqueue (rate estimation).
-  void note_arrival() { ++counters_.arrivals; }
+  /// Called by the manager after `n` successful RX enqueues (rate
+  /// estimation).
+  void note_arrival(std::uint64_t n = 1) { counters_.arrivals += n; }
 
   // -- shared-memory flags (manager <-> libnf) ----------------------------
   /// Relinquish-CPU flag checked after each batch (§3.2).
@@ -180,7 +182,9 @@ class NfTask : public sched::Task {
 
   void start_next_burst(Cycles now);
   void on_burst_done();
-  void finalize_packet(const BurstEntry& entry);
+  /// Finalize entries [burst_pos_, end) at their virtual completion
+  /// times, then notify the Tx thread once if any was forwarded.
+  void finalize_through(std::size_t end);
   void block_self();
   void maybe_sample(Cycles now, Cycles cost);
 

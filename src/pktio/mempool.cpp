@@ -42,7 +42,7 @@ Mbuf* MbufPool::alloc() {
 }
 
 std::uint32_t MbufPool::alloc_burst(Mbuf** out, std::uint32_t n) {
-  if (capacity_ - in_use() < n) {
+  if (available() < n) {
     ++alloc_failures_;
     return 0;
   }

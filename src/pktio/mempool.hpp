@@ -47,6 +47,10 @@ class MbufPool {
   [[nodiscard]] std::uint32_t in_use() const {
     return fresh_ - static_cast<std::uint32_t>(free_list_.size());
   }
+  /// Buffers an alloc_burst could take right now.
+  [[nodiscard]] std::uint32_t available() const {
+    return capacity_ - in_use();
+  }
   [[nodiscard]] std::uint64_t alloc_failures() const { return alloc_failures_; }
 
  private:

@@ -47,27 +47,39 @@ void TcpSource::send_window() {
 void TcpSource::emit_one(Cycles arrival) {
   pktio::Mbuf* pkt = pool_.alloc();
   if (pkt != nullptr) {
-    pkt->size_bytes = config_.size_bytes;
-    pkt->is_tcp = true;
-    pkt->ecn_capable = config_.ecn_capable;
-    pkt->seq = sent_total_;
-    ++sent_total_;
+    stamp(*pkt, sent_total_++);
     manager_.ingress(pkt, config_.key, arrival);
   }
 }
 
+void TcpSource::stamp(pktio::Mbuf& pkt, std::uint64_t seq) const {
+  pkt.size_bytes = config_.size_bytes;
+  pkt.is_tcp = true;
+  pkt.ecn_capable = config_.ecn_capable;
+  pkt.seq = seq;
+}
+
 void TcpSource::emit_group(Cycles first, std::uint32_t count) {
   pending_ = sim::kInvalidEventId;
-  // Delivered at the group's last pacing slot; each packet still carries
-  // its exact pacing time.
+  // Delivered at the group's last pacing slot in one Rx call; each packet
+  // still carries its exact pacing time.
   const Cycles gap = config_.rtt / window_target_;
-  Cycles t = first;
+  group_.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
-    emit_one(t);
-    ++window_emitted_;
-    if (i + 1 < count) t += gap;
+    group_.push_back(first + static_cast<Cycles>(i) * gap);
   }
-  after_emit(t);
+  const std::uint64_t first_seq = sent_total_;
+  if (manager_.ingress(config_.key, group_.data(), count,
+                       [&](pktio::Mbuf& pkt, std::size_t i) {
+                         stamp(pkt, first_seq + i);
+                       })) {
+    sent_total_ += count;
+  } else {
+    // Near the pool's cap: one packet at a time.
+    for (const Cycles t : group_) emit_one(t);
+  }
+  window_emitted_ += count;
+  after_emit(group_.back());
 }
 
 void TcpSource::after_emit(Cycles last_emit) {

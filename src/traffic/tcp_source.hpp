@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
@@ -60,6 +61,7 @@ class TcpSource {
  private:
   void send_window();
   void emit_one(Cycles arrival);
+  void stamp(pktio::Mbuf& pkt, std::uint64_t seq) const;
   void emit_group(Cycles first, std::uint32_t count);
   void after_emit(Cycles last_emit);
   void evaluate_window();
@@ -77,6 +79,9 @@ class TcpSource {
   std::uint64_t delivered_total_ = 0;
   std::uint64_t congestion_events_ = 0;
   std::uint64_t ecn_backoffs_ = 0;
+
+  /// Pacing times of the group being delivered.
+  std::vector<Cycles> group_;
 
   // Per-window bookkeeping.
   std::uint32_t window_target_ = 0;

@@ -59,11 +59,24 @@ void UdpSource::arm() {
 
 void UdpSource::emit_batch() {
   pending_ = sim::kInvalidEventId;
-  for (const Cycles t : batch_) {
-    if (config_.stop_time >= 0 && t >= config_.stop_time) return;  // halt
-    emit_one(t);
+  std::size_t n = 0;  // arrivals before the stop time
+  while (n < batch_.size() &&
+         (config_.stop_time < 0 || batch_[n] < config_.stop_time)) {
+    ++n;
   }
-  arm();
+  // One Rx call for the burst. Near the pool's cap it cannot take all n
+  // descriptors at once; then each packet is allocated on its own, as a
+  // NIC would, and an exhausted pool drops at the wire.
+  const std::uint64_t first_seq = sent_;
+  if (manager_.ingress(config_.key, batch_.data(), n,
+                       [&](pktio::Mbuf& pkt, std::size_t i) {
+                         stamp(pkt, first_seq + i);
+                       })) {
+    sent_ += n;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) emit_one(batch_[i]);
+  }
+  if (n == batch_.size()) arm();  // else halt
 }
 
 void UdpSource::emit_one(Cycles arrival) {
@@ -72,16 +85,18 @@ void UdpSource::emit_one(Cycles arrival) {
     ++alloc_drops_;
     return;
   }
-  pkt->size_bytes = config_.size_bytes;
-  pkt->is_tcp = false;
-  pkt->seq = sent_;
-  if (config_.cost_classes > 0) {
-    pkt->cost_class = next_class_;
-    next_class_ = static_cast<std::uint8_t>((next_class_ + 1) %
-                                            config_.cost_classes);
-  }
-  ++sent_;
+  stamp(*pkt, sent_++);
   manager_.ingress(pkt, config_.key, arrival);
+}
+
+void UdpSource::stamp(pktio::Mbuf& pkt, std::uint64_t seq) const {
+  pkt.size_bytes = config_.size_bytes;
+  pkt.is_tcp = false;
+  pkt.seq = seq;
+  // Classes go round-robin over the packets sent, which seq counts.
+  if (config_.cost_classes > 0) {
+    pkt.cost_class = static_cast<std::uint8_t>(seq % config_.cost_classes);
+  }
 }
 
 }  // namespace nfv::traffic

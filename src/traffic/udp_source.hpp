@@ -3,8 +3,8 @@
 // The paper's generators emit constant-rate flows of configurable packet
 // size — 64-byte packets at 10 Gb/s line rate is 14.88 Mpps (§4.1). This
 // source pre-draws `burst` inter-arrival gaps per timer event and delivers
-// that many ingress calls — each stamped with its exact per-packet arrival
-// time — from one callback, then re-arms at the last arrival. The gap
+// that many packets — each stamped with its exact per-packet arrival time —
+// in one burst ingress call, then re-arms at the last arrival. The gap
 // sequence consumed is identical at any burst setting, so burst=1
 // reproduces the seed's one-event-per-packet schedule exactly. Being open
 // loop, it never backs off: exactly the "non-responsive" traffic
@@ -67,6 +67,7 @@ class UdpSource {
   void arm();
   void emit_batch();
   void emit_one(Cycles arrival);
+  void stamp(pktio::Mbuf& pkt, std::uint64_t seq) const;
   [[nodiscard]] Cycles draw_gap();
 
   sim::Engine& engine_;
@@ -83,7 +84,6 @@ class UdpSource {
   sim::EventId pending_ = sim::kInvalidEventId;
   std::uint64_t sent_ = 0;
   std::uint64_t alloc_drops_ = 0;
-  std::uint8_t next_class_ = 0;
 };
 
 }  // namespace nfv::traffic

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace nfv {
@@ -125,6 +126,74 @@ TEST_P(HistogramResolution, PointMassWithinRelativeError) {
 INSTANTIATE_TEST_SUITE_P(Magnitudes, HistogramResolution,
                          ::testing::Values(1, 7, 50, 120, 270, 550, 2200, 4500,
                                            100000, 12345678, (1ULL << 33)));
+
+// Pins the bucket edges exactly. For every sub-bucket edge e of octaves
+// 0-40 (the least integer whose bucket index is that sub-bucket) and for
+// e - 1, a histogram holding {1, v, max} reports v's bucket representative
+// as its median. The digests fold every (v, median) pair; they were
+// captured while bucket_index still divided by the octave base.
+std::uint64_t edge_digest(unsigned buckets_per_octave, std::size_t& probes) {
+  constexpr std::uint64_t kMax = (1ULL << 41) - 1;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  probes = 0;
+  std::uint64_t last_edge = 0;
+  for (unsigned octave = 0; octave <= 40; ++octave) {
+    const std::uint64_t base = 1ULL << octave;
+    for (unsigned sub = 0; sub < buckets_per_octave; ++sub) {
+      // ceil(sub * base / buckets_per_octave) past the octave base.
+      const std::uint64_t edge =
+          base + (sub * base + buckets_per_octave - 1) / buckets_per_octave;
+      if (edge == last_edge || edge >= 2 * base) continue;
+      last_edge = edge;
+      for (const std::uint64_t v : {edge, edge - 1}) {
+        if (v == 0) continue;
+        Histogram h(kMax, buckets_per_octave);
+        h.record(1);
+        h.record(v);
+        h.record(kMax);
+        fold(v);
+        fold(h.median());
+        ++probes;
+      }
+    }
+  }
+  return digest;
+}
+
+TEST(Histogram, SubBucketEdgesArePinned) {
+  struct Pin {
+    unsigned buckets_per_octave;
+    std::size_t probes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {{4, 317, 0xc4556092e332791a},
+                      {8, 621, 0x0f54218f8f9e1c65}};
+  for (const Pin& pin : pins) {
+    std::size_t probes = 0;
+    const std::uint64_t digest = edge_digest(pin.buckets_per_octave, probes);
+    EXPECT_EQ(probes, pin.probes) << pin.buckets_per_octave;
+    EXPECT_EQ(digest, pin.digest)
+        << pin.buckets_per_octave << " buckets/octave: now 0x" << std::hex
+        << digest;
+  }
+  // Spot values: 1023 and 1024 straddle an octave edge; 1151 closes the
+  // first of eight sub-buckets of octave 10 and 1152 opens the second.
+  const std::pair<std::uint64_t, std::uint64_t> spots[] = {
+      {1023, 991}, {1024, 1086}, {1151, 1086}, {1152, 1214}};
+  for (const auto& [value, median] : spots) {
+    Histogram h((1ULL << 41) - 1, 8);
+    h.record(1);
+    h.record(value);
+    h.record((1ULL << 41) - 1);
+    EXPECT_EQ(h.median(), median) << value;
+  }
+}
 
 }  // namespace
 }  // namespace nfv

@@ -14,12 +14,17 @@
 // or the paper-level conclusions (NFVnice beats Default at overload).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
+#include "fault/fault_plan.hpp"
+#include "obs/trace.hpp"
 
 namespace nfv::core {
 namespace {
@@ -209,6 +214,118 @@ TEST(DefaultBurst, WindowOnlyPerturbsAdmissionAtTheRunBoundary) {
     EXPECT_LE(wire, 120097u) << "window " << window;
     EXPECT_GE(wire + window, 120097u + 1) << "window " << window;
   }
+}
+
+// -- burst hand-offs ----------------------------------------------------------
+// The Manager moves packets in runs (one Rx call per source burst, one
+// enqueue run per next hop, one egress run per chain). These pins were
+// captured while every hand-off was still one packet at a time: the runs
+// must reproduce those bytes exactly.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string trace_bytes(const obs::TraceRecorder& trace) {
+  std::ostringstream out;
+  trace.write_chrome_json(out);
+  return out.str();
+}
+
+/// Records each flow's egress sequence numbers.
+void record_egress(Simulation& sim, flow::FlowId flow,
+                   std::vector<std::uint64_t>& seqs) {
+  sim.manager().set_egress_sink(
+      flow, [&seqs](const pktio::Mbuf& pkt) { seqs.push_back(pkt.seq); });
+}
+
+TEST(BurstHandOff, PoolCapFallsBackToOnePacketAtATime) {
+  // A fig. 7 pool so small that source bursts meet the cap: those bursts
+  // allocate packet by packet and lose the overflow at the wire.
+  PlatformConfig cfg;
+  cfg.set_nfvnice(true);
+  cfg.mempool_capacity = 3000;
+  Simulation sim(cfg);
+  const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto a = sim.add_nf("low", core_id, nf::CostModel::fixed(120));
+  const auto b = sim.add_nf("med", core_id, nf::CostModel::fixed(270));
+  const auto c = sim.add_nf("high", core_id, nf::CostModel::fixed(550));
+  sim.add_chain("lmh", {a, b, c});
+  sim.add_udp_flow(0, 6e6);
+  sim.run_for_seconds(0.02);
+  EXPECT_GT(sim.pool().alloc_failures(), 0u) << "the cap was never hit";
+  EXPECT_LT(sim.manager().wire_ingress(), 120097u);
+  EXPECT_EQ(fnv1a(sim.report_json()), 0x1d136797972b3512ULL);
+}
+
+TEST(BurstHandOff, InterleavedChainsKeepHopOrderAndEcnMarks) {
+  // One NF's TX bursts interleave two chains bound for different next
+  // hops; both hops run hot enough to mark ECN-capable TCP.
+  PlatformConfig cfg;
+  cfg.rx_capacity = 1024;
+  Simulation sim(cfg);
+  const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto c1 = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto shared = sim.add_nf("shared", c0, nf::CostModel::fixed(100));
+  const auto x = sim.add_nf("x", c1, nf::CostModel::fixed(600));
+  const auto y = sim.add_nf("y", c1, nf::CostModel::fixed(600));
+  const auto sx = sim.add_chain("sx", {shared, x});
+  const auto sy = sim.add_chain("sy", {shared, y});
+  obs::TraceRecorder trace({.max_events = 200'000});
+  sim.attach_trace(trace);
+  std::vector<std::uint64_t> seq_x;
+  std::vector<std::uint64_t> seq_y;
+  record_egress(sim, sim.add_udp_flow(sx, 2.3e6, {.seed = 1}), seq_x);
+  record_egress(sim, sim.add_udp_flow(sy, 2.3e6, {.seed = 2}), seq_y);
+  const auto [tcp_x, src_x] = sim.add_tcp_flow(sx);
+  const auto [tcp_y, src_y] = sim.add_tcp_flow(sy);
+  sim.run_for_seconds(0.008);
+
+  EXPECT_GT(sim.manager().flow_counters(tcp_x).ecn_marked, 0u);
+  EXPECT_GT(sim.manager().flow_counters(tcp_y).ecn_marked, 0u);
+  for (const auto* seqs : {&seq_x, &seq_y}) {
+    ASSERT_FALSE(seqs->empty());
+    EXPECT_TRUE(std::is_sorted(seqs->begin(), seqs->end()));
+  }
+  EXPECT_EQ(fnv1a(sim.report_json()), 0x450c9f428263ccc7ULL);
+  EXPECT_EQ(fnv1a(trace_bytes(trace)), 0xb14a133831cea29bULL);
+}
+
+TEST(BurstHandOff, BypassedChainIsForwardedOnePacketAtATime) {
+  // Chain abc routes around its dead hop b under kBypass, packet by
+  // packet; chain ac shares a's TX bursts and keeps forming runs.
+  Simulation sim;
+  const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto a = sim.add_nf("a", core_id, nf::CostModel::fixed(120));
+  const auto b = sim.add_nf("b", core_id, nf::CostModel::fixed(150));
+  const auto c = sim.add_nf("c", core_id, nf::CostModel::fixed(120));
+  const auto abc = sim.add_chain("abc", {a, b, c});
+  const auto ac = sim.add_chain("ac", {a, c});
+  obs::TraceRecorder trace({.max_events = 200'000});
+  sim.attach_trace(trace);
+  std::vector<std::uint64_t> seq_abc;
+  std::vector<std::uint64_t> seq_ac;
+  record_egress(sim, sim.add_udp_flow(abc, 1e6, {.seed = 1}), seq_abc);
+  record_egress(sim, sim.add_udp_flow(ac, 1e6, {.seed = 2}), seq_ac);
+  fault::FaultPlan plan;
+  plan.add_crash(b, sim.clock().from_seconds(0.002),
+                 sim.clock().from_seconds(0.05));
+  sim.set_fault_plan(std::move(plan));
+  sim.set_dead_policy(abc, fault::DeadNfPolicy::kBypass);
+  sim.run_for_seconds(0.01);
+
+  EXPECT_GT(sim.manager().chain_counters(abc).bypassed_hops, 0u);
+  for (const auto* seqs : {&seq_abc, &seq_ac}) {
+    ASSERT_FALSE(seqs->empty());
+    EXPECT_TRUE(std::is_sorted(seqs->begin(), seqs->end()));
+  }
+  EXPECT_EQ(fnv1a(sim.report_json()), 0x49e5ecd5efb49595ULL);
+  EXPECT_EQ(fnv1a(trace_bytes(trace)), 0xc5a1fc297699bdc3ULL);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/simulation.hpp"
+#include "obs/trace.hpp"
 
 namespace nfv::mgr {
 namespace {
@@ -189,6 +195,173 @@ TEST(Manager, MbufPoolNeverLeaksAcrossHeavyOverload) {
   sim.run_for_seconds(0.2);  // drain completely after sources stop
   EXPECT_EQ(sim.pool().in_use(), 0u);
 }
+
+// -- burst ingest -------------------------------------------------------------
+// One source burst through the burst entry must leave exactly the state n
+// single-packet ingress calls leave: counters, flow-table traffic, ring
+// contents, the ECN averages and the trace bytes.
+
+enum class Entry { kClear, kThrottled, kUnmatched, kClassed };
+
+struct IngestTwin {
+  obs::TraceRecorder trace;
+  std::unique_ptr<Simulation> sim;
+  flow::NfId nf = 0;
+  flow::ChainId chain = 0;
+  pktio::FlowKey key{0x0a000001, 0x0b000001, 4000, 80, pktio::kProtoTcp};
+};
+
+void build_twin(IngestTwin& t, Entry entry) {
+  PlatformConfig cfg = default_config(true);
+  cfg.rx_capacity = 1024;
+  // The classed chain needs its queue over the admission watermark, which
+  // the entry throttle would otherwise prevent.
+  if (entry == Entry::kClassed) cfg.manager.enable_backpressure = false;
+  t.sim = std::make_unique<Simulation>(cfg);
+  Simulation& sim = *t.sim;
+  const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+  t.nf = sim.add_nf("nf", core_id,
+                    nf::CostModel::fixed(entry == Entry::kClassed ? 50'000
+                                                                  : 100));
+  t.chain = sim.add_chain("c", {t.nf});
+  sim.attach_trace(t.trace);
+  if (entry != Entry::kUnmatched) sim.flow_table().install(t.key, t.chain);
+  if (entry == Entry::kClassed) {
+    // Overload until the gate sheds the class, then stop: the queue stays
+    // between the watermarks while the bursts below arrive.
+    sim.set_chain_class(t.chain, 1.0, 0.5);
+    sim.add_udp_flow(t.chain, 2e6, {.stop_seconds = 0.02});
+    sim.run_for_seconds(0.021);
+    ASSERT_TRUE(sim.manager().admission()->engaged(t.chain));
+  } else {
+    sim.run_for_seconds(0.001);  // start the manager
+  }
+  if (entry == Entry::kThrottled) {
+    sim.manager().backpressure()->force_dead(t.nf, sim.engine().now());
+  }
+}
+
+void stamp(pktio::Mbuf& pkt, std::size_t i) {
+  pkt.size_bytes = static_cast<std::uint16_t>(64 + i);
+  pkt.is_tcp = i % 3 != 0;
+  pkt.ecn_capable = true;
+  pkt.seq = i;
+}
+
+/// Two bursts: 40 packets one cycle apart (they drain a full trickle
+/// bucket), then 24 spaced half a token apart (admits and discards
+/// alternate).
+std::vector<std::vector<Cycles>> twin_bursts(Cycles now) {
+  const Cycles t0 = now - 1'000'000;
+  std::vector<std::vector<Cycles>> bursts(2);
+  for (Cycles i = 0; i < 40; ++i) bursts[0].push_back(t0 + i);
+  for (Cycles i = 0; i < 24; ++i) bursts[1].push_back(t0 + 100 + i * 26'000);
+  return bursts;
+}
+
+struct RingEntry {
+  std::uint64_t seq;
+  std::uint16_t size;
+  std::uint32_t flow;
+  Cycles arrival;
+  Cycles enqueued;
+  bool marked;
+  bool operator==(const RingEntry&) const = default;
+};
+
+/// Empty the NF's RX ring into comparable records.
+std::vector<RingEntry> drain_ring(IngestTwin& t) {
+  std::vector<RingEntry> out;
+  while (pktio::Mbuf* pkt = t.sim->nf(t.nf).rx_ring().dequeue()) {
+    out.push_back({pkt->seq, pkt->size_bytes, pkt->flow_id, pkt->arrival_time,
+                   pkt->enqueue_time, pkt->ecn_marked});
+    t.sim->pool().free(pkt);
+  }
+  return out;
+}
+
+class BurstIngest : public ::testing::TestWithParam<Entry> {};
+
+TEST_P(BurstIngest, EqualsOneCallPerPacket) {
+  IngestTwin single;
+  IngestTwin burst;
+  build_twin(single, GetParam());
+  build_twin(burst, GetParam());
+  const Cycles now = single.sim->engine().now();
+  ASSERT_EQ(now, burst.sim->engine().now());
+  const ChainCounters before = single.sim->manager().chain_counters(0);
+
+  std::size_t fed = 0;
+  for (const auto& arrivals : twin_bursts(now)) {
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      pktio::Mbuf* pkt = single.sim->pool().alloc();
+      ASSERT_NE(pkt, nullptr);
+      stamp(*pkt, fed + i);
+      single.sim->manager().ingress(pkt, single.key, arrivals[i]);
+    }
+    EXPECT_TRUE(burst.sim->manager().ingress(
+        burst.key, arrivals.data(), arrivals.size(),
+        [fed](pktio::Mbuf& pkt, std::size_t i) { stamp(pkt, fed + i); }));
+    fed += arrivals.size();
+  }
+
+  Manager& a = single.sim->manager();
+  Manager& b = burst.sim->manager();
+  EXPECT_EQ(a.wire_ingress(), b.wire_ingress());
+  EXPECT_EQ(single.sim->flow_table().hits(), burst.sim->flow_table().hits());
+  EXPECT_EQ(single.sim->flow_table().misses(),
+            burst.sim->flow_table().misses());
+  const NfManagerCounters& na = a.nf_counters(single.nf);
+  const NfManagerCounters& nb = b.nf_counters(burst.nf);
+  EXPECT_EQ(na.offered, nb.offered);
+  EXPECT_EQ(na.rx_enqueued, nb.rx_enqueued);
+  EXPECT_EQ(na.rx_full_drops, nb.rx_full_drops);
+  EXPECT_EQ(single.sim->nf(single.nf).counters().arrivals,
+            burst.sim->nf(burst.nf).counters().arrivals);
+  const ChainCounters& ca = a.chain_counters(single.chain);
+  const ChainCounters& cb = b.chain_counters(burst.chain);
+  EXPECT_EQ(ca.entry_admitted, cb.entry_admitted);
+  EXPECT_EQ(ca.entry_throttle_drops, cb.entry_throttle_drops);
+  EXPECT_EQ(ca.admission_discards, cb.admission_discards);
+  EXPECT_EQ(a.ecn()->average_queue(single.nf),
+            b.ecn()->average_queue(burst.nf));
+  EXPECT_EQ(a.ecn()->marks(), b.ecn()->marks());
+  EXPECT_EQ(single.sim->pool().in_use(), burst.sim->pool().in_use());
+  EXPECT_EQ(drain_ring(single), drain_ring(burst));
+  std::ostringstream ta;
+  std::ostringstream tb;
+  single.trace.write_chrome_json(ta);
+  burst.trace.write_chrome_json(tb);
+  EXPECT_EQ(ta.str(), tb.str());
+
+  // Each case exercised its verdict.
+  switch (GetParam()) {
+    case Entry::kClear:
+      EXPECT_EQ(na.rx_enqueued, fed);
+      break;
+    case Entry::kThrottled:
+      EXPECT_EQ(ca.entry_throttle_drops - before.entry_throttle_drops, fed);
+      break;
+    case Entry::kUnmatched:
+      EXPECT_EQ(single.sim->flow_table().misses(), fed);
+      break;
+    case Entry::kClassed:
+      EXPECT_GT(ca.admission_discards, before.admission_discards);
+      EXPECT_GT(ca.entry_admitted, before.entry_admitted);
+      break;
+  }
+}
+
+std::string entry_name(const ::testing::TestParamInfo<Entry>& param) {
+  constexpr const char* kNames[] = {"Clear", "Throttled", "Unmatched",
+                                    "Classed"};
+  return kNames[static_cast<int>(param.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Verdicts, BurstIngest,
+                         ::testing::Values(Entry::kClear, Entry::kThrottled,
+                                           Entry::kUnmatched, Entry::kClassed),
+                         entry_name);
 
 }  // namespace
 }  // namespace nfv::mgr

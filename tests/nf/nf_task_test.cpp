@@ -181,13 +181,35 @@ TEST_F(NfTaskTest, LocalBackpressureOnTxFull) {
 }
 
 TEST_F(NfTaskTest, TxNotifyFiresOnForward) {
-  NfTask& nf = make_nf(basic_config(100));
-  int notifications = 0;
-  nf.set_tx_notify([&notifications](NfTask&) { ++notifications; });
-  feed(nf, 5);
-  core_->wake(&nf);
-  engine_.run_until(10'000);
-  EXPECT_EQ(notifications, 5);
+  // One notify per finalized burst that put a packet on the TX ring.
+  struct Case {
+    std::uint32_t burst_window;
+    bool drop_all;
+    int notifies;
+  };
+  const Case cases[] = {
+      {1, false, 5},   // one burst per packet
+      {32, false, 1},  // the default window: one burst of five
+      {32, true, 0},   // nothing forwarded, nothing to drain
+  };
+  std::vector<int> notifications(std::size(cases), 0);
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    auto cfg = basic_config(100);
+    cfg.burst_window = cases[i].burst_window;
+    NfTask& nf = make_nf(cfg);
+    nf.set_tx_notify([&notifications, i](NfTask&) { ++notifications[i]; });
+    if (cases[i].drop_all) {
+      nf.set_handler([](pktio::Mbuf&) { return NfAction::kDrop; });
+    }
+    feed(nf, 5);
+    core_->wake(&nf);
+    engine_.run_until(engine_.now() + 10'000);
+    EXPECT_EQ(nf.counters().processed, 5u);
+    EXPECT_EQ(notifications[i], cases[i].notifies)
+        << "burst_window " << cases[i].burst_window
+        << (cases[i].drop_all ? ", dropping handler" : "");
+    drain_tx(nf);
+  }
 }
 
 TEST_F(NfTaskTest, PreemptionPreservesInFlightPacket) {
