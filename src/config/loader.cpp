@@ -63,6 +63,27 @@ T narrow(int line, double value, const std::string& what, double min = 0.0) {
   return static_cast<T>(value);
 }
 
+/// The one conversion of a time value into Cycles: `value` counts units of
+/// `unit_s` seconds (1 for seconds, 1e-3 for ms, 1e-6 for us). Refused, with
+/// the value as written: a negative time, and one whose cycle count does
+/// not fit in Cycles (converting it would be undefined behaviour). The
+/// arithmetic is CpuClock::from_seconds(value * unit_s)'s, so a value
+/// converts to the same cycles here as in the facade. Options whose facade
+/// call takes seconds and converts them itself are checked here and passed
+/// on as given.
+Cycles to_cycles(int line, const CpuClock& clock, double value, double unit_s,
+                 const std::string& key) {
+  const double cycles = value * unit_s * clock.hz();
+  // 2^63 is exact in a double and one past Cycles' largest value.
+  const double limit = std::ldexp(1.0, std::numeric_limits<Cycles>::digits);
+  if (!(value >= 0.0 && cycles < limit)) {
+    std::ostringstream msg;
+    msg << key << " out of range: " << value;
+    throw ConfigError(line, msg.str());
+  }
+  return static_cast<Cycles>(cycles);
+}
+
 }  // namespace
 
 Topology load(std::istream& in, core::Simulation& sim) {
@@ -109,6 +130,7 @@ Topology load(std::istream& in, core::Simulation& sim) {
         const double quantum_ms =
             tokens.size() > 2 ? parse_double(line_no, tokens[2], "rr quantum")
                               : 100.0;
+        to_cycles(line_no, sim.clock(), quantum_ms, 1e-3, "rr quantum");
         index = sim.add_core(core::SchedPolicy::kRoundRobin, quantum_ms);
       } else {
         throw ConfigError(line_no, "unknown core policy '" + policy + "'");
@@ -197,12 +219,15 @@ Topology load(std::istream& in, core::Simulation& sim) {
           udp_opts.size_bytes = narrow<std::uint16_t>(line_no, parsed, key);
           tcp_opts.size_bytes = udp_opts.size_bytes;
         } else if (key == "start") {
+          to_cycles(line_no, sim.clock(), parsed, 1.0, key);
           udp_opts.start_seconds = parsed;
           tcp_opts.start_seconds = parsed;
         } else if (key == "stop") {
+          to_cycles(line_no, sim.clock(), parsed, 1.0, key);
           udp_opts.stop_seconds = parsed;
           tcp_opts.stop_seconds = parsed;
         } else if (key == "rtt_us") {
+          to_cycles(line_no, sim.clock(), parsed, 1e-6, key);
           tcp_opts.rtt_seconds = parsed * 1e-6;
         } else if (key == "classes") {
           udp_opts.cost_classes = narrow<std::uint8_t>(line_no, parsed, key);
@@ -247,8 +272,9 @@ Topology load(std::istream& in, core::Simulation& sim) {
           io_cfg.buffer_bytes = narrow<std::uint64_t>(
               line_no, parse_double(line_no, value, "buffer"), "buffer");
         } else if (key == "flush_us") {
-          io_cfg.flush_interval = sim.clock().from_micros(
-              parse_double(line_no, value, "flush_us"));
+          io_cfg.flush_interval =
+              to_cycles(line_no, sim.clock(),
+                        parse_double(line_no, value, key), 1e-6, key);
         } else {
           throw ConfigError(line_no, "unknown io option '" + key + "'");
         }
@@ -282,7 +308,7 @@ Topology load(std::istream& in, core::Simulation& sim) {
           }
         }
         if (us <= 0.0) throw ConfigError(line_no, "io_timeout needs us=<0<..>");
-        io.set_timeout(sim.clock().from_micros(us));
+        io.set_timeout(to_cycles(line_no, sim.clock(), us, 1e-6, "us"));
       } else if (verb == "io_retry") {
         const io::AsyncIoEngine::Config& cur = io.config();
         double max_attempts = cur.max_attempts;
@@ -316,8 +342,10 @@ Topology load(std::istream& in, core::Simulation& sim) {
         if (jitter < 0.0 || jitter >= 1.0) {
           throw ConfigError(line_no, "io_retry jitter must be in [0,1)");
         }
-        io.set_retry(attempts, sim.clock().from_micros(backoff_us), multiplier,
-                     jitter);
+        io.set_retry(attempts,
+                     to_cycles(line_no, sim.clock(), backoff_us, 1e-6,
+                               "backoff_us"),
+                     multiplier, jitter);
       } else {  // on_io_fail
         const std::string& policy = tokens[2];
         if (policy == "block") {
@@ -337,10 +365,10 @@ Topology load(std::istream& in, core::Simulation& sim) {
                           "device_fault takes a kind and key=value options");
       }
       const std::string& kind = tokens[1];
-      double at_s = -1.0;
+      Cycles at = -1;  // required
       double factor = 0.0;
       double fraction = -1.0;
-      double for_s = 0.0;
+      Cycles window = 0;
       bool have_factor = false;
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         std::string key, value;
@@ -349,23 +377,21 @@ Topology load(std::istream& in, core::Simulation& sim) {
         }
         const double parsed = parse_double(line_no, value, key);
         if (key == "at") {
-          at_s = parsed;
+          at = to_cycles(line_no, sim.clock(), parsed, 1.0, key);
         } else if (key == "factor") {
           factor = parsed;
           have_factor = true;
         } else if (key == "fraction") {
           fraction = parsed;
         } else if (key == "for") {
-          for_s = parsed;
+          window = to_cycles(line_no, sim.clock(), parsed, 1.0, key);
         } else {
           throw ConfigError(line_no, "unknown device_fault option '" + key + "'");
         }
       }
-      if (at_s < 0.0) {
+      if (at < 0) {
         throw ConfigError(line_no, "device_fault needs at=<seconds>");
       }
-      const Cycles at = sim.clock().from_seconds(at_s);
-      const Cycles window = sim.clock().from_seconds(for_s);
       if (kind == "slow" && !have_factor) {
         throw ConfigError(line_no, "device_fault slow needs factor=<x>");
       }
@@ -398,10 +424,10 @@ Topology load(std::istream& in, core::Simulation& sim) {
       if (it == topo.nfs.end()) {
         throw ConfigError(line_no, "unknown nf '" + tokens[2] + "'");
       }
-      double at_s = -1.0;
-      double restart_s = -1.0;
+      Cycles at = -1;  // required
+      Cycles restart = fault::kDefaultRestart;
       double factor = 0.0;
-      double for_s = 0.0;
+      Cycles window = 0;
       bool have_factor = false;
       for (std::size_t i = 3; i < tokens.size(); ++i) {
         std::string key, value;
@@ -410,23 +436,19 @@ Topology load(std::istream& in, core::Simulation& sim) {
         }
         const double parsed = parse_double(line_no, value, key);
         if (key == "at") {
-          at_s = parsed;
+          at = to_cycles(line_no, sim.clock(), parsed, 1.0, key);
         } else if (key == "restart_after") {
-          restart_s = parsed;
+          restart = to_cycles(line_no, sim.clock(), parsed, 1.0, key);
         } else if (key == "factor") {
           factor = parsed;
           have_factor = true;
         } else if (key == "for") {
-          for_s = parsed;
+          window = to_cycles(line_no, sim.clock(), parsed, 1.0, key);
         } else {
           throw ConfigError(line_no, "unknown fault option '" + key + "'");
         }
       }
-      if (at_s < 0.0) throw ConfigError(line_no, "fault needs at=<seconds>");
-      const Cycles at = sim.clock().from_seconds(at_s);
-      const Cycles restart = restart_s < 0.0
-                                 ? fault::kDefaultRestart
-                                 : sim.clock().from_seconds(restart_s);
+      if (at < 0) throw ConfigError(line_no, "fault needs at=<seconds>");
       if (kind == "slow" && !have_factor) {
         throw ConfigError(line_no, "fault slow needs factor=<x>");
       }
@@ -436,8 +458,7 @@ Topology load(std::istream& in, core::Simulation& sim) {
         } else if (kind == "stall") {
           plan.add_stall(it->second, at, restart);
         } else if (kind == "slow") {
-          plan.add_degrade(it->second, at, factor,
-                           sim.clock().from_seconds(for_s));
+          plan.add_degrade(it->second, at, factor, window);
         } else {
           throw ConfigError(line_no, "unknown fault kind '" + kind + "'");
         }
@@ -479,9 +500,7 @@ Topology load(std::istream& in, core::Simulation& sim) {
         throw ConfigError(line_no, "slo needs target_us=<microseconds>");
       }
       const double target_us = parse_double(line_no, value, key);
-      if (target_us < 0.0) {
-        throw ConfigError(line_no, "slo target_us must be >= 0");
-      }
+      to_cycles(line_no, sim.clock(), target_us, 1e-6, key);
       sim.set_chain_slo(it->second, target_us);
 
     } else if (verb == "class") {

@@ -29,9 +29,13 @@
 // Identifiers are declared before use; errors carry line numbers. Numbers
 // must be finite (no nan/inf), rates positive, and a value stored in an
 // integer field (cost, batch, size, classes, buffer, max) within that
-// field's range. Fault times are validated as the plan is built (negative
-// times, non-positive restart delays or factors, and overlapping fault
-// windows on one NF or the device are rejected with the offending line).
+// field's range. Every time value (start, stop, rtt_us, flush_us, us,
+// backoff_us, at, for, restart_after, target_us, the rr quantum) goes
+// through one checked conversion to cycles: a negative value, or one
+// whose cycle count does not fit in Cycles, is an error naming the key.
+// Fault plans are validated as they are built (non-positive restart delays
+// or factors, and overlapping fault windows on one NF or the device, are
+// rejected with the offending line).
 // The io_timeout / io_retry / on_io_fail directives require the NF's `io`
 // line first.
 #pragma once

@@ -100,10 +100,7 @@ std::uint64_t ShardRuntime::dispatched_events() const {
 void ShardRuntime::post(std::uint32_t src, std::uint32_t dst,
                         const mgr::ShardMsg& msg) {
   assert(!boxes_.empty() && "posting before the first run");
-  Mailbox& box = *boxes_[src * lanes_.size() + dst];
-  // Once anything spilled, keep spilling: the drain empties the ring first,
-  // so mixing the two after a spill would reorder the FIFO.
-  if (!box.spill.empty() || !box.ring.try_push(msg)) box.spill.push_back(msg);
+  boxes_[src * lanes_.size() + dst].msgs.push_back(msg);
 }
 
 void ShardRuntime::run_until(Cycles target) {
@@ -119,7 +116,6 @@ void ShardRuntime::run_until(Cycles target) {
     exec_ = std::make_unique<sim::ShardExecutor>(
         n, std::min<std::size_t>(shards_, n));
     boxes_.resize(n * n);
-    for (auto& box : boxes_) box = std::make_unique<Mailbox>();
   }
   // Epochs are [now, horizon). Engine::run_until is inclusive of its
   // deadline, so each lane runs to horizon - 1: events stamped exactly at
@@ -140,28 +136,31 @@ void ShardRuntime::drain_lane(std::size_t dst) {
   Lane& lane = *lanes_[dst];
   const std::size_t n = lanes_.size();
   for (std::size_t src = 0; src < n; ++src) {
-    if (src == dst) continue;
-    Mailbox& box = *boxes_[src * n + dst];
-    mgr::ShardMsg msg;
-    while (box.ring.try_pop(msg)) deliver(lane, msg);
-    if (!box.spill.empty()) {
-      for (const mgr::ShardMsg& spilled : box.spill) deliver(lane, spilled);
-      box.spill.clear();
-    }
+    auto& msgs = boxes_[src * n + dst].msgs;
+    for (const mgr::ShardMsg& msg : msgs) deliver(lane, msg);
+    msgs.clear();
   }
 }
 
 void ShardRuntime::deliver(Lane& lane, const mgr::ShardMsg& msg) {
-  // Park the message in the lane's pending list and schedule its delivery
-  // as an ordinary engine event; the {manager, list, iterator} capture fits
-  // SmallCallback's inline storage, so the hot path does not allocate.
-  auto& pending = lane.pending;
-  const auto it = pending.insert(pending.end(), msg);
-  mgr::Manager* manager = lane.manager.get();
-  auto* list = &pending;
-  lane.engine.schedule_at(it->when, [manager, list, it] {
-    manager->apply_shard_msg(*it);
-    list->erase(it);
+  // Park the message in a free slot of the lane's pending store and
+  // schedule its delivery as an ordinary engine event. The {lane, slot}
+  // capture fits SmallCallback's inline storage and the slot is recycled
+  // when the event fires, so steady-state delivery does not allocate.
+  // Deliveries happen only in the drain phase, so `pending` never grows
+  // while a delivery event holds a reference into it.
+  auto slot = static_cast<std::uint32_t>(lane.pending.size());
+  if (lane.free_slots.empty()) {
+    lane.pending.push_back(msg);
+  } else {
+    slot = lane.free_slots.back();
+    lane.free_slots.pop_back();
+    lane.pending[slot] = msg;
+  }
+  Lane* owner = &lane;
+  lane.engine.schedule_at(msg.when, [owner, slot] {
+    owner->manager->apply_shard_msg(owner->pending[slot]);
+    owner->free_slots.push_back(slot);
   });
 }
 

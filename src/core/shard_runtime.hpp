@@ -12,11 +12,12 @@
 //  * shards == N >= 1: one lane per core, advanced in lock-step epochs of
 //    length cross_lane_latency. Within an epoch lanes run concurrently on
 //    worker threads and share nothing; the only communication is ShardMsg
-//    traffic through per-(src,dst) SPSC mailboxes, and because every
-//    message is stamped send_time + latency, nothing posted during an
-//    epoch can be due before the epoch ends. At the epoch barrier each
-//    destination lane drains its mailboxes in fixed source-lane order and
-//    schedules the messages as ordinary engine events — so the
+//    traffic through per-(src,dst) mailboxes, plain vectors that only the
+//    source lane appends to while lanes run, and because every message is
+//    stamped send_time + latency, nothing posted during an epoch can be
+//    due before the epoch ends. At the epoch barrier each destination lane
+//    drains its mailboxes in fixed source-lane order, FIFO within each,
+//    and schedules the messages as ordinary engine events — so the
 //    *decomposition* (one lane per core) is fixed by the topology and the
 //    worker count only decides how many lanes run at once. That is the
 //    determinism argument in one line: lane event sequences are
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -39,7 +39,6 @@
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "pktio/mempool.hpp"
-#include "pktio/ring.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard_barrier.hpp"
 
@@ -74,10 +73,12 @@ struct Lane {
   std::vector<obs::StrId> trace_ids;
   std::unique_ptr<io::BlockDevice> block_device;
   std::unique_ptr<fault::FaultInjector> injector;
-  /// In-flight cross-lane messages: drained from the mailboxes into this
-  /// list, erased when their delivery event fires. A std::list so delivery
-  /// events can hold stable iterators.
-  std::list<mgr::ShardMsg> pending;
+  /// In-flight cross-lane messages, a slot store: the drain copies each
+  /// message into a free slot, its delivery event captures the slot index,
+  /// and the slot goes back on `free_slots` when the event fires. Slots are
+  /// reused, so a lane in steady state never allocates for a message.
+  std::vector<mgr::ShardMsg> pending;
+  std::vector<std::uint32_t> free_slots;
 };
 
 /// Owns the lanes, the mailbox matrix and the worker pool, and implements
@@ -134,13 +135,13 @@ class ShardRuntime final : public mgr::ShardLink {
   void run_until(Cycles target);
 
  private:
-  /// Per-(src,dst) mailbox: a fixed SPSC ring with an unbounded spill list
-  /// behind it, so posting never blocks and never drops. The spill vector
-  /// is written by the source worker and cleared by the destination worker
-  /// in different phases; the barrier between them is the synchronisation.
-  struct Mailbox {
-    pktio::SpscRing<mgr::ShardMsg> ring{256};
-    std::vector<mgr::ShardMsg> spill;
+  /// Per-(src,dst) mailbox: a FIFO that never blocks and never drops. The
+  /// source lane appends while lanes run; the destination lane drains and
+  /// clears it at the barrier. The two touch it in different phases, and
+  /// the barrier between them is the synchronisation. Cache-line aligned so
+  /// lanes appending to neighbouring mailboxes do not share a line.
+  struct alignas(64) Mailbox {
+    std::vector<mgr::ShardMsg> msgs;
   };
 
   Lane& add_lane();
@@ -159,7 +160,7 @@ class ShardRuntime final : public mgr::ShardLink {
   Cycles now_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint32_t> core_lane_;  ///< Lane index per core.
-  std::vector<std::unique_ptr<Mailbox>> boxes_;  ///< [src * n + dst].
+  std::vector<Mailbox> boxes_;  ///< [src * n + dst].
   // Declared last: its destructor joins the workers before anything the
   // phase callbacks touch is torn down.
   std::unique_ptr<sim::ShardExecutor> exec_;

@@ -114,14 +114,14 @@ void Manager::set_shard_link(ShardLink* link, std::uint32_t lane,
   }
 }
 
-void Manager::post_remote(std::uint32_t dst, ShardMsg msg) {
+void Manager::post_remote(std::uint32_t dst, ShardMsg& msg) {
   assert(shard_link_ != nullptr && dst != lane_id_);
   msg.when = engine_.now() + shard_latency_;
   ++shard_tx_msgs_;
   shard_link_->post(lane_id_, dst, msg);
 }
 
-void Manager::broadcast_remote(const ShardMsg& msg) {
+void Manager::broadcast_remote(ShardMsg& msg) {
   if (shard_link_ == nullptr) return;
   for (std::uint32_t dst = 0; dst < shard_link_->lane_count(); ++dst) {
     if (dst != lane_id_) post_remote(dst, msg);

@@ -489,10 +489,11 @@ class Manager : public fault::FaultSink {
   }
   /// Grow records_ to cover `id` (sparse global-id registration).
   void ensure_record(flow::NfId id);
-  /// Stamp msg.when = now + shard latency and post to `dst`'s mailbox.
-  void post_remote(std::uint32_t dst, ShardMsg msg);
+  /// Stamp msg.when = now + shard latency in place and post to `dst`'s
+  /// mailbox, which keeps its own copy.
+  void post_remote(std::uint32_t dst, ShardMsg& msg);
   /// Post to every lane but ours (bp / lifecycle control mirrors).
-  void broadcast_remote(const ShardMsg& msg);
+  void broadcast_remote(ShardMsg& msg);
   void schedule_drain(flow::NfId nf_id);
   void drain_tx(flow::NfId nf_id);
   /// Egress a run of one chain's packets; frees them.

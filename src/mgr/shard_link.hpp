@@ -5,7 +5,7 @@
 // accounting) stays lane-local, and only the traffic that would cross a
 // core boundary on a real host crosses a lane boundary here. This header
 // defines that traffic: a small tagged-union message plus the posting
-// interface the lane runtime implements over per-(src,dst) SPSC rings.
+// interface the lane runtime implements over per-(src,dst) mailboxes.
 //
 // Every message carries its delivery time, stamped send_time +
 // cross_lane_latency by the sender. The lane runtime drains mailboxes at
@@ -13,9 +13,9 @@
 // msg.when on the destination lane; because the epoch length never exceeds
 // the latency, msg.when is always at or beyond the next epoch's start and a
 // drain can never schedule into a lane's past. Determinism: mailboxes are
-// drained in fixed source-lane order and each mailbox preserves FIFO, so
-// the destination engine's sequence numbers — and with them all
-// same-timestamp tie-breaks — are reproducible at any worker count.
+// drained in fixed source-lane order and each mailbox is a FIFO, so the
+// destination engine's sequence numbers — and with them all same-timestamp
+// tie-breaks — are reproducible at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +87,7 @@ class ShardLink {
  public:
   virtual ~ShardLink() = default;
 
-  /// Post `msg` from lane `src` to lane `dst`'s mailbox. Called from the
+  /// Append a copy of `msg` to the (src,dst) mailbox. Called from the
   /// source lane's worker thread during its epoch; the destination drains
   /// it at the next barrier.
   virtual void post(std::uint32_t src, std::uint32_t dst,

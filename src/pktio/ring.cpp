@@ -24,7 +24,6 @@ EnqueueResult Ring::enqueue(Mbuf* mbuf) {
   slots_[tail_] = mbuf;
   tail_ = (tail_ + 1) & mask_;
   ++count_;
-  ++total_enqueued_;
   return count_ >= high_mark_ ? EnqueueResult::kOkOverloaded : EnqueueResult::kOk;
 }
 
@@ -35,7 +34,6 @@ std::size_t Ring::enqueue_burst(Mbuf* const* in, std::size_t n) {
     tail_ = (tail_ + 1) & mask_;
   }
   count_ += accepted;
-  total_enqueued_ += accepted;
   return accepted;
 }
 
@@ -44,7 +42,6 @@ Mbuf* Ring::dequeue() {
   Mbuf* mbuf = slots_[head_];
   head_ = (head_ + 1) & mask_;
   --count_;
-  ++total_dequeued_;
   return mbuf;
 }
 
@@ -55,7 +52,6 @@ std::size_t Ring::dequeue_burst(Mbuf** out, std::size_t max) {
     head_ = (head_ + 1) & mask_;
   }
   count_ -= n;
-  total_dequeued_ += n;
   return n;
 }
 

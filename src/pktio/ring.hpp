@@ -8,8 +8,6 @@
 // them to HIGH=80% with a margin of 20 points (LOW=60%).
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -62,9 +60,6 @@ class Ring {
   /// backpressure state machine); 0 when empty.
   [[nodiscard]] Cycles head_enqueue_time() const;
 
-  std::uint64_t total_enqueued() const { return total_enqueued_; }
-  std::uint64_t total_dequeued() const { return total_dequeued_; }
-
  private:
   std::size_t capacity_;
   std::size_t mask_;
@@ -74,63 +69,6 @@ class Ring {
   std::size_t head_ = 0;  // next dequeue position
   std::size_t tail_ = 0;  // next enqueue position
   std::size_t count_ = 0;
-  std::uint64_t total_enqueued_ = 0;
-  std::uint64_t total_dequeued_ = 0;
-};
-
-/// Single-producer/single-consumer ring for cross-shard handoff (the
-/// rte_ring SP/SC fast path). One thread calls try_push, one thread calls
-/// try_pop; the release store on the producer index paired with the acquire
-/// load on the consumer side publishes each slot's contents, so no other
-/// synchronization is needed for the payload itself. Used by the sharded
-/// engine as the only data channel between event lanes — the modelled
-/// ring-transit latency of messages travelling through it is what bounds
-/// each lane's conservative lookahead.
-template <typename T>
-class SpscRing {
- public:
-  /// `capacity` is rounded up to a power of two (minimum 2).
-  explicit SpscRing(std::uint32_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  /// Producer side. Returns false when the ring is full.
-  bool try_push(const T& value) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
-    slots_[tail & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
-
-  /// Racy size estimate; exact when producer and consumer are quiescent.
-  [[nodiscard]] std::size_t size_approx() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
-  }
-
- private:
-  std::uint64_t mask_ = 1;
-  std::vector<T> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next pop position
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next push position
 };
 
 }  // namespace nfv::pktio

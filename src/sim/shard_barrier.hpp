@@ -9,12 +9,13 @@
 // assigning lane i to worker i % workers, and returns only when all workers
 // have finished — that return IS the barrier.
 //
-// Determinism: lanes never share mutable state inside a phase (the mailboxes
-// are per-(src,dst) SPSC rings), so the result of a phase is independent of
-// how lanes interleave across workers. The generation/done counters use
+// Determinism: lanes never share mutable state inside a phase (each
+// per-(src,dst) mailbox has one writer in the run phase and one reader in
+// the drain phase), so the result of a phase is independent of how lanes
+// interleave across workers. The generation/done counters use
 // release/acquire RMW chains, which give every worker's phase-N writes a
 // happens-before edge into every other worker's phase-N+1 reads — this is
-// what makes the spill vectors and engine heaps race-free under TSan.
+// what makes the mailbox vectors and engine heaps race-free under TSan.
 #pragma once
 
 #include <atomic>

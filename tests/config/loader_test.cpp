@@ -155,7 +155,10 @@ TEST(ConfigLoader, ErrorsCarryLineNumbers) {
 // Non-finite and out-of-range numbers are refused with the offending line
 // before they are narrowed into an integer field (converting a double
 // outside the target type's range is undefined behaviour) or reach a
-// component's preconditions (a source's rate must be positive).
+// component's preconditions (a source's rate must be positive). Every
+// time value goes through one checked conversion to cycles, which refuses
+// a negative time (it must not load as 0) and one whose cycle count
+// overflows Cycles (that float-to-integer conversion is undefined).
 TEST(ConfigLoader, OutOfRangeNumbersCarryLineNumbers) {
   const std::string prelude = "core batch\nnf a core=0 cost=1\nchain c a\n";
   struct Case {
@@ -176,6 +179,20 @@ TEST(ConfigLoader, OutOfRangeNumbersCarryLineNumbers) {
       {"io a buffer=-1", 4, "buffer"},
       {"io a mode=async\nio_retry a max=1e20 backoff_us=10", 5, "max"},
       {"slo c target_us=5abc", 4, "target_us"},
+      {"udp c rate=1e6 start=1e20", 4, "start"},
+      {"udp c rate=1e6 start=-5", 4, "start"},
+      {"fault crash a at=1e300", 4, "at"},
+      {"udp c rate=1e6 stop=-1", 4, "stop"},
+      {"tcp c rtt_us=1e300", 4, "rtt_us"},
+      {"core rr -1", 4, "rr quantum"},
+      {"io a flush_us=-3", 4, "flush_us"},
+      {"io a mode=async\nio_timeout a us=1e300", 5, "us"},
+      {"io a mode=async\nio_retry a max=2 backoff_us=1e300", 5, "backoff_us"},
+      {"fault crash a at=0.1 restart_after=-1", 4, "restart_after"},
+      {"fault slow a at=0.1 factor=2 for=1e300", 4, "for"},
+      {"device_fault wedge at=-0.5", 4, "at"},
+      {"device_fault wedge at=0.1 for=-2", 4, "for"},
+      {"slo c target_us=1e300", 4, "target_us"},
   };
   for (const Case& c : cases) {
     Simulation sim;

@@ -79,8 +79,6 @@ TEST(RingProperty, RandomOpsMatchDequeModel) {
                 model.size() >= ring.high_watermark());
       ASSERT_EQ(ring.below_low_watermark(),
                 model.size() < ring.low_watermark());
-      ASSERT_EQ(ring.total_enqueued() - ring.total_dequeued(), model.size())
-          << "descriptor conservation violated";
     }
   }
 }

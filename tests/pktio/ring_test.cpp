@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 namespace nfv::pktio {
@@ -83,7 +82,7 @@ TEST(Ring, EnqueueBurstAcceptsWhatFits) {
   EXPECT_EQ(r.enqueue_burst(more, 4), 2u);
   EXPECT_TRUE(r.full());
   EXPECT_EQ(r.enqueue_burst(more, 4), 0u);
-  EXPECT_EQ(r.total_enqueued(), 8u);
+  EXPECT_EQ(r.size(), 8u);
   for (std::uintptr_t i = 1; i <= 8; ++i) EXPECT_EQ(r.dequeue(), fake(i));
 }
 
@@ -127,12 +126,19 @@ TEST(Ring, HeadEnqueueTimeTracksOldest) {
   EXPECT_EQ(r.head_enqueue_time(), 0);
 }
 
+// The occupancy count is the ring's only counter: accepted enqueues minus
+// dequeues, with rejected enqueues and empty dequeues leaving it alone.
 TEST(Ring, Counters) {
-  Ring r(8);
+  Ring r(4);
   for (std::uintptr_t i = 1; i <= 3; ++i) r.enqueue(fake(i));
   r.dequeue();
-  EXPECT_EQ(r.total_enqueued(), 3u);
-  EXPECT_EQ(r.total_dequeued(), 1u);
+  EXPECT_EQ(r.size(), 2u);
+  for (std::uintptr_t i = 4; i <= 6; ++i) r.enqueue(fake(i));
+  EXPECT_EQ(r.size(), 4u);  // the sixth was rejected
+  Mbuf* out[8];
+  EXPECT_EQ(r.dequeue_burst(out, 8), 4u);
+  EXPECT_EQ(r.dequeue(), nullptr);
+  EXPECT_EQ(r.size(), 0u);
 }
 
 TEST(Ring, DegenerateWatermarks) {
@@ -165,80 +171,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RingWatermarkSweep,
     ::testing::Combine(::testing::Values(4u, 16u, 100u, 1024u),
                        ::testing::Values(0.5, 0.8, 0.95)));
-
-// --- SpscRing (cross-lane mailbox channel of the sharded engine) ---
-
-TEST(SpscRing, CapacityRoundsToPowerOfTwoMinimumTwo) {
-  EXPECT_EQ(SpscRing<int>(0).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(200).capacity(), 256u);
-  EXPECT_EQ(SpscRing<int>(256).capacity(), 256u);
-}
-
-TEST(SpscRing, FifoOrderSingleThread) {
-  SpscRing<int> r(8);
-  for (int i = 1; i <= 5; ++i) EXPECT_TRUE(r.try_push(i));
-  EXPECT_EQ(r.size_approx(), 5u);
-  int v = 0;
-  for (int i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(r.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(r.try_pop(v));
-  EXPECT_EQ(r.size_approx(), 0u);
-}
-
-TEST(SpscRing, FullRejectsPushUntilPop) {
-  SpscRing<int> r(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(r.try_push(i));
-  EXPECT_FALSE(r.try_push(99));
-  int v = -1;
-  ASSERT_TRUE(r.try_pop(v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(r.try_push(99));
-  // Order preserved across the wrap: 1, 2, 3, 99.
-  for (const int want : {1, 2, 3, 99}) {
-    ASSERT_TRUE(r.try_pop(v));
-    EXPECT_EQ(v, want);
-  }
-}
-
-TEST(SpscRing, IndicesWrapManyTimesWithoutLoss) {
-  SpscRing<std::uint64_t> r(2);
-  std::uint64_t next_in = 0, next_out = 0, v = 0;
-  for (int step = 0; step < 10'000; ++step) {
-    ASSERT_TRUE(r.try_push(next_in++));
-    ASSERT_TRUE(r.try_pop(v));
-    ASSERT_EQ(v, next_out++);
-  }
-}
-
-// Two-thread stress: one producer, one consumer, every value delivered
-// exactly once and in order. Run under TSan in CI to certify the
-// acquire/release pairing that the sharded engine's mailboxes rely on.
-TEST(SpscRing, ConcurrentProducerConsumerPreservesSequence) {
-  constexpr std::uint64_t kCount = 200'000;
-  SpscRing<std::uint64_t> r(64);
-  std::thread producer([&r] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!r.try_push(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kCount) {
-    std::uint64_t v = 0;
-    if (r.try_pop(v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(r.size_approx(), 0u);
-}
 
 }  // namespace
 }  // namespace nfv::pktio
