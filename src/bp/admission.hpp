@@ -43,7 +43,7 @@ struct AdmissionConfig {
   std::uint32_t min_hold_evals = 4;
   /// Trickle rate admitted per *shed* class, in packets per second. Keeps
   /// the shed class's downstream cost estimate alive (same rationale as
-  /// the min_shares floor) instead of blackholing it.
+  /// the Manager's share floor) instead of blackholing it.
   double shed_admit_pps = 50'000.0;
   /// Token bucket depth for the trickle, in packets.
   double shed_burst = 32.0;

@@ -2,6 +2,14 @@
 
 namespace nfv::bp {
 
+namespace {
+// RED marking thresholds, as fractions of ring capacity, and the marking
+// probability the ramp between them reaches.
+constexpr double kMinThreshold = 0.20;
+constexpr double kMaxThreshold = 0.60;
+constexpr double kMaxMarkProb = 0.10;
+}  // namespace
+
 EcnMarker::EcnMarker(std::size_t nf_count, Config config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   averages_.assign(nf_count, Ewma(config_.ewma_weight));
@@ -16,12 +24,12 @@ bool EcnMarker::on_enqueue(flow::NfId nf, const pktio::Ring& rx_ring,
 
   const double capacity = static_cast<double>(rx_ring.capacity());
   const double occupancy = avg.value() / capacity;
-  if (occupancy < config_.min_threshold) return false;
+  if (occupancy < kMinThreshold) return false;
 
   double prob = 1.0;
-  if (occupancy < config_.max_threshold) {
-    prob = config_.max_mark_prob * (occupancy - config_.min_threshold) /
-           (config_.max_threshold - config_.min_threshold);
+  if (occupancy < kMaxThreshold) {
+    prob = kMaxMarkProb * (occupancy - kMinThreshold) /
+           (kMaxThreshold - kMinThreshold);
   }
   if (rng_.next_double() < prob) {
     mbuf.ecn_marked = true;

@@ -3,8 +3,9 @@
 // "Since ECN works at longer timescales, we monitor queue lengths with an
 // exponentially weighted moving average and use that to trigger marking of
 // flows following [RFC 3168]" — i.e. the RED-gateway discipline: below
-// min_th never mark, above max_th always mark, in between mark with a
-// probability ramping to max_prob. Marking happens as the Tx thread
+// 20% of ring capacity never mark, above 60% always mark, in between mark
+// with a probability ramping to 10% (kMinThreshold, kMaxThreshold and
+// kMaxMarkProb in ecn.cpp). Marking happens as the Tx thread
 // enqueues a TCP packet to a congested NF's RX ring; responsive senders
 // then reduce their rate end-to-end, complementing the purely local
 // backpressure used for unresponsive (UDP) traffic.
@@ -25,9 +26,6 @@ class EcnMarker {
  public:
   struct Config {
     double ewma_weight = 0.02;  ///< RED queue-averaging weight.
-    double min_threshold = 0.20;  ///< Fraction of ring capacity.
-    double max_threshold = 0.60;
-    double max_mark_prob = 0.10;
   };
 
   explicit EcnMarker(std::size_t nf_count) : EcnMarker(nf_count, Config{}) {}

@@ -209,7 +209,7 @@ Simulation::ChainSloReport Simulation::chain_slo_report(
 }
 
 Histogram Simulation::chain_latency(flow::ChainId chain) const {
-  Histogram merged(1ULL << 40, 8);
+  Histogram merged = mgr::chain_latency_histogram();
   for (const auto& lane : shard_->lanes()) {
     merged.merge(lane->manager->chain_latency(chain));
   }

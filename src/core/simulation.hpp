@@ -397,8 +397,9 @@ class Simulation {
   /// The lane a chain's traffic enters on (its first hop's lane).
   [[nodiscard]] Lane& home_lane(flow::ChainId chain) const;
   /// A chain's latency histogram, merged over the lanes: egress (and with
-  /// it latency recording) happens on the last hop's lane. Same bucketing as
-  /// mgr::ChainLatency, so merged quantiles are exact.
+  /// it latency recording) happens on the last hop's lane. Every lane uses
+  /// mgr::chain_latency_histogram()'s bucketing, so merged quantiles are
+  /// exact.
   [[nodiscard]] Histogram chain_latency(flow::ChainId chain) const;
   /// The slice of the installed fault plan that belongs to one lane.
   [[nodiscard]] fault::FaultPlan lane_fault_plan(const Lane& lane) const;

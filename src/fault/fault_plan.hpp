@@ -53,7 +53,7 @@ const char* to_string(FaultKind kind);
 const char* to_string(DeviceFaultKind kind);
 
 /// Sentinel for FaultSpec::restart_after: the manager restarts the NF
-/// after its configured default delay (LifecycleConfig::default_restart_delay).
+/// after the default delay (kDefaultRestartDelay, fault/lifecycle.hpp).
 inline constexpr Cycles kDefaultRestart = -1;
 
 struct FaultSpec {

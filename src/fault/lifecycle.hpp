@@ -1,13 +1,13 @@
-// NF lifecycle model: states, policies and watchdog tuning.
+// NF lifecycle model: states, policies and watchdog timings.
 //
 // The NF Manager drives every NF through a small state machine once the
 // fault subsystem is enabled (DESIGN.md §11):
 //
 //   RUNNING ──(watchdog sees task.dead(), <= 1 period)──▶ DEAD
-//   RUNNING ──(STUCK: on-CPU, no progress, `stuck_scans` scans)──▶ DEAD
+//   RUNNING ──(STUCK: on-CPU, no progress, kStuckScans scans)──▶ DEAD
 //   DEAD ──(restart delay elapsed)──▶ RESTARTING
 //   RESTARTING ──(cold-state reload completes)──▶ WARMING
-//   WARMING ──(warm_duration elapsed)──▶ RUNNING
+//   WARMING ──(kWarmDuration elapsed)──▶ RUNNING
 //
 // RESTARTING performs the cold-state reload through the NF's async I/O
 // engine when one is attached (the §3.4 double-buffered path), otherwise a
@@ -51,29 +51,33 @@ enum class DeadNfPolicy {
 
 const char* to_string(DeadNfPolicy policy);
 
+// Watchdog and lifecycle timings at the 2.6 GHz reference clock. The
+// detection-latency bounds in DESIGN.md §11 rest on them, and
+// Lifecycle.ConfigDefaults pins them.
+/// Watchdog scan period; bounds death-detection latency to one period and
+/// stuck detection to (kStuckScans + 1) periods. 100 us.
+inline constexpr Cycles kWatchdogPeriod = 260'000;
+/// Consecutive scans an NF must be on-CPU without progress before the
+/// watchdog declares it STUCK and force-crashes it. The product
+/// kStuckScans * kWatchdogPeriod must exceed the largest single-packet
+/// service time, or a legitimately slow packet reads as a hang.
+inline constexpr std::uint32_t kStuckScans = 3;
+/// Restart delay applied when the fault plan does not specify one. 1 ms.
+inline constexpr Cycles kDefaultRestartDelay = 2'600'000;
+/// Cold-state reload size, read through the NF's async I/O engine.
+inline constexpr std::uint64_t kReloadBytes = 256 * 1024;
+/// Reload stand-in latency for NFs without an I/O engine. 0.5 ms.
+inline constexpr Cycles kReloadLatency = 1'300'000;
+/// WARMING dwell before the NF counts as recovered. 1 ms.
+inline constexpr Cycles kWarmDuration = 2'600'000;
+/// Chain policy when none was set explicitly.
+inline constexpr DeadNfPolicy kDefaultDeadPolicy = DeadNfPolicy::kBackpressure;
+
 struct LifecycleConfig {
   /// Arm the watchdog. Off by default: an unfaulted simulation schedules no
   /// lifecycle events and replays exactly as before the subsystem existed.
   /// Simulation::set_fault_plan enables it automatically.
   bool enabled = false;
-  /// Watchdog scan period; bounds death-detection latency to one period
-  /// and stuck detection to (stuck_scans + 1) periods. 100 us at 2.6 GHz.
-  Cycles watchdog_period = 260'000;
-  /// Consecutive scans an NF must be on-CPU without progress before the
-  /// watchdog declares it STUCK and force-crashes it. The product
-  /// stuck_scans * watchdog_period must exceed the largest single-packet
-  /// service time, or a legitimately slow packet reads as a hang.
-  std::uint32_t stuck_scans = 3;
-  /// Restart delay applied when the fault plan does not specify one. 1 ms.
-  Cycles default_restart_delay = 2'600'000;
-  /// Cold-state reload size, read through the NF's async I/O engine.
-  std::uint64_t reload_bytes = 256 * 1024;
-  /// Reload stand-in latency for NFs without an I/O engine. 0.5 ms.
-  Cycles reload_latency = 1'300'000;
-  /// WARMING dwell before the NF counts as recovered. 1 ms.
-  Cycles warm_duration = 2'600'000;
-  /// Chain policy when none was set explicitly.
-  DeadNfPolicy default_dead_policy = DeadNfPolicy::kBackpressure;
 };
 
 /// Per-NF lifecycle accounting (exported via obs and report_json).

@@ -10,6 +10,58 @@ namespace nfv::mgr {
 namespace {
 const ChainCounters kZeroChain{};
 const FlowCounters kZeroFlow{};
+
+// Data-plane and control-loop cadences at the 2.6 GHz reference clock.
+/// Latency for a Tx thread to notice and move a processed packet (the
+/// manager runs on its own cores; ~100 ns).
+constexpr Cycles kTxDrainLatency = 260;
+/// Most packets one Tx drain moves.
+constexpr std::uint32_t kTxBurst = 32;
+/// Wakeup-thread scan period. The paper dedicates a spinning core to the
+/// Wakeup thread, so its effective cadence is microseconds; 10 us keeps
+/// the detect->throttle loop tight while still giving the hysteresis the
+/// Tx/Wakeup separation provides (§3.5).
+constexpr Cycles kWakeupPeriod = 26'000;
+/// Monitor period: 1 ms load estimation (§3.5).
+constexpr Cycles kMonitorPeriod = 2'600'000;
+/// Scale factor from load fraction to cpu.shares.
+constexpr double kShareScale = 10240.0;
+/// Floor on any loaded NF's shares (~0.5% of scale). §2.1: rate-cost
+/// proportional fairness "ensures that all competing NFs get a minimal
+/// CPU share necessary to progress" — and it is what lets a starved NF
+/// keep producing the service-time samples the estimator feeds on. Kept
+/// small so it does not distort the proportional allocation.
+constexpr std::uint32_t kShareFloor = 50;
+
+// SLO controller (DESIGN.md §16); kSloMaxBoost is in manager.hpp.
+/// Evidence floor: no boost/decay decision until the chain's window holds
+/// this many egress samples.
+constexpr std::uint32_t kSloMinSamples = 64;
+constexpr double kSloBoostStep = 2.0;  ///< multiplicative boost per update
+constexpr double kSloDecay = 0.5;      ///< boost decay per recovered update
+/// A violating chain starts decaying only once p99 < headroom*target
+/// (hysteresis against boost/decay flapping at the target edge).
+constexpr double kSloHeadroom = 0.8;
+/// Decay damping: a boosted chain must stay under headroom*target for this
+/// many *consecutive* share updates before each decay step. Without it the
+/// controller limit-cycles under persistent contention — the window
+/// recovers within one update of a boost, the boost decays straight back
+/// to 1.0, and the chain starves again.
+constexpr std::uint32_t kSloDecayAfter = 3;
+/// Earliest-slack-first width: at most this many chains — the ones with
+/// the most negative slack, ties broken by chain id — are boosted per
+/// share update; the rest wait their turn.
+constexpr std::uint32_t kSloMaxBoostsPerUpdate = 2;
+
+// PAM push-aside (DESIGN.md §17); kPushVictimFloor is in manager.hpp.
+/// Victim weight is divided by this per grab (multiplicative grab).
+constexpr double kPushGrabFactor = 2.0;
+/// Victim weight is restored by this per clear update (additive give-back)
+/// until it settles back to exactly 1.0.
+constexpr double kPushGivebackStep = 0.25;
+/// A grab is held at least this many share updates before give-back may
+/// begin (anti-limit-cycling, same lesson as kSloDecayAfter).
+constexpr std::uint32_t kPushMinHoldUpdates = 2;
 }  // namespace
 
 Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
@@ -20,7 +72,6 @@ Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
       flows_(flows),
       chains_(chains),
       config_(config),
-      cgroup_(config.cgroup_write_cost),
       obs_(obs) {
   if (obs_ != nullptr) {
     obs::Scope scope = obs_->global_scope();
@@ -225,9 +276,8 @@ void Manager::start() {
   // cache now, so the per-packet paths below never grow a vector or walk
   // the chain registry mid-burst (the lazy resizes remain only as a safety
   // net for out-of-registry ids).
-  chain_latency_.resize(chain_counters_.size());
-  chain_tail_.resize(chain_counters_.size(),
-                     obs::LatencyEstimator(config_.slo.window));
+  chain_latency_.resize(chain_counters_.size(), chain_latency_histogram());
+  chain_tail_.resize(chain_counters_.size(), obs::LatencyEstimator());
   if (chain_slo_.size() < chain_counters_.size()) {
     chain_slo_.resize(chain_counters_.size());
   }
@@ -240,17 +290,6 @@ void Manager::start() {
         hops.empty() ? static_cast<flow::NfId>(-1) : hops.front();
     chain_tails_hop_[id] =
         hops.empty() ? static_cast<flow::NfId>(-1) : hops.back();
-  }
-  // Blanket SLO (DESIGN.md §16): chains without an explicit target inherit
-  // the config default. Cycles conversion at the manager's own clock rate
-  // happens in the facade; here the default is already in microseconds of
-  // the 2.6 GHz reference clock.
-  if (config_.slo.default_target_us > 0.0) {
-    const auto target = static_cast<Cycles>(
-        config_.slo.default_target_us * kDefaultCpuHz * 1e-6);
-    for (flow::ChainId id = 0; id < chains_.size(); ++id) {
-      if (chain_slo_[id].target == 0) set_slo_target(id, target);
-    }
   }
   bp_ = std::make_unique<bp::BackpressureManager>(chains_, records_.size(),
                                                   config_.backpressure);
@@ -335,13 +374,13 @@ void Manager::start() {
       }
     }
   }
-  engine_.schedule_periodic(config_.wakeup_period, [this] { wakeup_scan(); });
-  engine_.schedule_periodic(config_.monitor_period, [this] { monitor_tick(); });
+  engine_.schedule_periodic(kWakeupPeriod, [this] { wakeup_scan(); });
+  engine_.schedule_periodic(kMonitorPeriod, [this] { monitor_tick(); });
   // The watchdog heartbeat exists only when the fault subsystem is enabled:
   // an unfaulted run schedules no extra events and replays byte-for-byte.
   if (config_.lifecycle.enabled) {
     dead_on_chain_.assign(std::max<std::size_t>(chains_.size(), 1), 0);
-    engine_.schedule_periodic(config_.lifecycle.watchdog_period,
+    engine_.schedule_periodic(fault::kWatchdogPeriod,
                               [this] { watchdog_scan(); });
   }
 }
@@ -559,8 +598,7 @@ void Manager::schedule_drain(flow::NfId nf_id) {
   NfRecord& rec = records_[nf_id];
   if (rec.drain_scheduled) return;
   rec.drain_scheduled = true;
-  engine_.schedule_after(config_.tx_drain_latency,
-                         [this, nf_id] { drain_tx(nf_id); });
+  engine_.schedule_after(kTxDrainLatency, [this, nf_id] { drain_tx(nf_id); });
 }
 
 void Manager::drain_tx(flow::NfId nf_id) {
@@ -569,7 +607,7 @@ void Manager::drain_tx(flow::NfId nf_id) {
 
   pktio::Mbuf* burst[256];
   const std::size_t max_burst =
-      std::min<std::size_t>(config_.tx_burst, std::size(burst));
+      std::min<std::size_t>(kTxBurst, std::size(burst));
   const bool was_full = rec.task->tx_ring().full();
   const std::size_t n = rec.task->tx_ring().dequeue_burst(burst, max_burst);
   const Cycles now = engine_.now();
@@ -602,11 +640,13 @@ void Manager::egress(pktio::Mbuf* const* pkts, std::size_t n) {
   const flow::ChainId chain = pkts[0]->chain_id;
   auto& cc = chain_counters_[chain];
   cc.egress_packets += n;
-  if (chain >= chain_latency_.size()) chain_latency_.resize(chain + 1);
-  if (chain >= chain_tail_.size()) {
-    chain_tail_.resize(chain + 1, obs::LatencyEstimator(config_.slo.window));
+  if (chain >= chain_latency_.size()) {
+    chain_latency_.resize(chain + 1, chain_latency_histogram());
   }
-  ChainLatency& histogram = chain_latency_[chain];
+  if (chain >= chain_tail_.size()) {
+    chain_tail_.resize(chain + 1, obs::LatencyEstimator());
+  }
+  Histogram& histogram = chain_latency_[chain];
   obs::LatencyEstimator& tail = chain_tail_[chain];
   // Per-flow counters and the egress sink live on the flow's home lane;
   // when the chain's last hop is elsewhere, route the event home (the
@@ -617,7 +657,7 @@ void Manager::egress(pktio::Mbuf* const* pkts, std::size_t n) {
     const pktio::Mbuf& pkt = *pkts[i];
     cc.egress_bytes += pkt.size_bytes;
     const Cycles latency = now - pkt.arrival_time;
-    histogram.record(latency);
+    histogram.record(static_cast<std::uint64_t>(latency));
     // Tail telemetry (DESIGN.md §16): same wire-arrival -> wire-egress
     // span, into the chain's fixed-window estimator.
     tail.record(static_cast<std::uint64_t>(latency));
@@ -653,9 +693,8 @@ const ChainCounters& Manager::chain_counters(flow::ChainId id) const {
 }
 
 const Histogram& Manager::chain_latency(flow::ChainId id) const {
-  static const ChainLatency kEmptyLatency{};
-  return id < chain_latency_.size() ? chain_latency_[id].histogram()
-                                    : kEmptyLatency.histogram();
+  static const Histogram kEmptyLatency = chain_latency_histogram();
+  return id < chain_latency_.size() ? chain_latency_[id] : kEmptyLatency;
 }
 
 const obs::LatencyEstimator& Manager::chain_tail(flow::ChainId id) const {
@@ -738,7 +777,7 @@ void Manager::monitor_tick() {
     const auto delta = static_cast<double>(offered - rec.offered_at_last_tick);
     rec.offered_at_last_tick = offered;
     const double lambda =
-        delta / static_cast<double>(config_.monitor_period);  // pkts/cycle
+        delta / static_cast<double>(kMonitorPeriod);  // pkts/cycle
     auto service =
         static_cast<double>(rec.task->estimated_service_time(now));
     if (service > 0.0) {
@@ -797,10 +836,10 @@ void Manager::slo_observe(Cycles now) {
       continue;
     }
     const obs::LatencyEstimator& est = chain_tail(chain);
-    if (est.size() < config_.slo.min_samples) continue;
+    if (est.size() < kSloMinSamples) continue;
     st.last_p99 = static_cast<Cycles>(est.quantile(0.99));
     const bool violating = st.last_p99 > st.target;
-    if (violating) st.violation_cycles += config_.monitor_period;
+    if (violating) st.violation_cycles += kMonitorPeriod;
     if (violating != st.violating) {
       st.violating = violating;
       if (tr != nullptr) {
@@ -844,7 +883,7 @@ void Manager::slo_control(Cycles now) {
   auto* tr = obs::trace_of(obs_);
   // Earliest-slack-first: rank violating chains by slack = target - p99
   // (most negative, i.e. worst, first; ties by chain id) and boost at most
-  // max_boosts_per_update of them this round. Chains comfortably inside
+  // kSloMaxBoostsPerUpdate of them this round. Chains comfortably inside
   // their target (p99 < headroom*target) decay back toward exactly 1.0,
   // at which point the allocation is again pure rate-cost fairness.
   std::vector<std::pair<double, flow::ChainId>> violating;
@@ -857,13 +896,13 @@ void Manager::slo_control(Cycles now) {
       st.clear_streak = 0;
       violating.emplace_back(slack, chain);
     } else if (static_cast<double>(st.last_p99) <
-               config_.slo.headroom * static_cast<double>(st.target)) {
-      // Recovered update: decay only after decay_after consecutive clear
-      // updates, so one quiet window under persistent contention doesn't
-      // throw the working boost away (see SloConfig::decay_after).
-      if (st.boost > 1.0 && ++st.clear_streak >= config_.slo.decay_after) {
+               kSloHeadroom * static_cast<double>(st.target)) {
+      // Recovered update: decay only after kSloDecayAfter consecutive
+      // clear updates, so one quiet window under persistent contention
+      // doesn't throw the working boost away.
+      if (st.boost > 1.0 && ++st.clear_streak >= kSloDecayAfter) {
         st.clear_streak = 0;
-        st.boost = st.boost * config_.slo.decay;
+        st.boost = st.boost * kSloDecay;
         if (st.boost < 1.0 + 1e-9) st.boost = 1.0;  // settle exactly
         if (tr != nullptr) {
           tr->counter(now, obs::kSloLane, "slo", "chain_boost",
@@ -875,12 +914,11 @@ void Manager::slo_control(Cycles now) {
   }
   std::sort(violating.begin(), violating.end());
   const std::size_t limit = std::min<std::size_t>(
-      violating.size(), config_.slo.max_boosts_per_update);
+      violating.size(), kSloMaxBoostsPerUpdate);
   for (std::size_t i = 0; i < limit; ++i) {
     ChainSloState& st = chain_slo_[violating[i].second];
     const double before = st.boost;
-    st.boost = std::min(config_.slo.max_boost,
-                        st.boost * config_.slo.boost_step);
+    st.boost = std::min(kSloMaxBoost, st.boost * kSloBoostStep);
     if (st.boost != before && tr != nullptr) {
       tr->counter(now, obs::kSloLane, "slo", "chain_boost",
                   chains_.get(violating[i].second).name,
@@ -946,7 +984,6 @@ void Manager::push_aside_control(Cycles now) {
   // no shard mirroring is needed: each lane runs the machine for its own
   // cores and remote replicas report the neutral 1.0.
   auto* tr = obs::trace_of(obs_);
-  const auto& cfg = config_.push_aside;
   // "Overloaded" means queue pressure at any monitor tick since the last
   // share update (the sticky flag monitor_tick latches from the ring level
   // and the backpressure hysteresis state), so a ring oscillating across
@@ -973,10 +1010,10 @@ void Manager::push_aside_control(Cycles now) {
       }
     }
     if (pressed) {
-      victim.push_hold = cfg.min_hold_updates;
-      if (victim.push_scale > cfg.victim_floor) {
+      victim.push_hold = kPushMinHoldUpdates;
+      if (victim.push_scale > kPushVictimFloor) {
         victim.push_scale =
-            std::max(cfg.victim_floor, victim.push_scale / cfg.grab_factor);
+            std::max(kPushVictimFloor, victim.push_scale / kPushGrabFactor);
         ++victim.push_grabs;
         if (tr != nullptr) {
           tr->instant(now, obs::kAdmissionLane, "pam", "grab",
@@ -992,7 +1029,7 @@ void Manager::push_aside_control(Cycles now) {
       }
       // min() settles the scale to exactly 1.0, restoring the bit-exact
       // rate-cost allocation once the borrow is fully repaid.
-      victim.push_scale = std::min(1.0, victim.push_scale + cfg.giveback_step);
+      victim.push_scale = std::min(1.0, victim.push_scale + kPushGivebackStep);
       ++victim.push_givebacks;
       if (tr != nullptr) {
         tr->instant(now, obs::kAdmissionLane, "pam", "give_back",
@@ -1040,7 +1077,7 @@ void Manager::update_shares() {
       auto& other = records_[oid];
       if (other.core != rec.core) continue;
       // A down NF keeps the released kMinShares written at death; writing
-      // the min_shares floor here would hand it CPU weight it cannot use.
+      // kShareFloor here would hand it CPU weight it cannot use.
       if (other.life == fault::NfLifecycle::kDead ||
           other.life == fault::NfLifecycle::kRestarting) {
         continue;
@@ -1055,8 +1092,8 @@ void Manager::update_shares() {
       const double frac =
           other.task->priority() * w * g * other.load_accum / total;
       const auto shares = static_cast<std::uint32_t>(std::max(
-          static_cast<double>(config_.min_shares),
-          std::round(frac * config_.share_scale)));
+          static_cast<double>(kShareFloor),
+          std::round(frac * kShareScale)));
       const Cycles cost = cgroup_.set_shares(*other.task, shares);
       if (cost > 0) {  // an actual sysfs write, not a skipped no-change
         obs::inc(other.shares_writes);
@@ -1082,14 +1119,14 @@ void Manager::enable_lifecycle() {
 
 void Manager::set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy) {
   if (chain >= chain_policy_.size()) {
-    chain_policy_.resize(chain + 1, config_.lifecycle.default_dead_policy);
+    chain_policy_.resize(chain + 1, fault::kDefaultDeadPolicy);
   }
   chain_policy_[chain] = policy;
 }
 
 fault::DeadNfPolicy Manager::dead_policy(flow::ChainId chain) const {
   return chain < chain_policy_.size() ? chain_policy_[chain]
-                                      : config_.lifecycle.default_dead_policy;
+                                      : fault::kDefaultDeadPolicy;
 }
 
 bool Manager::all_policies_backpressure(flow::NfId nf) const {
@@ -1200,7 +1237,7 @@ void Manager::watchdog_scan() {
           rec.stuck_count = 0;
           break;
         }
-        if (++rec.stuck_count >= config_.lifecycle.stuck_scans) {
+        if (++rec.stuck_count >= fault::kStuckScans) {
           task.crash();  // watchdog kill: SIGKILL the straggler
           on_nf_death(id, now, /*forced=*/true);
         }
@@ -1269,7 +1306,7 @@ void Manager::on_nf_death(flow::NfId id, Cycles now, bool forced) {
 
   const Cycles delay = rec.pending_restart_delay >= 0
                            ? rec.pending_restart_delay
-                           : config_.lifecycle.default_restart_delay;
+                           : fault::kDefaultRestartDelay;
   rec.restart_at = now + delay;
   rec.restart_pending = true;
   rec.pending_restart_delay = fault::kDefaultRestart;
@@ -1296,13 +1333,13 @@ void Manager::begin_restart(flow::NfId id, Cycles now) {
     // exhausts its retry budget, fall back to the stateless spawn latency
     // (operationally: restore from the warm peer instead of local disk).
     io->read(
-        config_.lifecycle.reload_bytes, [this, id] { finish_restart(id); },
+        fault::kReloadBytes, [this, id] { finish_restart(id); },
         [this, id] {
-          engine_.schedule_after(config_.lifecycle.reload_latency,
+          engine_.schedule_after(fault::kReloadLatency,
                                  [this, id] { finish_restart(id); });
         });
   } else {
-    engine_.schedule_after(config_.lifecycle.reload_latency,
+    engine_.schedule_after(fault::kReloadLatency,
                            [this, id] { finish_restart(id); });
   }
 }
@@ -1312,7 +1349,7 @@ void Manager::finish_restart(flow::NfId id) {
   if (rec.life != fault::NfLifecycle::kRestarting) return;
   const Cycles now = engine_.now();
   rec.life = fault::NfLifecycle::kWarming;
-  rec.warm_until = now + config_.lifecycle.warm_duration;
+  rec.warm_until = now + fault::kWarmDuration;
   rec.task->revive(now);
   // The fresh process starts at the cgroup default weight; the monitor
   // re-derives its proportional share once the estimator warms up.

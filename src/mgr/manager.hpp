@@ -45,22 +45,18 @@
 
 namespace nfv::mgr {
 
+/// Cap on any chain's SLO share boost (DESIGN.md §16).
+inline constexpr double kSloMaxBoost = 64.0;
+/// Push-aside confiscation floor (DESIGN.md §17): a victim's share scale
+/// never drops below this, so it keeps earning service-time samples and
+/// can recover instantly.
+inline constexpr double kPushVictimFloor = 0.125;
+
 struct ManagerConfig {
   // Feature toggles (the paper's "CGroup", "BKPR" and full-NFVnice bars).
   bool enable_cgroups = true;
   bool enable_backpressure = true;
   bool enable_ecn = true;
-
-  /// Latency for a Tx thread to notice and move a processed packet
-  /// (manager runs on its own cores; ~100 ns).
-  Cycles tx_drain_latency = 260;
-  std::uint32_t tx_burst = 32;
-
-  /// Wakeup-thread scan period. The paper dedicates a spinning core to the
-  /// Wakeup thread, so its effective cadence is microseconds; 10 us keeps
-  /// the detect->throttle loop tight while still giving the hysteresis the
-  /// Tx/Wakeup separation provides (§3.5).
-  Cycles wakeup_period = 26'000;
 
   /// Wakeup coalescing (§3.2: the activation policy "considers the number
   /// of packets pending in its queue"). The Wakeup thread posts a blocked
@@ -70,16 +66,8 @@ struct ManagerConfig {
   /// age escape). Defaults preserve wake-on-any-pending behaviour.
   std::uint32_t wake_min_pending = 1;
   Cycles wake_age_threshold = 0;
-  Cycles monitor_period = 2'600'000;   ///< 1 ms load estimation (§3.5).
-  std::uint32_t share_updates_every = 10;  ///< cgroup writes every 10 ms.
-  /// Scale factor from load fraction to cpu.shares.
-  double share_scale = 10240.0;
-  /// Floor on any loaded NF's shares (~0.5% of scale). §2.1: rate-cost
-  /// proportional fairness "ensures that all competing NFs get a minimal
-  /// CPU share necessary to progress" — and it is what lets a starved NF
-  /// keep producing the service-time samples the estimator feeds on. Kept
-  /// small so it does not distort the proportional allocation.
-  std::uint32_t min_shares = 50;
+  /// Monitor ticks (1 ms each) per cgroup cpu.shares update: every 10 ms.
+  std::uint32_t share_updates_every = 10;
 
   /// Latency-SLO controller (DESIGN.md §16). The telemetry half — a
   /// per-chain fixed-window tail estimator fed at egress — is always on;
@@ -93,29 +81,6 @@ struct ManagerConfig {
     /// only need a chain target; they ignore this flag (so a rate-cost
     /// fair run can still report its SLO violations for comparison).
     bool enabled = false;
-    std::uint32_t window = 2048;     ///< samples per chain estimator
-    /// Evidence floor: no boost/decay decision until the chain's window
-    /// holds this many egress samples.
-    std::uint32_t min_samples = 64;
-    double boost_step = 2.0;         ///< multiplicative boost per update
-    double decay = 0.5;              ///< boost decay per recovered update
-    double max_boost = 64.0;         ///< cap on any chain's boost
-    /// A violating chain starts decaying only once p99 < headroom*target
-    /// (hysteresis against boost/decay flapping at the target edge).
-    double headroom = 0.8;
-    /// Decay damping: a boosted chain must stay under headroom*target for
-    /// this many *consecutive* share updates before each decay step.
-    /// Without it the controller limit-cycles under persistent contention
-    /// — the window recovers within one update of a boost, the boost
-    /// decays straight back to 1.0, and the chain starves again.
-    std::uint32_t decay_after = 3;
-    /// Earliest-slack-first width: at most this many chains — the ones
-    /// with the most negative slack, ties broken by chain id — are
-    /// boosted per share update; the rest wait their turn.
-    std::uint32_t max_boosts_per_update = 2;
-    /// Applied at start() to every chain without an explicit target
-    /// (microseconds; 0 = chains have no SLO unless set individually).
-    double default_target_us = 0.0;
   };
   SloConfig slo;
 
@@ -130,17 +95,6 @@ struct ManagerConfig {
   /// byte-identical (literal-1.0 discipline).
   struct PushAsideConfig {
     bool enabled = false;
-    /// Victim weight is divided by this per grab (multiplicative grab).
-    double grab_factor = 2.0;
-    /// Victim weight is restored by this per clear update (additive
-    /// give-back) until it settles back to exactly 1.0.
-    double giveback_step = 0.25;
-    /// Confiscation floor: the victim's scale never drops below this, so
-    /// it keeps earning service-time samples and can recover instantly.
-    double victim_floor = 0.125;
-    /// A grab is held at least this many share updates before give-back
-    /// may begin (anti-limit-cycling, same lesson as SloConfig::decay_after).
-    std::uint32_t min_hold_updates = 2;
   };
   PushAsideConfig push_aside;
 
@@ -154,7 +108,6 @@ struct ManagerConfig {
   /// Fault & lifecycle subsystem (DESIGN.md §11). Disabled by default: no
   /// watchdog events are scheduled, so unfaulted runs replay exactly.
   fault::LifecycleConfig lifecycle;
-  Cycles cgroup_write_cost = 13'000;  ///< ~5 us sysfs write (§3.5).
   /// NUMA node whose memory the NIC DMAs packets into.
   int nic_numa_node = 0;
 };
@@ -192,20 +145,12 @@ struct ChainCounters {
   std::uint64_t bypassed_hops = 0;
 };
 
-/// Per-chain end-to-end latency (wire arrival -> wire egress), recorded in
-/// cycles in a log-bucketed histogram. Queriable at any quantile; the
-/// latency bench contrasts Default vs NFVnice tail latency under overload.
-class ChainLatency {
- public:
-  ChainLatency() : histogram_(1ULL << 40, 8) {}
-  void record(Cycles latency) {
-    histogram_.record(static_cast<std::uint64_t>(latency));
-  }
-  [[nodiscard]] const Histogram& histogram() const { return histogram_; }
-
- private:
-  Histogram histogram_;
-};
+/// An empty per-chain end-to-end latency histogram (wire arrival -> wire
+/// egress, in cycles), queriable at any quantile; the latency bench
+/// contrasts Default vs NFVnice tail latency under overload. Every lane's
+/// histograms and their merge share this one bucketing, so merged
+/// quantiles are exact.
+inline Histogram chain_latency_histogram() { return Histogram(1ULL << 40, 8); }
 
 struct FlowCounters {
   std::uint64_t egress_packets = 0;
@@ -225,7 +170,7 @@ struct ChainSloState {
   Cycles violation_cycles = 0; ///< total time spent in violation
   Cycles last_p99 = 0;         ///< latest evaluated p99 (local or mirrored)
   /// Consecutive share updates spent under headroom*target (resets on any
-  /// violation); gates decay, see SloConfig::decay_after.
+  /// violation); gates decay, see kSloDecayAfter in manager.cpp.
   std::uint32_t clear_streak = 0;
 };
 
@@ -379,7 +324,7 @@ class Manager : public fault::FaultSink {
   /// the Simulation facade; call before start().
   void enable_lifecycle();
   /// Chain policy applied while an NF on the chain is down. Callable any
-  /// time; unset chains use LifecycleConfig::default_dead_policy.
+  /// time; unset chains use fault::kDefaultDeadPolicy.
   void set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy);
   [[nodiscard]] fault::DeadNfPolicy dead_policy(flow::ChainId chain) const;
   [[nodiscard]] fault::NfLifecycle nf_lifecycle(flow::NfId id) const {
@@ -434,7 +379,7 @@ class Manager : public fault::FaultSink {
     Cycles warm_until = 0;     ///< When WARMING completes.
     bool restart_pending = false;
     /// Detection -> restart delay for the in-flight fault
-    /// (fault::kDefaultRestart = LifecycleConfig::default_restart_delay).
+    /// (fault::kDefaultRestart = fault::kDefaultRestartDelay).
     Cycles pending_restart_delay = fault::kDefaultRestart;
     // Watchdog stuck detection: progress snapshots from the last scan.
     std::uint64_t wd_last_processed = 0;
@@ -446,7 +391,7 @@ class Manager : public fault::FaultSink {
 
     // -- PAM push-aside (DESIGN.md §17) -------------------------------------
     /// Share multiplier while a higher-priority core neighbor borrows this
-    /// NF's slice; in [victim_floor, 1.0], settles to exactly 1.0.
+    /// NF's slice; in [kPushVictimFloor, 1.0], settles to exactly 1.0.
     double push_scale = 1.0;
     /// Share updates the current grab must still be held before give-back.
     std::uint32_t push_hold = 0;
@@ -556,7 +501,7 @@ class Manager : public fault::FaultSink {
 
   std::vector<NfRecord> records_;
   std::vector<ChainCounters> chain_counters_;
-  std::vector<ChainLatency> chain_latency_;
+  std::vector<Histogram> chain_latency_;
   /// Per-chain tail estimators (fed at egress) and SLO state. Sized with
   /// chain_counters_ at start(); lazily grown for out-of-registry ids.
   std::vector<obs::LatencyEstimator> chain_tail_;
@@ -593,7 +538,7 @@ class Manager : public fault::FaultSink {
   /// integer compare and nothing else.
   std::vector<std::uint32_t> dead_on_chain_;
   /// Per-chain DeadNfPolicy override; chains beyond the vector (or never
-  /// set) use config_.lifecycle.default_dead_policy.
+  /// set) use fault::kDefaultDeadPolicy.
   std::vector<fault::DeadNfPolicy> chain_policy_;
 
   obs::Observability* obs_ = nullptr;

@@ -4,6 +4,11 @@
 
 namespace nfv::traffic {
 
+namespace {
+constexpr std::uint32_t kInitialCwnd = 10;  ///< packets (RFC 6928)
+constexpr std::uint32_t kInitialSsthresh = 256;
+}  // namespace
+
 TcpSource::TcpSource(sim::Engine& engine, mgr::Manager& manager,
                      pktio::MbufPool& pool, flow::FlowId flow_id,
                      Config config)
@@ -12,8 +17,8 @@ TcpSource::TcpSource(sim::Engine& engine, mgr::Manager& manager,
       pool_(pool),
       flow_id_(flow_id),
       config_(config),
-      cwnd_(config.initial_cwnd),
-      ssthresh_(config.initial_ssthresh) {}
+      cwnd_(kInitialCwnd),
+      ssthresh_(kInitialSsthresh) {}
 
 TcpSource::~TcpSource() {
   if (pending_ != sim::kInvalidEventId) engine_.cancel(pending_);

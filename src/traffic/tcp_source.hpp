@@ -25,9 +25,7 @@ class TcpSource {
     pktio::FlowKey key;  ///< proto must be kProtoTcp; installed in the table.
     std::uint16_t size_bytes = 1500;
     Cycles rtt = 520'000;  ///< 200 us at 2.6 GHz (back-to-back testbed).
-    std::uint32_t initial_cwnd = 10;
     std::uint32_t max_cwnd = 4096;
-    std::uint32_t initial_ssthresh = 256;
     bool ecn_capable = true;
     Cycles start_time = 0;
     Cycles stop_time = -1;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
+#include <sstream>
 #include <string>
+
+#include "obs/trace.hpp"
 
 namespace nfv::config {
 namespace {
@@ -598,6 +602,173 @@ TEST(ConfigLoader, ClassBadOptionFails) {
                ConfigError);
   Simulation sim4;
   EXPECT_THROW(load_string(prelude + "class\n", sim4), ConfigError);
+}
+
+
+// -- input the loader must refuse, not ignore or misapply -------------------
+
+/// Load `prelude + lines` and expect a ConfigError on `line` naming `key`.
+void expect_refused(const std::string& lines, int line, const char* key) {
+  const std::string prelude = "core batch\nnf a core=0 cost=1\nchain c a\n";
+  Simulation sim;
+  try {
+    load_string(prelude + lines + "\n", sim);
+    ADD_FAILURE() << "accepted: " << lines;
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), line) << lines;
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << lines << " -> " << e.what();
+  }
+}
+
+// io_retry multiplier has class priority's range, (0, 1000]: a 10 us
+// backoff times 1e30 per attempt overflows any delay the engine can wait.
+TEST(ConfigLoader, IoRetryMultiplierIsRanged) {
+  const std::string io = "io a mode=async\nio_retry a max=3 backoff_us=10 ";
+  expect_refused(io + "multiplier=1e30", 5, "multiplier");
+  expect_refused(io + "multiplier=0", 5, "multiplier");
+  expect_refused(io + "multiplier=-2", 5, "multiplier");
+}
+
+// A non-positive NF priority zeroes its core's total weight, and the share
+// update then skips the whole core; nf priority has class priority's range.
+TEST(ConfigLoader, NfPriorityIsRanged) {
+  expect_refused("nf b core=0 cost=1 priority=-5", 4, "priority");
+  expect_refused("nf b core=0 cost=1 priority=0", 4, "priority");
+  expect_refused("nf b core=0 cost=1 priority=1001", 4, "priority");
+}
+
+// Each directive declares its positional arity: trailing tokens are an
+// error, not silently dropped.
+TEST(ConfigLoader, CoreRefusesTrailingTokens) {
+  expect_refused("core batch junk", 4, "core");
+  expect_refused("core normal 5", 4, "core");
+}
+
+TEST(ConfigLoader, RrCoreTakesOneQuantum) {
+  expect_refused("core rr 5 6", 4, "core");
+}
+
+TEST(ConfigLoader, OnIoFailTakesOnePolicy) {
+  expect_refused("io a mode=async\non_io_fail a shed extra", 5, "on_io_fail");
+}
+
+// udp and tcp have tables of their own: a tcp flow is paced by its window,
+// so a rate or cost classes on a tcp line would be ignored.
+TEST(ConfigLoader, TcpRefusesUdpOptions) {
+  expect_refused("tcp c rate=1e6", 4, "rate");
+  expect_refused("tcp c classes=2", 4, "classes");
+}
+
+// -- the bytes of a run built from a config ---------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a-64 of report_json() and of the Chrome trace of a config run for
+/// 20 ms at one sim_shards setting. The pins below were captured at commit
+/// b7d1fa7, before every option was parsed through one table.
+struct BytesPin {
+  std::uint32_t shards;
+  std::uint64_t report;
+  std::uint64_t trace;
+};
+
+void expect_pinned_bytes(const std::string& text, const BytesPin (&pins)[2]) {
+  for (const BytesPin& pin : pins) {
+    core::PlatformConfig cfg;
+    cfg.sim_shards = pin.shards;
+    Simulation sim(cfg);
+    load_string(text, sim);
+    obs::TraceRecorder rec;
+    sim.attach_trace(rec);
+    sim.run_for_seconds(0.02);
+    std::ostringstream trace;
+    rec.write_chrome_json(trace);
+    std::ostringstream now;
+    now << std::hex << std::setfill('0') << "{" << pin.shards << ", 0x"
+        << std::setw(16) << fnv1a(sim.report_json()) << ", 0x"
+        << std::setw(16) << fnv1a(trace.str()) << "}";
+    EXPECT_EQ(fnv1a(sim.report_json()), pin.report)
+        << "report bytes moved; now " << now.str();
+    EXPECT_EQ(fnv1a(trace.str()), pin.trace)
+        << "trace bytes moved; now " << now.str();
+  }
+}
+
+// Every directive, and every key=value option at least once, reaches the
+// simulation with the bytes it had before the loader became table-driven.
+TEST(ConfigLoader, EveryDirectiveAndOptionKeepsItsBytes) {
+  const BytesPin pins[] = {{0, 0x25ecbf2dde9c2954, 0xb779f4d5e1c4fff9},
+                           {2, 0x389466af3411b626, 0x5b563a385cc4d42d}};
+  expect_pinned_bytes(R"(
+    mode nfvnice
+    core batch
+    core normal
+    core rr 2
+    nf a core=0 cost=200 priority=2 batch=16
+    nf b core=0 cost=300
+    nf c core=1 cost=150
+    nf d core=2 cost=100
+    chain ab a b
+    chain cd c d
+    chain bd b d
+    udp ab rate=2e6 size=128 start=0.001 stop=0.018 classes=2
+    tcp cd size=1000 rtt_us=150 start=0.002 stop=0.019
+    udp bd rate=5e5
+    io b mode=async buffer=65536 flush_us=200
+    io_timeout b us=500
+    io_retry b max=3 backoff_us=20 multiplier=1.5 jitter=0.2
+    on_io_fail b shed
+    io d mode=sync
+    on_io_fail d stuck
+    device_fault slow at=0.003 factor=4 for=0.002
+    device_fault error at=0.006 for=0.004
+    device_fault torn at=0.011 fraction=0.5 for=0.001
+    device_fault wedge at=0.013 for=0.001
+    fault crash b at=0.007 restart_after=0.001
+    fault stall c at=0.012 restart_after=0.001
+    fault slow a at=0.004 factor=2 for=0.003
+    on_dead ab bypass
+    on_dead cd buffer
+    on_dead bd backpressure
+    slo ab target_us=300
+    class ab priority=2 utility=5
+    class bd utility=1
+  )",
+                      pins);
+}
+
+// A line that omits an option leaves the facade's default in place: tcp
+// keeps its 200 us RTT, udp its 64 B packets and rate, io_retry the
+// engine's attempt budget, multiplier and jitter, a crash the lifecycle's
+// restart delay, and a device fault runs to the end.
+TEST(ConfigLoader, OmittedOptionsKeepFacadeDefaults) {
+  const BytesPin pins[] = {{0, 0x7d37e31867bd7b4c, 0x37e245be53df0253},
+                           {2, 0xd99fac25acccea5a, 0xaf9af9c6c7d94c45}};
+  expect_pinned_bytes(R"(
+    core batch
+    core rr
+    nf a core=0
+    nf b core=1
+    chain ab a b
+    udp ab
+    tcp ab
+    io a
+    io_timeout a us=300
+    io_retry a backoff_us=10
+    slo ab target_us=400
+    class ab
+    device_fault error at=0.004
+    fault crash a at=0.005
+  )",
+                      pins);
 }
 
 }  // namespace

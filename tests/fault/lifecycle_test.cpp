@@ -19,16 +19,18 @@ TEST(Lifecycle, PolicyNames) {
 }
 
 // The documented watchdog timing bounds (DESIGN.md §11) rest on these
-// defaults; changing them invalidates the detection-latency guarantees
+// constants; changing them invalidates the detection-latency guarantees
 // stated there, so pin them.
 TEST(Lifecycle, ConfigDefaults) {
   LifecycleConfig cfg;
   EXPECT_FALSE(cfg.enabled);
-  EXPECT_EQ(cfg.watchdog_period, 260'000);        // 100 us at 2.6 GHz
-  EXPECT_EQ(cfg.stuck_scans, 3u);
-  EXPECT_EQ(cfg.default_restart_delay, 2'600'000);  // 1 ms
-  EXPECT_EQ(cfg.warm_duration, 2'600'000);          // 1 ms
-  EXPECT_EQ(cfg.default_dead_policy, DeadNfPolicy::kBackpressure);
+  EXPECT_EQ(kWatchdogPeriod, 260'000);        // 100 us at 2.6 GHz
+  EXPECT_EQ(kStuckScans, 3u);
+  EXPECT_EQ(kDefaultRestartDelay, 2'600'000);  // 1 ms
+  EXPECT_EQ(kReloadBytes, 256u * 1024);
+  EXPECT_EQ(kReloadLatency, 1'300'000);        // 0.5 ms
+  EXPECT_EQ(kWarmDuration, 2'600'000);         // 1 ms
+  EXPECT_EQ(kDefaultDeadPolicy, DeadNfPolicy::kBackpressure);
 }
 
 }  // namespace

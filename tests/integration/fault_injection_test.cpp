@@ -93,19 +93,18 @@ TEST(FaultInjection, CrashLifecycleAndWatchdogBounds) {
   EXPECT_FALSE(sim.nf(b).dead());
 
   const auto& ls = sim.nf_lifecycle_stats(b);
-  const auto& lc = sim.manager().config().lifecycle;
   EXPECT_EQ(ls.crashes, 1u);
   EXPECT_EQ(ls.forced_crashes, 0u);
   EXPECT_EQ(ls.restarts, 1u);
   EXPECT_EQ(ls.recoveries, 1u);
   EXPECT_GT(ls.last_detect_latency, 0u);
-  EXPECT_LE(ls.last_detect_latency, lc.watchdog_period);
+  EXPECT_LE(ls.last_detect_latency, fault::kWatchdogPeriod);
   // Downtime covers detection -> RUNNING: at least the restart delay, at
   // most that plus reload, warm-up and a few watchdog granules.
   EXPECT_GE(ls.downtime_cycles, sim.clock().from_seconds(0.02));
   EXPECT_LE(ls.downtime_cycles,
-            sim.clock().from_seconds(0.02) + lc.reload_latency +
-                lc.warm_duration + 4 * lc.watchdog_period);
+            sim.clock().from_seconds(0.02) + fault::kReloadLatency +
+                fault::kWarmDuration + 4 * fault::kWatchdogPeriod);
   // The chain kept losing packets at the entry (backpressure pinned the
   // dead NF to Throttle), not half-way through.
   EXPECT_GT(sim.chain_metrics(chain).entry_throttle_drops, 0u);
@@ -124,12 +123,12 @@ TEST(FaultInjection, StallIsDiagnosedAndForceCrashed) {
   sim.run_for_seconds(0.2);
 
   const auto& ls = sim.nf_lifecycle_stats(b);
-  const auto& lc = sim.manager().config().lifecycle;
   EXPECT_EQ(ls.crashes, 1u);
   EXPECT_EQ(ls.forced_crashes, 1u);  // the watchdog killed it, not the fault
   EXPECT_EQ(ls.recoveries, 1u);
-  // Straggler diagnosis needs stuck_scans consecutive silent scans.
-  EXPECT_LE(ls.last_detect_latency, (lc.stuck_scans + 1) * lc.watchdog_period);
+  // Straggler diagnosis needs kStuckScans consecutive silent scans.
+  EXPECT_LE(ls.last_detect_latency,
+            (fault::kStuckScans + 1) * fault::kWatchdogPeriod);
   EXPECT_EQ(sim.nf_lifecycle(b), fault::NfLifecycle::kRunning);
 }
 

@@ -165,7 +165,7 @@ TEST(OverloadPushAside, GrabIsBoundedAndPrioritized) {
   PushRig r(/*stop_seconds=*/-1.0);
   r.sim->run_for_seconds(0.3);
   const auto& mgr = r.sim->manager();
-  const double floor = mgr.config().push_aside.victim_floor;
+  const double floor = mgr::kPushVictimFloor;
   EXPECT_GT(mgr.push_grabs_of(r.hog_nf), 0u)
       << "pressured high-priority neighbor must confiscate a slice";
   EXPECT_GE(mgr.push_scale_of(r.hog_nf), floor) << "grab must respect floor";
@@ -222,10 +222,9 @@ TEST(OverloadCompose, BoostPushAsideAndCrashRecoveryOnOneCore) {
     // victim scale within [floor, 1], ladder actions rate-limited by the
     // hold (0.4 s at one action per hold period of 5 evals = at most ~80).
     EXPECT_GE(sim.chain_slo_report(gold).boost, 1.0);
-    EXPECT_LE(sim.chain_slo_report(gold).boost, cfg.manager.slo.max_boost);
+    EXPECT_LE(sim.chain_slo_report(gold).boost, mgr::kSloMaxBoost);
     const auto& mgr = sim.manager();
-    EXPECT_GE(mgr.push_scale_of(hog_nf),
-              cfg.manager.push_aside.victim_floor);
+    EXPECT_GE(mgr.push_scale_of(hog_nf), mgr::kPushVictimFloor);
     EXPECT_LE(mgr.push_scale_of(hog_nf), 1.0);
     const auto gr = sim.chain_admission_report(gold);
     const auto hr = sim.chain_admission_report(hog);

@@ -247,6 +247,25 @@ TEST(AsyncIoFault, ReadFailureCallbackFiresAfterRetryBudget) {
   EXPECT_FALSE(io.degraded());  // reads don't degrade the write path
 }
 
+// set_retry takes any multiplier: a backoff past Cycles' range saturates
+// instead of converting an out-of-range double (undefined behaviour), and
+// the retry is still scheduled at a representable time.
+TEST(AsyncIoFault, HugeBackoffMultiplierSaturates) {
+  sim::Engine engine;
+  BlockDevice dev(engine, slow_disk());
+  AsyncIoEngine io(engine, dev, double_buffered(1024));
+  io.set_retry(3, 1000, 1e30, 0.0);
+  dev.inject_device_fault(fault::DeviceFaultKind::kError, 0.0);
+  bool done = false, failed = false;
+  io.read(100, [&] { done = true; }, [&] { failed = true; });
+  engine.run();
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(io.retries(), 2u);
+  // The second delay, 1000 * 1e30 cycles, waited the 2^62-cycle cap.
+  EXPECT_GE(engine.now(), Cycles{1} << 62);
+}
+
 TEST(AsyncIoFault, DestructorCancelsInFlightRequestsAndDeadlines) {
   sim::Engine engine;
   BlockDevice dev(engine, slow_disk());
