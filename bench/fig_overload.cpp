@@ -138,8 +138,10 @@ OverloadResult run_overload(const Arm& arm, bool with_report,
   out.gold_discards = gr.discards;
   out.bulk_discards = br.discards;
   out.engagements = gr.engagements + br.engagements;
-  for (const auto id : {gate, gold_nf, bulk_nf, hog_nf}) {
-    out.grabs += sim.manager().push_grabs_of(id);
+  if (const auto* pam = sim.manager().push_aside()) {
+    for (const auto id : {gate, gold_nf, bulk_nf, hog_nf}) {
+      out.grabs += pam->grabs(id);
+    }
   }
   if (with_report) out.report = sim.report_json();
   return out;

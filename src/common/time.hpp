@@ -14,6 +14,13 @@ namespace nfv {
 /// subtracted freely; 2^63 cycles at 2.6 GHz is ~112 years of simulation.
 using Cycles = std::int64_t;
 
+/// `x` cycles as Cycles, saturated to [lo, 2^62]: converting a double
+/// beyond Cycles' range is undefined behaviour. NaN gives `lo`.
+constexpr Cycles saturate_cycles(double x, Cycles lo) {
+  if (!(x >= static_cast<double>(lo))) return lo;
+  return static_cast<Cycles>(x < 0x1p62 ? x : 0x1p62);
+}
+
 /// Frequency of the modelled CPU. The paper's testbed runs at 2.60 GHz and
 /// all NF costs in the paper are quoted in cycles at that frequency.
 inline constexpr double kDefaultCpuHz = 2.6e9;

@@ -378,7 +378,8 @@ Topology load(std::istream& in, core::Simulation& sim) {
       double factor = 0.0;
       double fraction = 0.0;
       options({need(cycles(clock, "at", at, 1.0)),
-               need(real("factor", factor), kind == DeviceFaultKind::kSlow),
+               need(positive("factor", factor, fault::kMaxSlowFactor),
+                    kind == DeviceFaultKind::kSlow),
                need(real("fraction", fraction), kind == DeviceFaultKind::kTorn),
                cycles(clock, "for", window, 1.0)});
       if (kind == DeviceFaultKind::kSlow) {
@@ -400,7 +401,8 @@ Topology load(std::istream& in, core::Simulation& sim) {
       double factor = 0.0;
       options({need(cycles(clock, "at", at, 1.0)),
                cycles(clock, "restart_after", restart, 1.0),
-               need(real("factor", factor), kind == FaultKind::kDegrade),
+               need(positive("factor", factor, fault::kMaxSlowFactor),
+                    kind == FaultKind::kDegrade),
                cycles(clock, "for", window, 1.0)});
       if (kind == FaultKind::kCrash) {
         plan.add_crash(nf, at, restart);

@@ -77,20 +77,6 @@ Lane& ShardRuntime::add_core() {
   return lane;
 }
 
-void ShardRuntime::set_features(bool cgroups, bool backpressure, bool ecn) {
-  mgr_cfg_.enable_cgroups = cgroups;
-  mgr_cfg_.enable_backpressure = backpressure;
-  mgr_cfg_.enable_ecn = ecn;
-  for (auto& lane : lanes_) {
-    lane->manager->set_features(cgroups, backpressure, ecn);
-  }
-}
-
-void ShardRuntime::enable_lifecycle() {
-  mgr_cfg_.lifecycle.enabled = true;
-  for (auto& lane : lanes_) lane->manager->enable_lifecycle();
-}
-
 std::uint64_t ShardRuntime::dispatched_events() const {
   std::uint64_t total = 0;
   for (const auto& lane : lanes_) total += lane->engine.dispatched_events();

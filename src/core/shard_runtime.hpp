@@ -88,7 +88,7 @@ class ShardRuntime final : public mgr::ShardLink {
   /// `shards` is 0 for one lane holding every core, else the requested
   /// worker count; the effective count is min(shards, lanes) at the first
   /// run. `latency` is the modelled cross-lane transit time and the epoch
-  /// length (must be > 0 when shards > 0).
+  /// length (must be > 0 when shards > 0). `mgr_cfg` must outlive it.
   ShardRuntime(std::uint32_t shards, Cycles latency,
                const mgr::ManagerConfig& mgr_cfg,
                const flow::FlowTable::Config& flow_cfg,
@@ -102,14 +102,6 @@ class ShardRuntime final : public mgr::ShardLink {
   [[nodiscard]] Lane& lane_of_core(std::size_t core) {
     return *lanes_[core_lane_[core]];
   }
-
-  /// Flip the Manager's control-plane features on every lane, existing and
-  /// future.
-  void set_features(bool cgroups, bool backpressure, bool ecn);
-  /// Arm the lifecycle watchdog on every lane, existing and future: remote-
-  /// death broadcasts and dead-hop routing consult it wherever the packet
-  /// happens to be.
-  void enable_lifecycle();
 
   [[nodiscard]] Lane& lane(std::size_t i) { return *lanes_[i]; }
   [[nodiscard]] const std::vector<std::unique_ptr<Lane>>& lanes() const {
@@ -150,9 +142,8 @@ class ShardRuntime final : public mgr::ShardLink {
 
   std::uint32_t shards_;
   Cycles latency_;
-  // Copies of the platform knobs, so lanes added later see the config the
-  // simulation was built with.
-  mgr::ManagerConfig mgr_cfg_;
+  // Knobs for added lanes; the caller's Manager config, so flips reach them.
+  const mgr::ManagerConfig& mgr_cfg_;
   flow::FlowTable::Config flow_cfg_;
   std::uint32_t mempool_capacity_;
   flow::ChainRegistry& chains_;

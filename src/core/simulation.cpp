@@ -80,7 +80,9 @@ void Simulation::set_features(bool cgroups, bool backpressure, bool ecn) {
   config_.manager.enable_cgroups = cgroups;
   config_.manager.enable_backpressure = backpressure;
   config_.manager.enable_ecn = ecn;
-  shard_->set_features(cgroups, backpressure, ecn);
+  for (const auto& lane : shard_->lanes()) {
+    lane->manager->set_features(cgroups, backpressure, ecn);
+  }
 }
 
 std::size_t Simulation::add_core(SchedPolicy policy, double rr_quantum_ms,
@@ -179,15 +181,15 @@ io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
 void Simulation::set_fault_plan(fault::FaultPlan plan) {
   assert(!started_ && "install the fault plan before the first run");
   assert(!fault_plan_ && "only one fault plan per simulation");
-  shard_->enable_lifecycle();
   fault_plan_ = std::make_unique<fault::FaultPlan>(std::move(plan));
 }
 
 void Simulation::set_dead_policy(flow::ChainId chain,
                                  fault::DeadNfPolicy policy) {
-  for (const auto& lane : shard_->lanes()) {
-    lane->manager->set_dead_policy(chain, policy);
+  if (chain >= dead_policy_.size()) {
+    dead_policy_.resize(chain + 1, fault::kDefaultDeadPolicy);
   }
+  dead_policy_[chain] = policy;
 }
 
 Simulation::ChainSloReport Simulation::chain_slo_report(
@@ -262,7 +264,8 @@ Simulation::ChainAdmissionReport Simulation::chain_admission_report(
 }
 
 fault::NfLifecycle Simulation::nf_lifecycle(flow::NfId id) const {
-  return mgr_of(id).nf_lifecycle(id);
+  const mgr::Lifecycle* life = mgr_of(id).lifecycle();
+  return life != nullptr ? life->state(id) : fault::NfLifecycle::kRunning;
 }
 
 const fault::NfLifecycleStats& Simulation::nf_lifecycle_stats(
@@ -453,7 +456,8 @@ void Simulation::ensure_started() {
   started_ = true;
   for (const auto& lane_ptr : shard_->lanes()) {
     Lane& lane = *lane_ptr;
-    lane.manager->start();
+    // Any fault plan, even an empty one, arms every lane's watchdog.
+    lane.manager->start(fault_plan_ ? &dead_policy_ : nullptr);
     // Flow-expiry sweep (flow-state library, DESIGN.md §13): scheduled only
     // when a timeout is configured, so default simulations dispatch exactly
     // the seed event sequence.
@@ -485,7 +489,7 @@ void Simulation::ensure_started() {
     if (!plan.empty()) {
       lane.injector = std::make_unique<fault::FaultInjector>(lane.engine,
                                                              std::move(plan));
-      lane.injector->arm(*lane.manager,
+      lane.injector->arm(*lane.manager->lifecycle(),
                          device_faults ? &lane.disk() : nullptr);
     }
   }
@@ -665,12 +669,12 @@ void Simulation::report_json(std::ostream& out) const {
     w.field("cpu_share", nf_cpu_share(id));
     w.field("avg_sched_latency_ms", m.avg_sched_latency_ms);
     w.field("rx_queue_len", m.rx_queue_len);
-    if (mgr.config().lifecycle.enabled) {
+    if (fault_plan_) {
       const auto& ls = mgr.nf_lifecycle_stats(id);
       w.key("lifecycle");
       w.begin_object();
       w.field("state",
-              std::string_view(fault::to_string(mgr.nf_lifecycle(id))));
+              std::string_view(fault::to_string(nf_lifecycle(id))));
       w.field("crashes", ls.crashes);
       w.field("forced_crashes", ls.forced_crashes);
       w.field("restarts", ls.restarts);
@@ -680,12 +684,12 @@ void Simulation::report_json(std::ostream& out) const {
     }
     // PAM push-aside trajectory (DESIGN.md §17); the block appears only
     // when the controller is armed, keeping legacy reports byte-identical.
-    if (mgr.config().push_aside.enabled) {
+    if (const mgr::PushAside* pam = mgr.push_aside()) {
       w.key("pam");
       w.begin_object();
-      w.field("push_scale", mgr.push_scale_of(id));
-      w.field("grabs", mgr.push_grabs_of(id));
-      w.field("givebacks", mgr.push_givebacks_of(id));
+      w.field("push_scale", pam->scale(id));
+      w.field("grabs", pam->grabs(id));
+      w.field("givebacks", pam->givebacks(id));
       w.end_object();
     }
     w.end_object();

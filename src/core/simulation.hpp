@@ -232,16 +232,16 @@ class Simulation {
                                io::AsyncIoEngine::Config io_config);
 
   // -- faults (DESIGN.md §11) -------------------------------------------------
-  /// Install a fault plan: enables the manager's lifecycle watchdog and
-  /// arms an injector that fires the plan's crash/stall/degrade events at
-  /// their scheduled times. Call before the first run_for_seconds(). A
+  /// Install a fault plan: arms every lane's lifecycle watchdog and an
+  /// injector that fires the plan's crash/stall/degrade events at their
+  /// scheduled times, at the first run_for_seconds(). Call before it. A
   /// simulation without a plan schedules no watchdog events at all, so
   /// unfaulted runs replay byte-for-byte against earlier versions.
   void set_fault_plan(fault::FaultPlan plan);
 
-  /// Per-chain policy while an NF on the chain is down (default: the
-  /// LifecycleConfig's default_dead_policy, i.e. backpressure). Applied on
-  /// every lane (routing decisions happen wherever the packet is).
+  /// Per-chain policy while an NF on the chain is down (default:
+  /// fault::kDefaultDeadPolicy, i.e. backpressure). Callable any time; every
+  /// lane reads this one table (routing happens wherever the packet is).
   void set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy);
 
   // -- latency SLOs (DESIGN.md §16) -------------------------------------------
@@ -414,8 +414,9 @@ class Simulation {
 
   PlatformConfig config_;
   CpuClock clock_;
-  // Declared before the lanes, whose Managers hold it.
+  // Declared before the lanes, whose Managers hold them.
   flow::ChainRegistry chains_;
+  std::vector<fault::DeadNfPolicy> dead_policy_;  ///< By chain id.
   // Owns the lanes (engines, pools, flow tables, registries, Managers);
   // declared before every component that runs on them, so workers join and
   // engines die last.

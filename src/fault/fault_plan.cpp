@@ -140,9 +140,11 @@ void FaultPlan::add(FaultSpec spec) {
       spec.restart_after != kDefaultRestart && spec.restart_after <= 0) {
     throw FaultError(what + ": restart_after must be > 0");
   }
+  // Written so that a NaN factor fails too.
+  const bool slow_ok = spec.factor > 0.0 && spec.factor <= kMaxSlowFactor;
   if (spec.kind == FaultKind::kDegrade) {
-    if (spec.factor <= 0.0) {
-      throw FaultError(what + ": degrade factor must be > 0");
+    if (!slow_ok) {
+      throw FaultError(what + ": degrade factor must be in (0, 1000]");
     }
     if (spec.duration < 0) {
       throw FaultError(what + ": degrade duration must be >= 0");
@@ -152,8 +154,8 @@ void FaultPlan::add(FaultSpec spec) {
     if (spec.duration < 0) {
       throw FaultError(what + ": duration must be >= 0");
     }
-    if (spec.device == DeviceFaultKind::kSlow && spec.factor <= 0.0) {
-      throw FaultError(what + ": latency factor must be > 0");
+    if (spec.device == DeviceFaultKind::kSlow && !slow_ok) {
+      throw FaultError(what + ": latency factor must be in (0, 1000]");
     }
     if (spec.device == DeviceFaultKind::kTorn &&
         (spec.factor < 0.0 || spec.factor >= 1.0)) {

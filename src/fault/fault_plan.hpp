@@ -52,6 +52,9 @@ enum class DeviceFaultKind {
 const char* to_string(FaultKind kind);
 const char* to_string(DeviceFaultKind kind);
 
+/// Largest factor a degrade or a device-slow fault may scale by.
+inline constexpr double kMaxSlowFactor = 1000.0;
+
 /// Sentinel for FaultSpec::restart_after: the manager restarts the NF
 /// after the default delay (kDefaultRestartDelay, fault/lifecycle.hpp).
 inline constexpr Cycles kDefaultRestart = -1;
@@ -63,7 +66,8 @@ struct FaultSpec {
   /// Crash/stall: delay from death *detection* to the restart attempt;
   /// kDefaultRestart defers to the manager's default.
   Cycles restart_after = kDefaultRestart;
-  /// Degrade: service-time scale (> 0). Device slow: latency scale (> 0).
+  /// Degrade: service-time scale, device slow: latency scale; each in
+  /// (0, kMaxSlowFactor].
   /// Device torn: fraction of bytes that land, in [0, 1).
   double factor = 1.0;
   Cycles duration = 0;  ///< Degrade/device: window length; 0 = permanent.

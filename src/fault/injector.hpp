@@ -14,12 +14,13 @@
 
 namespace nfv::fault {
 
-/// The actuator the injector drives; implemented by the NF Manager.
+/// The actuator the injector drives; implemented by the Manager's lifecycle
+/// watchdog (mgr::Lifecycle).
 class FaultSink {
  public:
   virtual ~FaultSink() = default;
   /// Kill the NF now. `restart_after` is the detection->restart delay
-  /// (kDefaultRestart = the sink's configured default).
+  /// (kDefaultRestart = kDefaultRestartDelay).
   virtual void inject_crash(flow::NfId nf, Cycles restart_after) = 0;
   /// Turn the NF into a straggler now (watchdog will kill it).
   virtual void inject_stall(flow::NfId nf, Cycles restart_after) = 0;

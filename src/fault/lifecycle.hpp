@@ -1,7 +1,7 @@
 // NF lifecycle model: states, policies and watchdog timings.
 //
-// The NF Manager drives every NF through a small state machine once the
-// fault subsystem is enabled (DESIGN.md §11):
+// The Manager's lifecycle watchdog (mgr/lifecycle.hpp), armed by a fault
+// plan, drives every NF through a small state machine (DESIGN.md §11):
 //
 //   RUNNING ──(watchdog sees task.dead(), <= 1 period)──▶ DEAD
 //   RUNNING ──(STUCK: on-CPU, no progress, kStuckScans scans)──▶ DEAD
@@ -72,13 +72,6 @@ inline constexpr Cycles kReloadLatency = 1'300'000;
 inline constexpr Cycles kWarmDuration = 2'600'000;
 /// Chain policy when none was set explicitly.
 inline constexpr DeadNfPolicy kDefaultDeadPolicy = DeadNfPolicy::kBackpressure;
-
-struct LifecycleConfig {
-  /// Arm the watchdog. Off by default: an unfaulted simulation schedules no
-  /// lifecycle events and replays exactly as before the subsystem existed.
-  /// Simulation::set_fault_plan enables it automatically.
-  bool enabled = false;
-};
 
 /// Per-NF lifecycle accounting (exported via obs and report_json).
 struct NfLifecycleStats {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -467,12 +466,10 @@ Cycles AsyncIoEngine::backoff_delay(std::uint32_t attempts) {
     // backoff sequence, byte-identical faulted runs.
     delay *= 1.0 + config_.jitter_fraction * (2.0 * rng_.next_double() - 1.0);
   }
-  // set_retry accepts any multiplier: saturate before the cast (converting
-  // a double beyond Cycles' range is undefined behaviour) at 2^62 cycles,
-  // and at what keeps the retry's now + delay representable.
-  if (!(delay >= 1.0)) return 1;
-  const auto cycles = static_cast<Cycles>(std::min(delay, std::ldexp(1.0, 62)));
-  return std::min(cycles, std::numeric_limits<Cycles>::max() - engine_.now());
+  // set_retry accepts any multiplier: saturate, also at what keeps the
+  // retry's now + delay representable.
+  return std::min(saturate_cycles(delay, 1),
+                  std::numeric_limits<Cycles>::max() - engine_.now());
 }
 
 void AsyncIoEngine::trace(const char* name,

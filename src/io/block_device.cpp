@@ -1,6 +1,7 @@
 #include "io/block_device.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace nfv::io {
@@ -51,15 +52,19 @@ bool BlockDevice::cancel(RequestId id) {
 void BlockDevice::schedule_service(Pending& pending) {
   const Cycles start = std::max(engine_.now(), next_free_);
   // Exact integer path when healthy so the fault-free completion schedule
-  // is bit-identical to the pre-fault-domain device.
+  // is bit-identical to the pre-fault-domain device. A fault's factor is
+  // unchecked here: each term saturates, and the sum stops where next_free_
+  // would leave Cycles' range.
   const Cycles setup =
       latency_factor_ == 1.0
           ? config_.base_latency
-          : static_cast<Cycles>(static_cast<double>(config_.base_latency) *
-                                latency_factor_);
-  const auto duration =
-      setup + static_cast<Cycles>(static_cast<double>(pending.bytes) /
-                                  config_.bytes_per_cycle);
+          : saturate_cycles(
+                static_cast<double>(config_.base_latency) * latency_factor_, 0);
+  const Cycles room = std::numeric_limits<Cycles>::max() - start;
+  const Cycles transfer = std::min(
+      room, saturate_cycles(static_cast<double>(pending.bytes) /
+                                config_.bytes_per_cycle, 0));
+  const Cycles duration = transfer + std::min(setup, room - transfer);
   next_free_ = start + duration;
   busy_ += duration;
   // The fault state at service start is what the request observes.

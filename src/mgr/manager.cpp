@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 
 namespace nfv::mgr {
@@ -22,46 +21,6 @@ constexpr std::uint32_t kTxBurst = 32;
 /// the detect->throttle loop tight while still giving the hysteresis the
 /// Tx/Wakeup separation provides (§3.5).
 constexpr Cycles kWakeupPeriod = 26'000;
-/// Monitor period: 1 ms load estimation (§3.5).
-constexpr Cycles kMonitorPeriod = 2'600'000;
-/// Scale factor from load fraction to cpu.shares.
-constexpr double kShareScale = 10240.0;
-/// Floor on any loaded NF's shares (~0.5% of scale). §2.1: rate-cost
-/// proportional fairness "ensures that all competing NFs get a minimal
-/// CPU share necessary to progress" — and it is what lets a starved NF
-/// keep producing the service-time samples the estimator feeds on. Kept
-/// small so it does not distort the proportional allocation.
-constexpr std::uint32_t kShareFloor = 50;
-
-// SLO controller (DESIGN.md §16); kSloMaxBoost is in manager.hpp.
-/// Evidence floor: no boost/decay decision until the chain's window holds
-/// this many egress samples.
-constexpr std::uint32_t kSloMinSamples = 64;
-constexpr double kSloBoostStep = 2.0;  ///< multiplicative boost per update
-constexpr double kSloDecay = 0.5;      ///< boost decay per recovered update
-/// A violating chain starts decaying only once p99 < headroom*target
-/// (hysteresis against boost/decay flapping at the target edge).
-constexpr double kSloHeadroom = 0.8;
-/// Decay damping: a boosted chain must stay under headroom*target for this
-/// many *consecutive* share updates before each decay step. Without it the
-/// controller limit-cycles under persistent contention — the window
-/// recovers within one update of a boost, the boost decays straight back
-/// to 1.0, and the chain starves again.
-constexpr std::uint32_t kSloDecayAfter = 3;
-/// Earliest-slack-first width: at most this many chains — the ones with
-/// the most negative slack, ties broken by chain id — are boosted per
-/// share update; the rest wait their turn.
-constexpr std::uint32_t kSloMaxBoostsPerUpdate = 2;
-
-// PAM push-aside (DESIGN.md §17); kPushVictimFloor is in manager.hpp.
-/// Victim weight is divided by this per grab (multiplicative grab).
-constexpr double kPushGrabFactor = 2.0;
-/// Victim weight is restored by this per clear update (additive give-back)
-/// until it settles back to exactly 1.0.
-constexpr double kPushGivebackStep = 0.25;
-/// A grab is held at least this many share updates before give-back may
-/// begin (anti-limit-cycling, same lesson as kSloDecayAfter).
-constexpr std::uint32_t kPushMinHoldUpdates = 2;
 }  // namespace
 
 Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
@@ -72,16 +31,15 @@ Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
       flows_(flows),
       chains_(chains),
       config_(config),
+      alloc_(obs),
       obs_(obs) {
+  if (config_.push_aside.enabled) push_ = std::make_unique<PushAside>(obs);
   if (obs_ != nullptr) {
     obs::Scope scope = obs_->global_scope();
     ctr_unmatched_drops_ = scope.counter("mgr.unmatched_drops");
     ctr_wakeup_scans_ = scope.counter("mgr.wakeup_scans");
     ctr_monitor_ticks_ = scope.counter("mgr.monitor_ticks");
     scope.counter_fn("mgr.wire_ingress", [this] { return wire_ingress_; });
-    scope.counter_fn("mgr.cgroup_writes", [this] { return cgroup_.writes(); });
-    scope.counter_fn("mgr.cgroup_skipped_writes",
-                     [this] { return cgroup_.skipped_writes(); });
   }
 }
 
@@ -129,24 +87,21 @@ void Manager::register_nf(flow::NfId id, nf::NfTask* task,
     scope.counter_fn("mgr.downstream_drops", [this, id] {
       return records_[id].counters.downstream_drops;
     });
-    scope.gauge_fn("mgr.load",
-                   [this, id] { return records_[id].last_load; });
+    // Registered with or without a lifecycle (then they read 0).
     scope.counter_fn("life.crashes",
-                     [this, id] { return records_[id].lstats.crashes; });
+                     [this, id] { return nf_lifecycle_stats(id).crashes; });
     scope.counter_fn("life.forced_crashes", [this, id] {
-      return records_[id].lstats.forced_crashes;
+      return nf_lifecycle_stats(id).forced_crashes;
     });
     scope.counter_fn("life.restarts",
-                     [this, id] { return records_[id].lstats.restarts; });
+                     [this, id] { return nf_lifecycle_stats(id).restarts; });
     scope.counter_fn("life.recoveries",
-                     [this, id] { return records_[id].lstats.recoveries; });
+                     [this, id] { return nf_lifecycle_stats(id).recoveries; });
     scope.counter_fn("life.downtime_cycles", [this, id] {
-      return static_cast<std::uint64_t>(records_[id].lstats.downtime_cycles);
+      return static_cast<std::uint64_t>(
+          nf_lifecycle_stats(id).downtime_cycles);
     });
-    NfRecord& rec = records_[id];
-    rec.ecn_marks = scope.counter("mgr.ecn_marks");
-    rec.shares_writes = scope.counter("mgr.shares_writes");
-    rec.cpu_shares = scope.gauge("mgr.cpu_shares");
+    records_[id].ecn_marks = scope.counter("mgr.ecn_marks");
   }
 }
 
@@ -217,58 +172,26 @@ void Manager::apply_shard_msg(const ShardMsg& msg) {
     case ShardMsg::Kind::kBpState:
       if (bp_) bp_->apply_remote_state(msg.nf, msg.bp_state);
       break;
-    case ShardMsg::Kind::kNfDeath: {
-      NfRecord& rec = records_[msg.nf];
-      assert(rec.task == nullptr && "death broadcast for a local NF");
-      rec.remote_dead = true;
-      for (flow::ChainId chain : chains_.chains_through(msg.nf)) {
-        if (chain >= dead_on_chain_.size()) {
-          dead_on_chain_.resize(chain + 1, 0);
-        }
-        ++dead_on_chain_[chain];
-      }
-      // No bp_ update here: the owning lane's Throttle pin (when the chain
-      // policies want one) arrives as its own kBpState mirror — touching
-      // refcounts from both messages would double-count.
+    case ShardMsg::Kind::kNfDeath:
+    case ShardMsg::Kind::kNfRevive:
+      // Only lanes that armed a lifecycle broadcast these, and a fault
+      // plan arms every lane.
+      life_->mirror(msg.nf, msg.kind == ShardMsg::Kind::kNfDeath);
       break;
-    }
-    case ShardMsg::Kind::kNfRevive: {
-      NfRecord& rec = records_[msg.nf];
-      rec.remote_dead = false;
-      for (flow::ChainId chain : chains_.chains_through(msg.nf)) {
-        if (chain < dead_on_chain_.size() && dead_on_chain_[chain] > 0) {
-          --dead_on_chain_[chain];
-        }
-      }
-      break;
-    }
     case ShardMsg::Kind::kDownstreamDrop:
       ++records_[msg.nf].counters.downstream_drops;
       break;
-    case ShardMsg::Kind::kChainTail: {
-      // p99 mirror from the chain's estimator-owning lane (`nf` carries the
-      // ChainId). Only last_p99 is mirrored: the violation clock advances
-      // on the owning lane alone, and each replica derives its own boost
-      // from the shared p99 sequence at the shared update cadence.
-      const auto chain = static_cast<flow::ChainId>(msg.nf);
-      if (chain >= chain_slo_.size()) chain_slo_.resize(chain + 1);
-      chain_slo_[chain].last_p99 = static_cast<Cycles>(msg.tail_p99);
+    case ShardMsg::Kind::kChainTail:
+    case ShardMsg::Kind::kChainOverload:
+      // p99 and violating-flag mirrors from the chain's estimator-owning
+      // lane: the violation clock advances on that lane alone. A lane with
+      // no target holds no NF of the chain and ignores them.
+      if (slo_ != nullptr) slo_->mirror(msg);
       break;
-    }
-    case ShardMsg::Kind::kChainOverload: {
-      // SLO-violating mirror from the chain's tail-owning lane (DESIGN.md
-      // §17). Only the violating flag is mirrored — the admission gate on
-      // the chain's home lane reads it as an engage trigger; violation
-      // *time* keeps accruing on the owner alone.
-      const auto chain = static_cast<flow::ChainId>(msg.nf);
-      if (chain >= chain_slo_.size()) chain_slo_.resize(chain + 1);
-      chain_slo_[chain].violating = msg.tail_p99 != 0;
-      break;
-    }
   }
 }
 
-void Manager::start() {
+void Manager::start(const std::vector<fault::DeadNfPolicy>* lifecycle) {
   assert(!started_);
   started_ = true;
   chain_counters_.assign(std::max<std::size_t>(chains_.size(), 1), {});
@@ -278,18 +201,18 @@ void Manager::start() {
   // net for out-of-registry ids).
   chain_latency_.resize(chain_counters_.size(), chain_latency_histogram());
   chain_tail_.resize(chain_counters_.size(), obs::LatencyEstimator());
-  if (chain_slo_.size() < chain_counters_.size()) {
-    chain_slo_.resize(chain_counters_.size());
-  }
   flow_counters_.reserve(flows_.size() + 64);
   chain_heads_.resize(chains_.size());
-  chain_tails_hop_.resize(chains_.size());
   for (flow::ChainId id = 0; id < chains_.size(); ++id) {
     const auto& hops = chains_.get(id).hops;
     chain_heads_[id] =
         hops.empty() ? static_cast<flow::NfId>(-1) : hops.front();
-    chain_tails_hop_[id] =
-        hops.empty() ? static_cast<flow::NfId>(-1) : hops.back();
+  }
+  for (flow::NfId id = 0; id < records_.size(); ++id) {
+    const NfRecord& rec = records_[id];
+    if (rec.task == nullptr) continue;  // remote: its lane's controllers
+    alloc_.add_nf(id, rec.task, rec.core);
+    if (push_ != nullptr) push_->add_nf(id, rec.task, rec.core);
   }
   bp_ = std::make_unique<bp::BackpressureManager>(chains_, records_.size(),
                                                   config_.backpressure);
@@ -299,10 +222,8 @@ void Manager::start() {
     // their chain_throttled()/should_pause_upstream() views stay coherent.
     bp_->set_state_listener(
         [this](flow::NfId nf, bp::ThrottleState to, Cycles) {
-          ShardMsg msg;
-          msg.kind = ShardMsg::Kind::kBpState;
-          msg.nf = nf;
-          msg.bp_state = to;
+          ShardMsg msg{.kind = ShardMsg::Kind::kBpState, .bp_state = to,
+                       .nf = nf};
           broadcast_remote(msg);
         });
   }
@@ -361,40 +282,22 @@ void Manager::start() {
       scope.counter_fn("mgr.admission_discards",
                        [this] { return adm_->total_discards(); });
     }
-    if (config_.push_aside.enabled) {
-      for (flow::NfId id = 0; id < records_.size(); ++id) {
-        if (records_[id].task == nullptr) continue;
-        obs::Scope scope = obs_->nf_scope(records_[id].name);
-        scope.counter_fn("pam.grabs",
-                         [this, id] { return records_[id].push_grabs; });
-        scope.counter_fn("pam.givebacks",
-                         [this, id] { return records_[id].push_givebacks; });
-        scope.gauge_fn("pam.push_scale",
-                       [this, id] { return records_[id].push_scale; });
-      }
-    }
   }
   engine_.schedule_periodic(kWakeupPeriod, [this] { wakeup_scan(); });
   engine_.schedule_periodic(kMonitorPeriod, [this] { monitor_tick(); });
-  // The watchdog heartbeat exists only when the fault subsystem is enabled:
-  // an unfaulted run schedules no extra events and replays byte-for-byte.
-  if (config_.lifecycle.enabled) {
-    dead_on_chain_.assign(std::max<std::size_t>(chains_.size(), 1), 0);
-    engine_.schedule_periodic(fault::kWatchdogPeriod,
-                              [this] { watchdog_scan(); });
+  // Only a lifecycle schedules a watchdog: unfaulted runs replay exactly.
+  if (lifecycle != nullptr) {
+    life_ = std::make_unique<Lifecycle>(*this, *lifecycle);
   }
 }
 
-void Manager::ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key) {
-  ingress(pkt, key, engine_.now());
-}
 
 void Manager::ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key,
                       Cycles arrival) {
   if (const flow::FlowEntry* entry = rx_entry(key, &arrival, 1)) {
     rx_admit(*entry, key, &pkt, &arrival, 1);
   } else {
-    drop(pkt);
+    pool_.free(pkt);
   }
 }
 
@@ -474,7 +377,7 @@ void Manager::rx_admit(const flow::FlowEntry& entry, const pktio::FlowKey& key,
                     {{"reason", "admission"}},
                     {{"chain", static_cast<std::int64_t>(chain)}});
       }
-      drop(pkt);
+      pool_.free(pkt);
       continue;
     }
     ++cc.entry_admitted;
@@ -493,7 +396,8 @@ void Manager::hand_off(pktio::Mbuf** pkts, std::size_t n) {
   // Dead-NF bypass (DESIGN.md §11): skip the dead hops ahead.
   if (bypassing(first.chain_id)) {
     assert(n == 1 && "runs never cross a dead-hop bypass");
-    skip_dead_hops(&first, first.chain_id);
+    chain_counters_[first.chain_id].bypassed_hops +=
+        life_->skip_dead_hops(first);
   }
   const auto& hops = chains_.get(first.chain_id).hops;
   if (first.chain_pos >= hops.size()) {
@@ -576,7 +480,7 @@ void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
                     {{"reason", "rx_full"}, {"nf", task.config().name}},
                     {{"chain_pos", static_cast<std::int64_t>(pkt->chain_pos)}});
       }
-      drop(pkt);
+      pool_.free(pkt);
       continue;
     }
     ++enqueued;
@@ -681,8 +585,6 @@ void Manager::egress(pktio::Mbuf* const* pkts, std::size_t n) {
   pool_.free_burst(pkts, static_cast<std::uint32_t>(n));
 }
 
-void Manager::drop(pktio::Mbuf* pkt) { pool_.free(pkt); }
-
 void Manager::set_egress_sink(flow::FlowId flow, EgressSink sink) {
   if (flow >= egress_sinks_.size()) egress_sinks_.resize(flow + 1);
   egress_sinks_[flow] = std::move(sink);
@@ -702,23 +604,17 @@ const obs::LatencyEstimator& Manager::chain_tail(flow::ChainId id) const {
   return id < chain_tail_.size() ? chain_tail_[id] : kEmptyTail;
 }
 
-const ChainSloState& Manager::chain_slo(flow::ChainId id) const {
-  static const ChainSloState kNoSlo{};
-  return id < chain_slo_.size() ? chain_slo_[id] : kNoSlo;
-}
-
 void Manager::set_slo_target(flow::ChainId chain, Cycles target) {
-  if (chain >= chain_slo_.size()) chain_slo_.resize(chain + 1);
-  chain_slo_[chain].target = target;
-  const auto it =
-      std::find(slo_chains_.begin(), slo_chains_.end(), chain);
-  if (target > 0 && it == slo_chains_.end()) {
-    slo_chains_.insert(
-        std::upper_bound(slo_chains_.begin(), slo_chains_.end(), chain),
-        chain);
-  } else if (target == 0 && it != slo_chains_.end()) {
-    slo_chains_.erase(it);
+  if (slo_ == nullptr) {
+    slo_ = std::make_unique<SloController>(chains_, obs_,
+                                           config_.slo.enabled);
   }
+  // The chain's estimator fills where its last hop runs.
+  const flow::NfId tail = chain < chains_.size()
+                              ? chains_.get(chain).hops.back()
+                              : static_cast<flow::NfId>(records_.size());
+  slo_->set_target(chain, target,
+                   tail < records_.size() && records_[tail].task != nullptr);
 }
 
 const FlowCounters& Manager::flow_counters(flow::FlowId id) const {
@@ -763,182 +659,37 @@ void Manager::wakeup_scan() {
 void Manager::monitor_tick() {
   const Cycles now = engine_.now();
   obs::inc(ctr_monitor_ticks_);
-  for (auto& rec : records_) {
-    if (rec.task == nullptr) continue;  // remote NF: its lane estimates it
-    if (rec.life == fault::NfLifecycle::kDead ||
-        rec.life == fault::NfLifecycle::kRestarting) {
-      // A down NF consumes no CPU: zero its estimate but keep the offered
-      // window contiguous so λ is correct on the first post-recovery tick.
-      rec.last_load = 0.0;
-      rec.offered_at_last_tick = rec.counters.offered;
-      continue;
-    }
-    const std::uint64_t offered = rec.counters.offered;
-    const auto delta = static_cast<double>(offered - rec.offered_at_last_tick);
-    rec.offered_at_last_tick = offered;
-    const double lambda =
-        delta / static_cast<double>(kMonitorPeriod);  // pkts/cycle
-    auto service =
-        static_cast<double>(rec.task->estimated_service_time(now));
-    if (service > 0.0) {
-      rec.last_service = service;
-    } else {
-      service = rec.last_service;  // hold the last estimate through gaps
-    }
-    rec.has_estimate = service > 0.0;
-    rec.last_load = lambda * service;  // load(i) = λ_i · s_i  (§3.2)
-    rec.load_accum += rec.last_load;
-    rec.offered_accum += delta;
+  for (flow::NfId id = 0; id < records_.size(); ++id) {
+    if (records_[id].task == nullptr) continue;  // remote: its lane estimates
+    alloc_.estimate(id, records_[id].counters.offered, now);
   }
   // Tail telemetry rides the monitor cadence (DESIGN.md §16): re-rank each
-  // SLO chain's window, advance its violation clock, mirror p99 to the
-  // other lanes. Chains without targets cost nothing here.
-  if (slo_active()) slo_observe(now);
+  // SLO chain's window, advance its violation clock, mirror what the other
+  // lanes need. Chains without targets cost nothing here.
+  if (slo_ != nullptr) {
+    for (ShardMsg& msg :
+         slo_->observe(now, chain_tail_, adm_.get(), shard_link_ != nullptr)) {
+      broadcast_remote(msg);
+    }
+  }
   // Overload control rides the same cadences (DESIGN.md §17): the
   // admission shed ladders advance with the telemetry every tick, the
   // push-aside grab/give-back machine with the share updates.
   if (adm_ != nullptr) admission_evaluate(now);
-  if (config_.push_aside.enabled) {
-    // Sticky pressure sampling: a short ring can cross the high watermark
-    // and drain again between share updates, so push-aside would never
-    // see it at the 10 ms instants alone. Latch pressure every monitor
-    // tick; push_aside_control consumes and clears the flags.
-    for (flow::NfId id = 0; id < records_.size(); ++id) {
-      NfRecord& rec = records_[id];
-      if (rec.task == nullptr || rec.push_pressure) continue;
-      rec.push_pressure =
-          rec.task->rx_ring().above_high_watermark() ||
-          (bp_ != nullptr && bp_->state(id) != bp::ThrottleState::kClear);
-    }
-  }
+  if (push_ != nullptr) push_->latch(bp_.get());
   if (++monitor_ticks_ % config_.share_updates_every == 0) {
-    if (config_.slo.enabled && slo_active()) slo_control(now);
-    if (config_.push_aside.enabled) push_aside_control(now);
-    if (config_.enable_cgroups) update_shares();
-    for (auto& rec : records_) {
-      rec.load_accum = 0.0;
-      rec.offered_accum = 0.0;
-    }
+    // The allocator's multipliers, in this order; an unarmed one is absent.
+    const SloController* boost =
+        slo_ != nullptr && slo_->boosting() ? slo_.get() : nullptr;
+    if (boost != nullptr) slo_->update(now);
+    if (push_ != nullptr) push_->update(now, life_.get());
+    if (config_.enable_cgroups) alloc_.update_shares(now, boost, push_.get());
+    alloc_.reset_window();
   }
-}
-
-void Manager::slo_observe(Cycles now) {
-  auto* tr = obs::trace_of(obs_);
-  for (flow::ChainId chain : slo_chains_) {
-    ChainSloState& st = chain_slo_[chain];
-    // The estimator fills where the chain's last hop runs; every other
-    // replica holds the mirrored p99 and skips the bookkeeping below (so
-    // violation time is never double-counted across lanes).
-    const flow::NfId tail_hop = chain < chain_tails_hop_.size()
-                                    ? chain_tails_hop_[chain]
-                                    : static_cast<flow::NfId>(-1);
-    if (tail_hop >= records_.size() || records_[tail_hop].task == nullptr) {
-      continue;
-    }
-    const obs::LatencyEstimator& est = chain_tail(chain);
-    if (est.size() < kSloMinSamples) continue;
-    st.last_p99 = static_cast<Cycles>(est.quantile(0.99));
-    const bool violating = st.last_p99 > st.target;
-    if (violating) st.violation_cycles += kMonitorPeriod;
-    if (violating != st.violating) {
-      st.violating = violating;
-      if (tr != nullptr) {
-        tr->instant(
-            now, obs::kSloLane, "slo",
-            violating ? "violation_begin" : "violation_end",
-            {{"chain", chains_.get(chain).name}},
-            {{"p99_cycles", static_cast<std::int64_t>(st.last_p99)},
-             {"target_cycles", static_cast<std::int64_t>(st.target)}});
-      }
-      // Admission engage trigger (DESIGN.md §17): the gate runs on the
-      // chain's *home* lane but the violation clock lives here, on the
-      // tail's lane — mirror the flip. Gated on the chain having a class,
-      // so runs without admission post zero extra messages.
-      if (shard_link_ != nullptr && adm_ != nullptr && adm_->has_class(chain)) {
-        ShardMsg msg;
-        msg.kind = ShardMsg::Kind::kChainOverload;
-        msg.nf = static_cast<flow::NfId>(chain);
-        msg.tail_p99 = violating ? 1 : 0;
-        broadcast_remote(msg);
-      }
-    }
-    if (tr != nullptr) {
-      tr->counter(now, obs::kSloLane, "slo", "chain_p99",
-                  chains_.get(chain).name,
-                  static_cast<std::int64_t>(st.last_p99));
-    }
-    // The mirror exists for remote replicas' boost decisions; rate-cost
-    // fair runs (controller off) keep their message sequence unchanged.
-    if (shard_link_ != nullptr && config_.slo.enabled) {
-      ShardMsg msg;
-      msg.kind = ShardMsg::Kind::kChainTail;
-      msg.nf = static_cast<flow::NfId>(chain);
-      msg.tail_p99 = static_cast<std::uint64_t>(st.last_p99);
-      broadcast_remote(msg);
-    }
-  }
-}
-
-void Manager::slo_control(Cycles now) {
-  auto* tr = obs::trace_of(obs_);
-  // Earliest-slack-first: rank violating chains by slack = target - p99
-  // (most negative, i.e. worst, first; ties by chain id) and boost at most
-  // kSloMaxBoostsPerUpdate of them this round. Chains comfortably inside
-  // their target (p99 < headroom*target) decay back toward exactly 1.0,
-  // at which point the allocation is again pure rate-cost fairness.
-  std::vector<std::pair<double, flow::ChainId>> violating;
-  for (flow::ChainId chain : slo_chains_) {
-    ChainSloState& st = chain_slo_[chain];
-    if (st.last_p99 == 0) continue;  // no evidence yet (local or mirrored)
-    const double slack = static_cast<double>(st.target) -
-                         static_cast<double>(st.last_p99);
-    if (slack < 0.0) {
-      st.clear_streak = 0;
-      violating.emplace_back(slack, chain);
-    } else if (static_cast<double>(st.last_p99) <
-               kSloHeadroom * static_cast<double>(st.target)) {
-      // Recovered update: decay only after kSloDecayAfter consecutive
-      // clear updates, so one quiet window under persistent contention
-      // doesn't throw the working boost away.
-      if (st.boost > 1.0 && ++st.clear_streak >= kSloDecayAfter) {
-        st.clear_streak = 0;
-        st.boost = st.boost * kSloDecay;
-        if (st.boost < 1.0 + 1e-9) st.boost = 1.0;  // settle exactly
-        if (tr != nullptr) {
-          tr->counter(now, obs::kSloLane, "slo", "chain_boost",
-                      chains_.get(chain).name,
-                      static_cast<std::int64_t>(st.boost * 1000.0));
-        }
-      }
-    }
-  }
-  std::sort(violating.begin(), violating.end());
-  const std::size_t limit = std::min<std::size_t>(
-      violating.size(), kSloMaxBoostsPerUpdate);
-  for (std::size_t i = 0; i < limit; ++i) {
-    ChainSloState& st = chain_slo_[violating[i].second];
-    const double before = st.boost;
-    st.boost = std::min(kSloMaxBoost, st.boost * kSloBoostStep);
-    if (st.boost != before && tr != nullptr) {
-      tr->counter(now, obs::kSloLane, "slo", "chain_boost",
-                  chains_.get(violating[i].second).name,
-                  static_cast<std::int64_t>(st.boost * 1000.0));
-    }
-  }
-}
-
-double Manager::slo_boost_of(flow::NfId id) const {
-  double boost = 1.0;
-  for (flow::ChainId chain : chains_.chains_through(id)) {
-    if (chain < chain_slo_.size()) {
-      boost = std::max(boost, chain_slo_[chain].boost);
-    }
-  }
-  return boost;
 }
 
 // ---------------------------------------------------------------------------
-// Overload control: ingress admission + PAM push-aside (DESIGN.md §17)
+// Overload control: ingress admission (DESIGN.md §17)
 // ---------------------------------------------------------------------------
 
 void Manager::set_chain_class(flow::ChainId chain, bp::ClassSpec spec) {
@@ -969,439 +720,10 @@ void Manager::admission_evaluate(Cycles now) {
             : 0.0;
     // Locally observed for tail-local chains, kChainOverload-mirrored for
     // chains whose last hop runs on another lane.
-    in.violating = chain < chain_slo_.size() && chain_slo_[chain].violating;
+    in.violating = slo_ != nullptr && slo_->state(chain).violating;
     adm_inputs_.push_back(in);
   }
   if (!adm_inputs_.empty()) adm_->evaluate(now, adm_inputs_);
-}
-
-void Manager::push_aside_control(Cycles now) {
-  // PAM-style cycle borrowing: an NF whose RX queue sits over the high
-  // watermark confiscates a share slice from each *lower-priority* NF on
-  // its core — multiplicative grab with a floor, additive give-back once
-  // the pressure clears, and a minimum hold so a queue flickering at the
-  // watermark cannot flap the weights. Everything here is core-local, so
-  // no shard mirroring is needed: each lane runs the machine for its own
-  // cores and remote replicas report the neutral 1.0.
-  auto* tr = obs::trace_of(obs_);
-  // "Overloaded" means queue pressure at any monitor tick since the last
-  // share update (the sticky flag monitor_tick latches from the ring level
-  // and the backpressure hysteresis state), so a ring oscillating across
-  // the watermark between updates still registers.
-  const auto overloaded = [](flow::NfId, const NfRecord& rec) {
-    return rec.push_pressure || rec.task->rx_ring().above_high_watermark();
-  };
-  for (flow::NfId vid = 0; vid < records_.size(); ++vid) {
-    NfRecord& victim = records_[vid];
-    if (victim.task == nullptr) continue;
-    if (victim.life != fault::NfLifecycle::kRunning) continue;
-    // An overloaded NF is never a victim itself, whatever its priority —
-    // two overloaded neighbors must not grab from each other.
-    const bool self_overloaded = overloaded(vid, victim);
-    bool pressed = false;
-    if (!self_overloaded) {
-      for (flow::NfId aid = 0; aid < records_.size() && !pressed; ++aid) {
-        if (aid == vid) continue;
-        const NfRecord& a = records_[aid];
-        if (a.task == nullptr || a.core != victim.core) continue;
-        if (a.life != fault::NfLifecycle::kRunning) continue;
-        if (a.task->priority() <= victim.task->priority()) continue;
-        pressed = overloaded(aid, a);
-      }
-    }
-    if (pressed) {
-      victim.push_hold = kPushMinHoldUpdates;
-      if (victim.push_scale > kPushVictimFloor) {
-        victim.push_scale =
-            std::max(kPushVictimFloor, victim.push_scale / kPushGrabFactor);
-        ++victim.push_grabs;
-        if (tr != nullptr) {
-          tr->instant(now, obs::kAdmissionLane, "pam", "grab",
-                      {{"victim", victim.name}},
-                      {{"scale_x1000", static_cast<std::int64_t>(
-                                           victim.push_scale * 1000.0)}});
-        }
-      }
-    } else if (victim.push_scale < 1.0) {
-      if (victim.push_hold > 0) {
-        --victim.push_hold;
-        continue;
-      }
-      // min() settles the scale to exactly 1.0, restoring the bit-exact
-      // rate-cost allocation once the borrow is fully repaid.
-      victim.push_scale = std::min(1.0, victim.push_scale + kPushGivebackStep);
-      ++victim.push_givebacks;
-      if (tr != nullptr) {
-        tr->instant(now, obs::kAdmissionLane, "pam", "give_back",
-                    {{"victim", victim.name}},
-                    {{"scale_x1000", static_cast<std::int64_t>(
-                                         victim.push_scale * 1000.0)}});
-      }
-    }
-  }
-  // Fresh pressure window for the next update period.
-  for (auto& rec : records_) rec.push_pressure = false;
-}
-
-void Manager::update_shares() {
-  // Shares_i = Priority_i · Boost_i · load(i) / TotalLoad(m), per shared
-  // core m. With every boost at 1.0 — controller disabled, or all SLO
-  // chains inside target — this is exactly the paper's rate-cost
-  // proportional rule, and the multiplications by 1.0 leave the floating
-  // point arithmetic (hence the written shares) bit-identical to a build
-  // without the SLO path. Loads are averaged over the ticks since the
-  // last update to smooth the 1 ms estimates before touching the (costly)
-  // cgroup filesystem.
-  const bool boosting = config_.slo.enabled && slo_active();
-  // Push-aside composes as a second multiplier on the same weight: a
-  // victim's confiscated slice (push_scale < 1) shrinks its numerator and
-  // the shared denominator, handing the freed share to its core peers.
-  // Disabled it contributes literal 1.0, like the boost term.
-  const bool pushing = config_.push_aside.enabled;
-  std::vector<sched::Core*> seen;
-  for (auto& rec : records_) {
-    if (rec.task == nullptr) continue;  // remote NF: no core on this lane
-    if (std::find(seen.begin(), seen.end(), rec.core) != seen.end()) continue;
-    seen.push_back(rec.core);
-    double total = 0.0;
-    for (flow::NfId oid = 0; oid < records_.size(); ++oid) {
-      auto& other = records_[oid];
-      if (other.core == rec.core) {
-        const double w = boosting ? slo_boost_of(oid) : 1.0;
-        const double g = pushing ? other.push_scale : 1.0;
-        total += other.task->priority() * w * g * other.load_accum;
-      }
-    }
-    if (total <= 0.0) continue;
-    for (flow::NfId oid = 0; oid < records_.size(); ++oid) {
-      auto& other = records_[oid];
-      if (other.core != rec.core) continue;
-      // A down NF keeps the released kMinShares written at death; writing
-      // kShareFloor here would hand it CPU weight it cannot use.
-      if (other.life == fault::NfLifecycle::kDead ||
-          other.life == fault::NfLifecycle::kRestarting) {
-        continue;
-      }
-      // Bootstrap rule: an NF with offered traffic but no service-time
-      // estimate yet (warm-up samples still being discarded) keeps its
-      // current weight — writing a near-zero share would starve it before
-      // the estimator ever sees a sample.
-      if (!other.has_estimate && other.offered_accum > 0.0) continue;
-      const double w = boosting ? slo_boost_of(oid) : 1.0;
-      const double g = pushing ? other.push_scale : 1.0;
-      const double frac =
-          other.task->priority() * w * g * other.load_accum / total;
-      const auto shares = static_cast<std::uint32_t>(std::max(
-          static_cast<double>(kShareFloor),
-          std::round(frac * kShareScale)));
-      const Cycles cost = cgroup_.set_shares(*other.task, shares);
-      if (cost > 0) {  // an actual sysfs write, not a skipped no-change
-        obs::inc(other.shares_writes);
-        obs::set(other.cpu_shares, static_cast<double>(shares));
-        if (auto* tr = obs::trace_of(obs_)) {
-          tr->counter(engine_.now(), obs::kManagerLane, "mgr", "cpu_shares",
-                      other.task->config().name,
-                      static_cast<std::int64_t>(shares));
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fault & lifecycle subsystem (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-void Manager::enable_lifecycle() {
-  assert(!started_ && "enable the lifecycle before start()");
-  config_.lifecycle.enabled = true;
-}
-
-void Manager::set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy) {
-  if (chain >= chain_policy_.size()) {
-    chain_policy_.resize(chain + 1, fault::kDefaultDeadPolicy);
-  }
-  chain_policy_[chain] = policy;
-}
-
-fault::DeadNfPolicy Manager::dead_policy(flow::ChainId chain) const {
-  return chain < chain_policy_.size() ? chain_policy_[chain]
-                                      : fault::kDefaultDeadPolicy;
-}
-
-bool Manager::all_policies_backpressure(flow::NfId nf) const {
-  for (flow::ChainId chain : chains_.chains_through(nf)) {
-    if (dead_policy(chain) != fault::DeadNfPolicy::kBackpressure) return false;
-  }
-  return true;
-}
-
-void Manager::trace_lifecycle(flow::NfId id, const char* from, const char* to,
-                              Cycles now) {
-  if (auto* tr = obs::trace_of(obs_)) {
-    tr->instant(now, obs::kLifecycleLane, "life", "nf_lifecycle",
-                {{"nf", records_[id].task->config().name},
-                 {"from", from},
-                 {"to", to}});
-  }
-}
-
-void Manager::inject_crash(flow::NfId nf, Cycles restart_after) {
-  assert(config_.lifecycle.enabled && "install a fault plan before start()");
-  NfRecord& rec = records_[nf];
-  if (rec.task->dead()) return;  // already down: nothing left to kill
-  rec.crashed_at = engine_.now();
-  rec.pending_restart_delay = restart_after;
-  rec.task->crash();  // data-plane fact; the watchdog discovers it next scan
-  if (auto* tr = obs::trace_of(obs_)) {
-    tr->instant(engine_.now(), obs::kLifecycleLane, "life", "inject_crash",
-                {{"nf", rec.task->config().name}});
-  }
-}
-
-void Manager::inject_stall(flow::NfId nf, Cycles restart_after) {
-  assert(config_.lifecycle.enabled && "install a fault plan before start()");
-  NfRecord& rec = records_[nf];
-  if (rec.task->dead() || rec.task->stalled()) return;
-  rec.crashed_at = engine_.now();
-  rec.pending_restart_delay = restart_after;
-  rec.task->stall();
-  if (auto* tr = obs::trace_of(obs_)) {
-    tr->instant(engine_.now(), obs::kLifecycleLane, "life", "inject_stall",
-                {{"nf", rec.task->config().name}});
-  }
-  // A wedged process is spinning, not sleeping: if it was blocked, make it
-  // runnable so it takes (and squats on) the CPU like a real straggler.
-  if (rec.task->state() == sched::TaskState::kBlocked) {
-    rec.core->wake(rec.task);
-  }
-}
-
-void Manager::inject_degrade(flow::NfId nf, double factor) {
-  assert(config_.lifecycle.enabled && "install a fault plan before start()");
-  NfRecord& rec = records_[nf];
-  if (!rec.degraded) {
-    rec.pre_degrade_scale = rec.task->cost_model().scale();
-    rec.degraded = true;
-  }
-  rec.task->cost_model().set_scale(rec.pre_degrade_scale * factor);
-  if (auto* tr = obs::trace_of(obs_)) {
-    tr->instant(engine_.now(), obs::kLifecycleLane, "life", "inject_degrade",
-                {{"nf", rec.task->config().name}},
-                {{"factor_x1000",
-                  static_cast<std::int64_t>(factor * 1000.0)}});
-  }
-}
-
-void Manager::restore_degrade(flow::NfId nf) {
-  NfRecord& rec = records_[nf];
-  if (!rec.degraded) return;
-  rec.task->cost_model().set_scale(rec.pre_degrade_scale);
-  rec.degraded = false;
-  if (auto* tr = obs::trace_of(obs_)) {
-    tr->instant(engine_.now(), obs::kLifecycleLane, "life", "restore_degrade",
-                {{"nf", rec.task->config().name}});
-  }
-}
-
-void Manager::watchdog_scan() {
-  const Cycles now = engine_.now();
-  for (flow::NfId id = 0; id < records_.size(); ++id) {
-    NfRecord& rec = records_[id];
-    if (rec.task == nullptr) continue;  // remote NF: its lane watches it
-    nf::NfTask& task = *rec.task;
-    switch (rec.life) {
-      case fault::NfLifecycle::kRunning: {
-        if (task.dead()) {  // crash injected since the last scan
-          on_nf_death(id, now, /*forced=*/false);
-          break;
-        }
-        // Heartbeat: "progress" is the processed-packet counter advancing.
-        // An NF is a suspect when it makes none despite either holding the
-        // CPU (a spinning straggler) or having work and getting CPU time (a
-        // wedged consumer). A starved-but-healthy NF — work pending, no CPU
-        // granted — is never a suspect, so share starvation cannot be
-        // misdiagnosed as death.
-        const std::uint64_t processed = task.counters().processed;
-        const Cycles runtime = task.stats().runtime;
-        const bool progressed = processed != rec.wd_last_processed;
-        const bool on_cpu = task.state() == sched::TaskState::kRunning;
-        const bool pending =
-            task.in_flight_packets() > 0 || !task.rx_ring().empty();
-        const bool runtime_advanced = runtime != rec.wd_last_runtime;
-        rec.wd_last_processed = processed;
-        rec.wd_last_runtime = runtime;
-        const bool suspect =
-            !progressed && (on_cpu || (pending && runtime_advanced));
-        if (!suspect) {
-          rec.stuck_count = 0;
-          break;
-        }
-        if (++rec.stuck_count >= fault::kStuckScans) {
-          task.crash();  // watchdog kill: SIGKILL the straggler
-          on_nf_death(id, now, /*forced=*/true);
-        }
-        break;
-      }
-      case fault::NfLifecycle::kDead:
-        if (rec.restart_pending && now >= rec.restart_at) {
-          begin_restart(id, now);
-        }
-        break;
-      case fault::NfLifecycle::kRestarting:
-        break;  // waiting on the async cold-state reload
-      case fault::NfLifecycle::kWarming:
-        if (task.dead()) {  // re-crashed before warm-up completed
-          on_nf_death(id, now, /*forced=*/false);
-          break;
-        }
-        if (now >= rec.warm_until) complete_recovery(id, now);
-        break;
-    }
-  }
-}
-
-void Manager::on_nf_death(flow::NfId id, Cycles now, bool forced) {
-  NfRecord& rec = records_[id];
-  const char* from = fault::to_string(rec.life);
-  if (rec.life == fault::NfLifecycle::kWarming) {
-    // Re-crash before full recovery: fold the first outage's downtime in
-    // now, since complete_recovery() will only see the second one.
-    rec.lstats.downtime_cycles += now - rec.down_since;
-  }
-  rec.life = fault::NfLifecycle::kDead;
-  rec.down_since = now;
-  ++rec.lstats.crashes;
-  if (forced) ++rec.lstats.forced_crashes;
-  rec.lstats.last_detect_latency = now - rec.crashed_at;
-  rec.stuck_count = 0;
-
-  // Release the dead process's CPU weight (its cgroup is torn down; CFS
-  // redistributes to the survivors on the same core immediately).
-  if (config_.enable_cgroups) {
-    cgroup_.set_shares(*rec.task, sched::CGroupController::kMinShares);
-    obs::set(rec.cpu_shares,
-             static_cast<double>(sched::CGroupController::kMinShares));
-  }
-  rec.last_load = 0.0;
-  rec.load_accum = 0.0;
-  rec.has_estimate = false;
-  // A dead NF holds no borrowed-from slice: clear any push-aside grab so
-  // the fresh process starts at the neutral weight (its replacement's
-  // shares are re-derived from scratch anyway).
-  rec.push_scale = 1.0;
-  rec.push_hold = 0;
-
-  for (flow::ChainId chain : chains_.chains_through(id)) {
-    if (chain >= dead_on_chain_.size()) dead_on_chain_.resize(chain + 1, 0);
-    ++dead_on_chain_[chain];
-  }
-  // Dead-NF backpressure composition: pin the NF at Throttle so its chains
-  // shed at the entry point, exactly like a queue stuck over the high
-  // watermark. Only when every chain through it wants that policy — a
-  // bypass/buffer chain must keep flowing.
-  if (config_.enable_backpressure && all_policies_backpressure(id)) {
-    bp_->force_dead(id, now);
-  }
-
-  const Cycles delay = rec.pending_restart_delay >= 0
-                           ? rec.pending_restart_delay
-                           : fault::kDefaultRestartDelay;
-  rec.restart_at = now + delay;
-  rec.restart_pending = true;
-  rec.pending_restart_delay = fault::kDefaultRestart;
-  trace_lifecycle(id, from, "DEAD", now);
-  if (shard_link_ != nullptr) {
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kNfDeath;
-    msg.nf = id;
-    broadcast_remote(msg);
-  }
-}
-
-void Manager::begin_restart(flow::NfId id, Cycles now) {
-  NfRecord& rec = records_[id];
-  rec.restart_pending = false;
-  rec.life = fault::NfLifecycle::kRestarting;
-  ++rec.lstats.restarts;
-  trace_lifecycle(id, "DEAD", "RESTARTING", now);
-  // Cold-state reload rides the NF's §3.4 double-buffered async-I/O path
-  // when it has one (state lives behind the same device its handlers use);
-  // stateless NFs pay a fixed spawn+mmap latency instead.
-  if (auto* io = rec.task->io()) {
-    // A failing device must not wedge the restart: if the reload read
-    // exhausts its retry budget, fall back to the stateless spawn latency
-    // (operationally: restore from the warm peer instead of local disk).
-    io->read(
-        fault::kReloadBytes, [this, id] { finish_restart(id); },
-        [this, id] {
-          engine_.schedule_after(fault::kReloadLatency,
-                                 [this, id] { finish_restart(id); });
-        });
-  } else {
-    engine_.schedule_after(fault::kReloadLatency,
-                           [this, id] { finish_restart(id); });
-  }
-}
-
-void Manager::finish_restart(flow::NfId id) {
-  NfRecord& rec = records_[id];
-  if (rec.life != fault::NfLifecycle::kRestarting) return;
-  const Cycles now = engine_.now();
-  rec.life = fault::NfLifecycle::kWarming;
-  rec.warm_until = now + fault::kWarmDuration;
-  rec.task->revive(now);
-  // The fresh process starts at the cgroup default weight; the monitor
-  // re-derives its proportional share once the estimator warms up.
-  if (config_.enable_cgroups) {
-    cgroup_.set_shares(*rec.task, sched::kDefaultWeight);
-    obs::set(rec.cpu_shares, static_cast<double>(sched::kDefaultWeight));
-  }
-  // Drop the dead-NF latch only: the state stays Throttle until the normal
-  // Fig. 4 hysteresis clears it below the low watermark — entry discard
-  // keeps protecting the revived NF while it digests its backlog.
-  if (config_.enable_backpressure) bp_->clear_dead(id, now);
-  for (flow::ChainId chain : chains_.chains_through(id)) {
-    if (chain < dead_on_chain_.size() && dead_on_chain_[chain] > 0) {
-      --dead_on_chain_[chain];
-    }
-  }
-  rec.load_accum = 0.0;
-  rec.offered_accum = 0.0;
-  rec.has_estimate = false;
-  rec.wd_last_processed = rec.task->counters().processed;
-  rec.wd_last_runtime = rec.task->stats().runtime;
-  rec.stuck_count = 0;
-  trace_lifecycle(id, "RESTARTING", "WARMING", now);
-  if (shard_link_ != nullptr) {
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kNfRevive;
-    msg.nf = id;
-    broadcast_remote(msg);
-  }
-  // Its RX ring survived the outage in manager-owned shared memory; if a
-  // backlog is waiting, put the revived process straight to work.
-  if (rec.task->has_runnable_work()) rec.core->wake(rec.task);
-}
-
-void Manager::complete_recovery(flow::NfId id, Cycles now) {
-  NfRecord& rec = records_[id];
-  rec.life = fault::NfLifecycle::kRunning;
-  ++rec.lstats.recoveries;
-  rec.lstats.downtime_cycles += now - rec.down_since;
-  trace_lifecycle(id, "WARMING", "RUNNING", now);
-}
-
-void Manager::skip_dead_hops(pktio::Mbuf* pkt, flow::ChainId chain) {
-  const auto& hops = chains_.get(chain).hops;
-  auto& cc = chain_counters_[chain];
-  while (pkt->chain_pos < hops.size()) {
-    const NfRecord& hop = records_[hops[pkt->chain_pos]];
-    const bool dead = hop.task != nullptr ? hop.task->dead() : hop.remote_dead;
-    if (!dead) break;
-    ++cc.bypassed_hops;
-    ++pkt->chain_pos;
-  }
 }
 
 }  // namespace nfv::mgr

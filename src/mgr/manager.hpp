@@ -15,9 +15,12 @@
 //  * Wakeup    — periodic scan that advances the backpressure state machine,
 //                sets/clears relinquish flags, and posts semaphores of NFs
 //                with pending work (§3.2 "Activating NFs", §3.5).
-//  * Monitor   — 1 ms load estimation (load = λ·s with s the median sampled
-//                service time) and 10 ms cgroup cpu.shares updates
-//                implementing Shares_i = Priority_i · load(i)/TotalLoad(m).
+//  * Monitor   — a 1 ms tick that drives the share allocator's load
+//                estimate (load = λ·s, s the median sampled service time)
+//                and, every 10th tick, its cgroup cpu.shares update.
+// The controllers the Manager drives own their state, and each is called
+// directly at its cadence: the share allocator with its SLO and push-aside
+// multipliers, the admission gate and the lifecycle watchdog.
 #pragma once
 
 #include <cstdint>
@@ -29,28 +32,22 @@
 #include "bp/backpressure.hpp"
 #include "bp/ecn.hpp"
 #include "common/histogram.hpp"
-#include "fault/injector.hpp"
-#include "fault/lifecycle.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/service_chain.hpp"
+#include "mgr/lifecycle.hpp"
+#include "mgr/push_aside.hpp"
 #include "mgr/shard_link.hpp"
+#include "mgr/share_allocator.hpp"
+#include "mgr/slo_controller.hpp"
 #include "nf/nf_task.hpp"
 #include "obs/latency_estimator.hpp"
 #include "obs/observability.hpp"
 #include "pktio/flow_key.hpp"
 #include "pktio/mempool.hpp"
-#include "sched/cgroup.hpp"
 #include "sched/core.hpp"
 #include "sim/engine.hpp"
 
 namespace nfv::mgr {
-
-/// Cap on any chain's SLO share boost (DESIGN.md §16).
-inline constexpr double kSloMaxBoost = 64.0;
-/// Push-aside confiscation floor (DESIGN.md §17): a victim's share scale
-/// never drops below this, so it keeps earning service-time samples and
-/// can recover instantly.
-inline constexpr double kPushVictimFloor = 0.125;
 
 struct ManagerConfig {
   // Feature toggles (the paper's "CGroup", "BKPR" and full-NFVnice bars).
@@ -69,13 +66,9 @@ struct ManagerConfig {
   /// Monitor ticks (1 ms each) per cgroup cpu.shares update: every 10 ms.
   std::uint32_t share_updates_every = 10;
 
-  /// Latency-SLO controller (DESIGN.md §16). The telemetry half — a
-  /// per-chain fixed-window tail estimator fed at egress — is always on;
-  /// the controller half reads each SLO chain's p99 slack once per share
-  /// update and multiplies the shares of the NFs on violating chains,
-  /// layered on the rate-cost-proportional weights (so with every boost
-  /// at 1.0 the allocation is exactly the paper's). Requires
-  /// enable_cgroups: boosts act through the same cpu.shares writes.
+  /// Latency-SLO controller (DESIGN.md §16, mgr/slo_controller.hpp). The
+  /// tail telemetry fed at egress is always on; boosts act through the
+  /// cpu.shares writes, so they require enable_cgroups.
   struct SloConfig {
     /// Run the feedback controller. Telemetry and violation accounting
     /// only need a chain target; they ignore this flag (so a rate-cost
@@ -84,15 +77,8 @@ struct ManagerConfig {
   };
   SloConfig slo;
 
-  /// PAM-style push-aside (DESIGN.md §17): when an NF's RX queue sits over
-  /// the backpressure high watermark and a *lower-priority* NF shares its
-  /// core, the Manager temporarily confiscates a share slice from the
-  /// neighbor instead of letting the overload propagate upstream —
-  /// multiplicative grab, additive give-back, and a floor so the victim
-  /// never fully starves. The per-victim scale composes with the SLO boost
-  /// inside update_shares() (both multiply the rate-cost weight), and like
-  /// the boost it settles to exactly 1.0, so disabled runs are
-  /// byte-identical (literal-1.0 discipline).
+  /// PAM-style push-aside (DESIGN.md §17, mgr/push_aside.hpp): a pressured
+  /// NF borrows share from lower-priority NFs on its core.
   struct PushAsideConfig {
     bool enabled = false;
   };
@@ -105,9 +91,6 @@ struct ManagerConfig {
 
   bp::BpConfig backpressure;
   bp::EcnMarker::Config ecn;
-  /// Fault & lifecycle subsystem (DESIGN.md §11). Disabled by default: no
-  /// watchdog events are scheduled, so unfaulted runs replay exactly.
-  fault::LifecycleConfig lifecycle;
   /// NUMA node whose memory the NIC DMAs packets into.
   int nic_numa_node = 0;
 };
@@ -158,23 +141,7 @@ struct FlowCounters {
   std::uint64_t ecn_marked = 0;
 };
 
-/// Per-chain SLO state (DESIGN.md §16). Lives on every lane replica; the
-/// violation clock only advances on the lane owning the chain's last hop
-/// (where the estimator records), so summing violation_cycles across lanes
-/// never double-counts. `boost` is maintained wherever the chain has local
-/// NFs, from the same (possibly mirrored) p99 sequence on every lane.
-struct ChainSloState {
-  Cycles target = 0;           ///< p99 target in cycles; 0 = no SLO
-  double boost = 1.0;          ///< current share multiplier (>= 1.0)
-  bool violating = false;      ///< p99 over target at the last evaluation
-  Cycles violation_cycles = 0; ///< total time spent in violation
-  Cycles last_p99 = 0;         ///< latest evaluated p99 (local or mirrored)
-  /// Consecutive share updates spent under headroom*target (resets on any
-  /// violation); gates decay, see kSloDecayAfter in manager.cpp.
-  std::uint32_t clear_streak = 0;
-};
-
-class Manager : public fault::FaultSink {
+class Manager {
  public:
   using EgressSink = std::function<void(const pktio::Mbuf&)>;
 
@@ -210,18 +177,15 @@ class Manager : public fault::FaultSink {
   void register_remote_nf(flow::NfId id, std::string name,
                           std::uint32_t owner_lane);
 
-  /// Does this lane's replica own (run) the NF?
-  [[nodiscard]] bool owns_nf(flow::NfId id) const {
-    return id < records_.size() && records_[id].task != nullptr;
-  }
-
   /// Deliver a cross-lane message. Called from an engine event the lane
   /// runtime scheduled at msg.when while draining this lane's mailboxes.
   void apply_shard_msg(const ShardMsg& msg);
 
-  /// Arm the Wakeup and Monitor threads. Call after all NFs and chains are
-  /// registered and before traffic starts.
-  void start();
+  /// Arm the Wakeup and Monitor threads, hand the controllers the lane's
+  /// NFs and, given the per-chain dead-NF policy table `lifecycle` (which
+  /// must outlive the Manager), arm the watchdog (DESIGN.md §11). Call once
+  /// all NFs and chains are registered, before traffic starts.
+  void start(const std::vector<fault::DeadNfPolicy>* lifecycle = nullptr);
 
   /// Flip the control-plane features at runtime (they are consulted on
   /// every packet). Used by config files and A/B experiments.
@@ -232,15 +196,10 @@ class Manager : public fault::FaultSink {
   }
   [[nodiscard]] const ManagerConfig& config() const { return config_; }
 
-  /// Rx-thread entry: a packet arrived from the wire. Takes ownership of
-  /// `pkt` (frees it on drop). `key` drives the flow-table lookup.
-  void ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key);
-
-  /// Same, with an explicit wire-arrival timestamp (<= now). Batched
-  /// traffic sources deliver several packets from one timer callback; the
-  /// per-packet arrival time keeps latency accounting, ECN and watermark
-  /// feedback stamped at the exact instants an unbatched source would have
-  /// produced. A burst of one through the burst path's code.
+  /// Rx-thread entry: a packet of flow `key` arrived from the wire at
+  /// `arrival` (<= now; a batched source stamps each packet's own instant).
+  /// Takes ownership of `pkt` (frees it on drop). A burst of one through
+  /// the burst path's code.
   void ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key, Cycles arrival);
 
   /// Rx-thread entry for one source burst: `n` packets of flow `key`
@@ -271,7 +230,6 @@ class Manager : public fault::FaultSink {
   void set_egress_sink(flow::FlowId flow, EgressSink sink);
 
   // -- accessors ------------------------------------------------------------
-  [[nodiscard]] nf::NfTask& nf(flow::NfId id) { return *records_[id].task; }
   [[nodiscard]] const NfManagerCounters& nf_counters(flow::NfId id) const {
     return records_[id].counters;
   }
@@ -283,11 +241,14 @@ class Manager : public fault::FaultSink {
   [[nodiscard]] const obs::LatencyEstimator& chain_tail(flow::ChainId id) const;
 
   // -- latency SLOs (DESIGN.md §16) -----------------------------------------
-  /// Set a chain's p99 latency target in cycles (0 clears it). Telemetry
-  /// and violation accounting follow the target; share boosts additionally
-  /// need config().slo.enabled. Callable before or after start().
+  /// Set a chain's p99 latency target in cycles (0 clears it); the first
+  /// target arms the SLO controller. Telemetry and violation accounting
+  /// follow the target; share boosts additionally need config().slo.enabled.
+  /// Callable before or after start().
   void set_slo_target(flow::ChainId chain, Cycles target);
-  [[nodiscard]] const ChainSloState& chain_slo(flow::ChainId id) const;
+  [[nodiscard]] const ChainSloState& chain_slo(flow::ChainId id) const {
+    return slo_ != nullptr ? slo_->state(id) : kNoSlo;
+  }
 
   // -- overload control (DESIGN.md §17) --------------------------------------
   /// Register a chain's flow class and arm the ingress admission gate for
@@ -298,109 +259,40 @@ class Manager : public fault::FaultSink {
   [[nodiscard]] const bp::AdmissionController* admission() const {
     return adm_.get();
   }
-  /// Push-aside trajectory of an NF: current share scale (1.0 = untouched,
-  /// < 1.0 = a neighbor is borrowing its slice) and grab/give-back totals.
-  [[nodiscard]] double push_scale_of(flow::NfId id) const {
-    return records_[id].push_scale;
-  }
-  [[nodiscard]] std::uint64_t push_grabs_of(flow::NfId id) const {
-    return records_[id].push_grabs;
-  }
-  [[nodiscard]] std::uint64_t push_givebacks_of(flow::NfId id) const {
-    return records_[id].push_givebacks;
-  }
+  /// Push-aside; nullptr unless config().push_aside.enabled.
+  [[nodiscard]] const PushAside* push_aside() const { return push_.get(); }
   [[nodiscard]] const FlowCounters& flow_counters(flow::FlowId id) const;
   [[nodiscard]] bp::BackpressureManager* backpressure() { return bp_.get(); }
   [[nodiscard]] bp::EcnMarker* ecn() { return ecn_.get(); }
-  [[nodiscard]] const sched::CGroupController& cgroups() const { return cgroup_; }
-  [[nodiscard]] std::size_t nf_count() const { return records_.size(); }
-  [[nodiscard]] sched::Core* core_of(flow::NfId id) { return records_[id].core; }
+  [[nodiscard]] const sched::CGroupController& cgroups() const {
+    return alloc_.cgroups();
+  }
   /// Most recent load(i) estimate (dimensionless CPU demand fraction).
-  [[nodiscard]] double nf_load(flow::NfId id) const { return records_[id].last_load; }
+  [[nodiscard]] double nf_load(flow::NfId id) const { return alloc_.load(id); }
   [[nodiscard]] std::uint64_t wire_ingress() const { return wire_ingress_; }
 
   // -- fault & lifecycle (DESIGN.md §11) ------------------------------------
-  /// Arm the watchdog at start(). Implied by installing a fault plan via
-  /// the Simulation facade; call before start().
-  void enable_lifecycle();
-  /// Chain policy applied while an NF on the chain is down. Callable any
-  /// time; unset chains use fault::kDefaultDeadPolicy.
-  void set_dead_policy(flow::ChainId chain, fault::DeadNfPolicy policy);
-  [[nodiscard]] fault::DeadNfPolicy dead_policy(flow::ChainId chain) const;
-  [[nodiscard]] fault::NfLifecycle nf_lifecycle(flow::NfId id) const {
-    return records_[id].life;
-  }
+  /// The lifecycle watchdog and the injector's FaultSink; nullptr unless
+  /// start() was given a policy table.
+  [[nodiscard]] Lifecycle* lifecycle() { return life_.get(); }
+  /// Zero without a lifecycle.
   [[nodiscard]] const fault::NfLifecycleStats& nf_lifecycle_stats(
       flow::NfId id) const {
-    return records_[id].lstats;
+    static const fault::NfLifecycleStats kNone{};
+    return life_ != nullptr ? life_->stats(id) : kNone;
   }
 
-  // fault::FaultSink — the injector's actuation points. Injection is the
-  // data-plane fact (the process dies *now*); the watchdog discovers it on
-  // its next scan and drives the lifecycle from there.
-  void inject_crash(flow::NfId nf, Cycles restart_after) override;
-  void inject_stall(flow::NfId nf, Cycles restart_after) override;
-  void inject_degrade(flow::NfId nf, double factor) override;
-  void restore_degrade(flow::NfId nf) override;
-
  private:
+  friend class Lifecycle;
+
   struct NfRecord {
     nf::NfTask* task = nullptr;  ///< nullptr = remote NF (another lane's).
     sched::Core* core = nullptr;
     std::string name;            ///< config name (local) or mirrored name.
     std::uint32_t owner_lane = 0;  ///< Lane running the NF when remote.
-    /// Mirrored liveness of a remote NF (kNfDeath/kNfRevive broadcasts);
-    /// lets skip_dead_hops route around dead hops on other lanes.
-    bool remote_dead = false;
     NfManagerCounters counters;
     bool drain_scheduled = false;
-    std::uint64_t offered_at_last_tick = 0;
-    double load_accum = 0.0;
-    double last_load = 0.0;
-    /// Offered packets seen since the last share update (drives the
-    /// "no estimate yet" bootstrap rule in update_shares()).
-    double offered_accum = 0.0;
-    bool has_estimate = false;
-    /// Last non-zero service-time estimate (cycles). An NF starved past
-    /// the sampling window would otherwise flap to "unknown" and destabilise
-    /// every other NF's weight through the shared denominator.
-    double last_service = 0.0;
-    // Observability instruments (null until an obs context is attached).
-    obs::Counter* ecn_marks = nullptr;
-    obs::Counter* shares_writes = nullptr;
-    obs::Gauge* cpu_shares = nullptr;
-
-    // -- lifecycle (DESIGN.md §11) ----------------------------------------
-    fault::NfLifecycle life = fault::NfLifecycle::kRunning;
-    fault::NfLifecycleStats lstats;
-    Cycles crashed_at = 0;     ///< Injection instant of the pending death.
-    Cycles down_since = 0;     ///< Detection instant (downtime starts here).
-    Cycles restart_at = 0;     ///< When the DEAD -> RESTARTING edge fires.
-    Cycles warm_until = 0;     ///< When WARMING completes.
-    bool restart_pending = false;
-    /// Detection -> restart delay for the in-flight fault
-    /// (fault::kDefaultRestart = fault::kDefaultRestartDelay).
-    Cycles pending_restart_delay = fault::kDefaultRestart;
-    // Watchdog stuck detection: progress snapshots from the last scan.
-    std::uint64_t wd_last_processed = 0;
-    Cycles wd_last_runtime = 0;
-    std::uint32_t stuck_count = 0;
-    // Degrade fault: cost-model scale to restore when the window closes.
-    double pre_degrade_scale = 1.0;
-    bool degraded = false;
-
-    // -- PAM push-aside (DESIGN.md §17) -------------------------------------
-    /// Share multiplier while a higher-priority core neighbor borrows this
-    /// NF's slice; in [kPushVictimFloor, 1.0], settles to exactly 1.0.
-    double push_scale = 1.0;
-    /// Share updates the current grab must still be held before give-back.
-    std::uint32_t push_hold = 0;
-    /// Queue pressure seen at any monitor tick since the last share
-    /// update — sampling only at the 10 ms update would miss a ring that
-    /// oscillates across the watermark between updates.
-    bool push_pressure = false;
-    std::uint64_t push_grabs = 0;
-    std::uint64_t push_givebacks = 0;
+    obs::Counter* ecn_marks = nullptr;  ///< null until obs is attached.
   };
 
   // -- data plane: every hand-off moves a run of packets --------------------
@@ -419,15 +311,11 @@ class Manager : public fault::FaultSink {
   void hand_off(pktio::Mbuf** pkts, std::size_t n);
   void enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
                      std::size_t n);
-  /// Does kBypass currently route `chain`'s packets around a dead hop?
   [[nodiscard]] bool bypassing(flow::ChainId chain) const {
-    return chain < dead_on_chain_.size() && dead_on_chain_[chain] > 0 &&
-           dead_policy(chain) == fault::DeadNfPolicy::kBypass;
+    return life_ != nullptr && life_->bypassing(chain);
   }
-  /// First hop of `chain`, from the start()-built cache. The registry walk
-  /// (`chains_.get(id).hops.front()`: bounds-checked at(), two pointer
-  /// chases) used to run once per throttled-ingress packet, per ECN mark
-  /// and per egress; the flat array is one load.
+  /// First hop of `chain`, from the start()-built cache: one load instead
+  /// of a bounds-checked registry walk per packet.
   [[nodiscard]] flow::NfId chain_head(flow::ChainId chain) const {
     return chain < chain_heads_.size() ? chain_heads_[chain]
                                        : chains_.get(chain).hops.front();
@@ -437,61 +325,20 @@ class Manager : public fault::FaultSink {
   /// Stamp msg.when = now + shard latency in place and post to `dst`'s
   /// mailbox, which keeps its own copy.
   void post_remote(std::uint32_t dst, ShardMsg& msg);
-  /// Post to every lane but ours (bp / lifecycle control mirrors).
+  /// Post to every lane but ours (bp / lifecycle / SLO control mirrors).
   void broadcast_remote(ShardMsg& msg);
   void schedule_drain(flow::NfId nf_id);
   void drain_tx(flow::NfId nf_id);
   /// Egress a run of one chain's packets; frees them.
   void egress(pktio::Mbuf* const* pkts, std::size_t n);
   void wakeup_scan();
+  /// The Monitor: per tick the load estimate, SLO observe, admission and
+  /// the push-aside latch; per share update the boost, push-aside, shares.
   void monitor_tick();
-  void update_shares();
-  void drop(pktio::Mbuf* pkt);
-
-  // -- latency SLOs (DESIGN.md §16) -----------------------------------------
-  /// Monitor-tick half: on the lane owning each SLO chain's last hop,
-  /// re-rank the window, advance the violation clock, emit trace edges and
-  /// (sharded, controller on) broadcast the p99 mirror.
-  void slo_observe(Cycles now);
-  /// Share-update half: earliest-slack-first boost of violating chains,
-  /// decay of recovered ones. Only called when config_.slo.enabled.
-  void slo_control(Cycles now);
-  /// Share multiplier for an NF: max boost over the SLO chains through it.
-  [[nodiscard]] double slo_boost_of(flow::NfId id) const;
-  [[nodiscard]] bool slo_active() const {
-    return !slo_chains_.empty();
-  }
-
-  // -- overload control (DESIGN.md §17) --------------------------------------
   /// Monitor-tick half of the admission gate: feed the shed ladders the
   /// first-hop queue occupancies and SLO-violating flags of every classed
   /// chain headed on this lane. Only called when adm_ exists.
   void admission_evaluate(Cycles now);
-  /// Share-update half of push-aside: advance every local core's
-  /// grab/give-back state machine. Only called when push_aside.enabled.
-  void push_aside_control(Cycles now);
-
-  // -- lifecycle internals (DESIGN.md §11) ----------------------------------
-  /// Periodic heartbeat scan: detects dead/stuck NFs, fires due restarts,
-  /// completes warm-ups. Only scheduled when lifecycle.enabled.
-  void watchdog_scan();
-  /// RUNNING -> DEAD: release shares, apply the dead-NF policy, arm restart.
-  /// `forced` = the watchdog killed a stuck NF (vs an injected crash).
-  void on_nf_death(flow::NfId id, Cycles now, bool forced);
-  /// DEAD -> RESTARTING: cold-state reload through the NF's async-io layer
-  /// (§3.4 double-buffered path) or a fixed fallback latency without one.
-  void begin_restart(flow::NfId id, Cycles now);
-  /// RESTARTING -> WARMING: revive the task, restore weight, drop the
-  /// dead-NF backpressure latch (ordinary hysteresis takes over).
-  void finish_restart(flow::NfId id);
-  /// WARMING -> RUNNING: record downtime and resume share allocation.
-  void complete_recovery(flow::NfId id, Cycles now);
-  /// kBypass routing: advance `pkt` past consecutive dead hops, counting
-  /// each skip. Fast exit when nothing on the chain is down.
-  void skip_dead_hops(pktio::Mbuf* pkt, flow::ChainId chain);
-  [[nodiscard]] bool all_policies_backpressure(flow::NfId nf) const;
-  void trace_lifecycle(flow::NfId id, const char* from, const char* to,
-                       Cycles now);
 
   sim::Engine& engine_;
   pktio::MbufPool& pool_;
@@ -502,21 +349,15 @@ class Manager : public fault::FaultSink {
   std::vector<NfRecord> records_;
   std::vector<ChainCounters> chain_counters_;
   std::vector<Histogram> chain_latency_;
-  /// Per-chain tail estimators (fed at egress) and SLO state. Sized with
-  /// chain_counters_ at start(); lazily grown for out-of-registry ids.
+  /// Per-chain tail estimators, fed at egress. Sized with chain_counters_
+  /// at start(); lazily grown for out-of-registry ids.
   std::vector<obs::LatencyEstimator> chain_tail_;
-  std::vector<ChainSloState> chain_slo_;
-  /// Chains with a target, ascending — the slice the SLO paths scan.
-  std::vector<flow::ChainId> slo_chains_;
   std::vector<FlowCounters> flow_counters_;
   std::vector<EgressSink> egress_sinks_;
   /// chain id -> first hop, frozen at start(). Hot paths that only need the
   /// chain head (entry-throttle accounting, ECN/egress flow-home routing)
   /// read this instead of walking the registry per packet.
   std::vector<flow::NfId> chain_heads_;
-  /// chain id -> last hop, frozen at start(). The SLO paths use it to pick
-  /// each chain's estimator-owning lane (egress happens on this hop's lane).
-  std::vector<flow::NfId> chain_tails_hop_;
 
   std::unique_ptr<bp::BackpressureManager> bp_;
   std::unique_ptr<bp::EcnMarker> ecn_;
@@ -525,21 +366,17 @@ class Manager : public fault::FaultSink {
   std::unique_ptr<bp::AdmissionController> adm_;
   /// Scratch inputs for admission_evaluate (reused to avoid allocation).
   std::vector<bp::AdmissionInput> adm_inputs_;
-  sched::CGroupController cgroup_;
+  /// The Monitor's controllers. Only the allocator always exists.
+  ShareAllocator alloc_;
+  std::unique_ptr<SloController> slo_;
+  std::unique_ptr<PushAside> push_;
+  std::unique_ptr<Lifecycle> life_;
 
   std::uint64_t wire_ingress_ = 0;
   /// Descriptors of the admitted source burst being ingested.
   std::vector<pktio::Mbuf*> rx_burst_;
   std::uint32_t monitor_ticks_ = 0;
   bool started_ = false;
-
-  /// Dead-NF refcount per chain: gates every lifecycle branch on the packet
-  /// path, so unfaulted runs (and runs where everything recovered) pay one
-  /// integer compare and nothing else.
-  std::vector<std::uint32_t> dead_on_chain_;
-  /// Per-chain DeadNfPolicy override; chains beyond the vector (or never
-  /// set) use fault::kDefaultDeadPolicy.
-  std::vector<fault::DeadNfPolicy> chain_policy_;
 
   obs::Observability* obs_ = nullptr;
   obs::Counter* ctr_unmatched_drops_ = nullptr;

@@ -45,8 +45,8 @@ Cycles CostModel::sample(pktio::Mbuf& mbuf) {
       base = probe_(mbuf);
       break;
   }
-  const auto scaled = static_cast<Cycles>(static_cast<double>(base) * scale_);
-  return std::max<Cycles>(1, scaled);
+  // set_scale and the costs themselves are unchecked: saturate.
+  return saturate_cycles(static_cast<double>(base) * scale_, 1);
 }
 
 Cycles CostModel::nominal() const {

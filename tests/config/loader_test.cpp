@@ -197,6 +197,11 @@ TEST(ConfigLoader, OutOfRangeNumbersCarryLineNumbers) {
       {"device_fault wedge at=-0.5", 4, "at"},
       {"device_fault wedge at=0.1 for=-2", 4, "for"},
       {"slo c target_us=1e300", 4, "target_us"},
+      {"udp c rate=1e6\nfault slow a at=0.001 factor=1e300 for=0.002", 5,
+       "factor"},
+      {"udp c rate=1e6\nio a mode=sync\ndevice_fault slow at=0.001 "
+       "factor=1e300\nfault crash a at=0.002",
+       6, "factor"},
   };
   for (const Case& c : cases) {
     Simulation sim;
@@ -258,9 +263,9 @@ TEST(ConfigLoader, FaultDirectivesParsed) {
     on_dead ab backpressure
   )",
                                 sim);
-  // Any fault directive arms the lifecycle subsystem.
-  EXPECT_TRUE(sim.manager().config().lifecycle.enabled);
   sim.run_for_seconds(0.1);
+  // Any fault directive arms the lifecycle subsystem.
+  EXPECT_NE(sim.manager().lifecycle(), nullptr);
   const auto& ls = sim.nf_lifecycle_stats(topo.nfs.at("b"));
   EXPECT_EQ(ls.crashes, 1u);
   EXPECT_EQ(ls.recoveries, 1u);
@@ -288,7 +293,8 @@ TEST(ConfigLoader, FaultStallAndBypassParsed) {
 TEST(ConfigLoader, NoFaultDirectiveLeavesLifecycleDisabled) {
   Simulation sim;
   load_string("core batch\nnf a core=0 cost=100\nchain c a\n", sim);
-  EXPECT_FALSE(sim.manager().config().lifecycle.enabled);
+  sim.run_for_seconds(0.001);
+  EXPECT_EQ(sim.manager().lifecycle(), nullptr);
 }
 
 TEST(ConfigLoader, FaultUnknownNfFails) {

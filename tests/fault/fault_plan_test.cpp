@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nfv::fault {
 namespace {
 
@@ -39,6 +41,23 @@ TEST(FaultPlan, RejectsBadDegradeParameters) {
   // Zero duration means "until the end of the run" and is fine.
   plan.add_degrade(0, 1000, 2.0, 0);
   EXPECT_EQ(plan.specs().size(), 1u);
+}
+
+// A slow-down factor is bounded like io_retry's multiplier: beyond it a
+// scaled service or setup time leaves Cycles' range. NaN fails every
+// comparison, so it must be refused too.
+TEST(FaultPlan, RejectsSlowFactorsOutsideTheirRange) {
+  FaultPlan plan;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double factor : {1e300, 2 * kMaxSlowFactor, nan}) {
+    EXPECT_THROW(plan.add_degrade(0, 1000, factor, 100), FaultError) << factor;
+    EXPECT_THROW(plan.add_device_slow(1000, factor, 100), FaultError)
+        << factor;
+  }
+  EXPECT_TRUE(plan.empty());
+  plan.add_degrade(0, 1000, kMaxSlowFactor, 100);
+  plan.add_device_slow(1000, kMaxSlowFactor, 100);
+  EXPECT_EQ(plan.size(), 2u);
 }
 
 TEST(FaultPlan, RejectsOverlappingWindowsOnOneNf) {

@@ -22,8 +22,6 @@ TEST(Lifecycle, PolicyNames) {
 // constants; changing them invalidates the detection-latency guarantees
 // stated there, so pin them.
 TEST(Lifecycle, ConfigDefaults) {
-  LifecycleConfig cfg;
-  EXPECT_FALSE(cfg.enabled);
   EXPECT_EQ(kWatchdogPeriod, 260'000);        // 100 us at 2.6 GHz
   EXPECT_EQ(kStuckScans, 3u);
   EXPECT_EQ(kDefaultRestartDelay, 2'600'000);  // 1 ms

@@ -164,15 +164,15 @@ struct PushRig {
 TEST(OverloadPushAside, GrabIsBoundedAndPrioritized) {
   PushRig r(/*stop_seconds=*/-1.0);
   r.sim->run_for_seconds(0.3);
-  const auto& mgr = r.sim->manager();
+  const auto& pam = *r.sim->manager().push_aside();
   const double floor = mgr::kPushVictimFloor;
-  EXPECT_GT(mgr.push_grabs_of(r.hog_nf), 0u)
+  EXPECT_GT(pam.grabs(r.hog_nf), 0u)
       << "pressured high-priority neighbor must confiscate a slice";
-  EXPECT_GE(mgr.push_scale_of(r.hog_nf), floor) << "grab must respect floor";
-  EXPECT_LT(mgr.push_scale_of(r.hog_nf), 1.0);
+  EXPECT_GE(pam.scale(r.hog_nf), floor) << "grab must respect floor";
+  EXPECT_LT(pam.scale(r.hog_nf), 1.0);
   // The aggressor is never scaled: no higher-priority neighbor exists.
-  EXPECT_DOUBLE_EQ(mgr.push_scale_of(r.gold_nf), 1.0);
-  EXPECT_EQ(mgr.push_grabs_of(r.gold_nf), 0u);
+  EXPECT_DOUBLE_EQ(pam.scale(r.gold_nf), 1.0);
+  EXPECT_EQ(pam.grabs(r.gold_nf), 0u);
 }
 
 TEST(OverloadPushAside, GiveBackSettlesToExactlyOne) {
@@ -181,10 +181,10 @@ TEST(OverloadPushAside, GiveBackSettlesToExactlyOne) {
   // rate-cost allocation — well before 1.0 s.
   PushRig r(/*stop_seconds=*/0.2);
   r.sim->run_for_seconds(1.0);
-  const auto& mgr = r.sim->manager();
-  EXPECT_GT(mgr.push_grabs_of(r.hog_nf), 0u);
-  EXPECT_GT(mgr.push_givebacks_of(r.hog_nf), 0u);
-  EXPECT_DOUBLE_EQ(mgr.push_scale_of(r.hog_nf), 1.0);
+  const auto& pam = *r.sim->manager().push_aside();
+  EXPECT_GT(pam.grabs(r.hog_nf), 0u);
+  EXPECT_GT(pam.givebacks(r.hog_nf), 0u);
+  EXPECT_DOUBLE_EQ(pam.scale(r.hog_nf), 1.0);
 }
 
 TEST(OverloadCompose, BoostPushAsideAndCrashRecoveryOnOneCore) {
@@ -223,9 +223,9 @@ TEST(OverloadCompose, BoostPushAsideAndCrashRecoveryOnOneCore) {
     // hold (0.4 s at one action per hold period of 5 evals = at most ~80).
     EXPECT_GE(sim.chain_slo_report(gold).boost, 1.0);
     EXPECT_LE(sim.chain_slo_report(gold).boost, mgr::kSloMaxBoost);
-    const auto& mgr = sim.manager();
-    EXPECT_GE(mgr.push_scale_of(hog_nf), mgr::kPushVictimFloor);
-    EXPECT_LE(mgr.push_scale_of(hog_nf), 1.0);
+    const auto& pam = *sim.manager().push_aside();
+    EXPECT_GE(pam.scale(hog_nf), mgr::kPushVictimFloor);
+    EXPECT_LE(pam.scale(hog_nf), 1.0);
     const auto gr = sim.chain_admission_report(gold);
     const auto hr = sim.chain_admission_report(hog);
     EXPECT_LT(gr.engagements + gr.releases + hr.engagements + hr.releases,

@@ -61,6 +61,12 @@ constexpr Pin kPins[] = {
      0xb2ebe561d930b386},
     {"WorkerCountBeyondLanesIsClamped", 1, 0x41d14b773a8a6e11,
      0x58ba492c76849b44},
+    // Captured at commit 95cce11, before the Manager's controllers moved
+    // into classes of their own.
+    {"BoostPushAsideAdmissionAndCrash", 0, 0x34a2af85f4c08e04,
+     0xb74c8ba7a580d30a},
+    {"BoostPushAsideAdmissionAndCrash", 1, 0xae1bb39b30020c36,
+     0x6b1b4b5039baf6b8},
 };
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -303,6 +309,73 @@ TEST(ShardDeterminism, DeviceFaultWithAsyncIo) {
         return finish(sim, rec);
       },
       {1, 2});
+}
+
+// Every share controller armed at once, on chains that cross lanes: the
+// SLO boost and push-aside both on, two classed chains the admission gate
+// sheds between, and a crash with a restart. The overload stops at 20 ms,
+// so the grabs are given back before the end. The pins cover the bytes
+// each controller writes: boosts, grabs and give-backs, sheds, lifecycle
+// edges and the shares they all feed.
+TEST(ShardDeterminism, BoostPushAsideAdmissionAndCrash) {
+  expect_identical(
+      [](std::uint32_t shards) {
+        PlatformConfig cfg;
+        cfg.sim_shards = shards;
+        cfg.manager.slo.enabled = true;
+        cfg.manager.push_aside.enabled = true;
+        Simulation sim(cfg);
+        const auto c0 = sim.add_core(SchedPolicy::kCfsNormal);
+        const auto c1 = sim.add_core(SchedPolicy::kCfsNormal);
+        nfv::core::NfOptions gold_opts;
+        gold_opts.priority = 2.0;
+        gold_opts.rx_capacity = 256;
+        const auto gate = sim.add_nf("gate", c0, nfv::nf::CostModel::fixed(600));
+        const auto gold_nf = sim.add_nf(
+            "gold_nf", c1, nfv::nf::CostModel::fixed(1200), gold_opts);
+        const auto bulk_nf =
+            sim.add_nf("bulk_nf", c1, nfv::nf::CostModel::fixed(50));
+        const auto hog = sim.add_nf("hog", c1, nfv::nf::CostModel::fixed(600));
+        const auto gold = sim.add_chain("gold", {gate, gold_nf});
+        const auto bulk = sim.add_chain("bulk", {gate, bulk_nf});
+        const auto hog_chain = sim.add_chain("hog", {hog});
+        sim.set_chain_slo(gold, 300.0);
+        sim.set_chain_class(gold, /*priority=*/4.0, /*utility=*/10.0);
+        sim.set_chain_class(bulk, /*priority=*/1.0, /*utility=*/2.0);
+        nfv::core::UdpOptions overload;
+        overload.stop_seconds = 0.02;
+        sim.add_udp_flow(gold, 0.5e6);
+        sim.add_udp_flow(bulk, 8e6, overload);
+        sim.add_udp_flow(hog_chain, 5e6, overload);
+        nfv::fault::FaultPlan plan;
+        plan.add_crash(bulk_nf, sim.clock().from_seconds(0.005),
+                       sim.clock().from_seconds(0.002));
+        sim.set_fault_plan(std::move(plan));
+        nfv::obs::TraceRecorder rec;
+        sim.attach_trace(rec);
+        sim.run_for_seconds(0.075);
+
+        // Every controller acted, so every pinned path wrote bytes.
+        bool boosted = false;
+        std::uint64_t grabs = 0;
+        std::uint64_t givebacks = 0;
+        for (const auto& ev : rec.events()) {
+          const auto d = rec.decode(ev);
+          if (d.name == "chain_boost" && d.num_args.at(0).second > 1000) {
+            boosted = true;
+          }
+          grabs += d.name == "grab" ? 1 : 0;
+          givebacks += d.name == "give_back" ? 1 : 0;
+        }
+        EXPECT_TRUE(boosted) << "no SLO boost rose above 1";
+        EXPECT_GT(grabs, 0u);
+        EXPECT_GT(givebacks, 0u);
+        EXPECT_GT(sim.chain_admission_report(bulk).engagements, 0u);
+        EXPECT_EQ(sim.nf_lifecycle_stats(bulk_nf).crashes, 1u);
+        EXPECT_EQ(sim.nf_lifecycle_stats(bulk_nf).recoveries, 1u);
+        return finish(sim, rec);
+      },
+      {1, 2, 4});
 }
 
 // Requesting more workers than there are lanes clamps silently; the

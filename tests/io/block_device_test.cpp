@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nfv::io {
 namespace {
 
@@ -95,6 +97,20 @@ TEST(BlockDeviceFault, SlowWindowScalesSetupLatency) {
   dev.submit(50, [&](const IoResult&) { healthy = engine.now(); });
   engine.run();
   EXPECT_EQ(healthy, 350 + 150);  // back to the exact integer path
+}
+
+TEST(BlockDeviceFault, HugeSlowFactorSaturatesTheSchedule) {
+  // The setup latency saturates at 2^62 cycles instead of overflowing its
+  // conversion, and a request queued behind it is due at the end of time
+  // rather than past it.
+  sim::Engine engine;
+  BlockDevice dev(engine, fast_config());
+  dev.inject_device_fault(fault::DeviceFaultKind::kSlow, 1e300);
+  dev.submit(50, [](const IoResult&) {});
+  EXPECT_EQ(dev.busy_cycles(), (Cycles{1} << 62) + 50);
+  dev.submit(50, [](const IoResult&) {});
+  EXPECT_EQ(dev.busy_cycles(), std::numeric_limits<Cycles>::max());
+  EXPECT_EQ(dev.inflight_requests(), 2u);
 }
 
 TEST(BlockDeviceFault, ErrorWindowFailsWithFullServiceTime) {

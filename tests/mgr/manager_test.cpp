@@ -33,7 +33,7 @@ TEST(Manager, UnmatchedTrafficIsDroppedNotCrashed) {
   pktio::Mbuf* pkt = sim.pool().alloc();
   ASSERT_NE(pkt, nullptr);
   pktio::FlowKey unknown{99, 99, 9, 9, 17};
-  sim.manager().ingress(pkt, unknown);
+  sim.manager().ingress(pkt, unknown, sim.engine().now());
   EXPECT_EQ(sim.pool().in_use(), 0u);  // freed on the miss path
   EXPECT_EQ(sim.manager().wire_ingress(), 1u);
 }

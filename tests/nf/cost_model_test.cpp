@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 namespace nfv::nf {
@@ -77,6 +78,17 @@ TEST(CostModel, ScaleNeverProducesZero) {
   pktio::Mbuf m;
   model.set_scale(0.0);
   EXPECT_EQ(model.sample(m), 1);  // floor at one cycle
+}
+
+TEST(CostModel, ScaleBeyondCyclesRangeSaturates) {
+  // Converting the scaled cost to Cycles would overflow: it saturates at
+  // 2^62 cycles instead, and a NaN scale takes the one-cycle floor.
+  CostModel model = CostModel::fixed(120);
+  pktio::Mbuf m;
+  model.set_scale(1e300);
+  EXPECT_EQ(model.sample(m), Cycles{1} << 62);
+  model.set_scale(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(model.sample(m), 1);
 }
 
 TEST(CostModel, NominalIsMeanOfChoices) {
