@@ -58,15 +58,14 @@ inline constexpr Sched kRr100{"RR(100ms)", SchedPolicy::kRoundRobin, 100.0};
 inline constexpr Sched kAllScheds[] = {kNormal, kBatch, kRr1, kRr100};
 
 /// Worker count for the sharded engine (DESIGN.md §14), stamped into every
-/// PlatformConfig make_config() builds. Set by --shards; when it stays 0
-/// the NFV_SIM_SHARDS environment variable applies inside Simulation
-/// (mirroring how NFV_BENCH_WORKERS drives the experiment pool).
+/// PlatformConfig make_config() builds. Set by --shards; 0 (the default)
+/// runs one lane holding every core.
 inline std::uint32_t& cli_shards() {
   static std::uint32_t shards = 0;
   return shards;
 }
 
-/// Parse `--shards N` / `--shards=N` (flag wins over NFV_SIM_SHARDS).
+/// Parse `--shards N` / `--shards=N`.
 inline void parse_shards(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);

@@ -13,6 +13,7 @@
 // chrome://tracing or https://ui.perfetto.dev) plus report.json (the
 // machine-readable counterpart of the printed report).
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -25,9 +26,18 @@ struct Result {
   std::uint64_t wasted_drops;
 };
 
+/// NFV_SIM_SHARDS=N (a positive integer) runs the simulation on the
+/// sharded engine, one lane per core, with N workers (DESIGN.md §14).
+std::uint32_t shards_from_env() {
+  const char* env = std::getenv("NFV_SIM_SHARDS");
+  const long v = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+  return v > 0 ? static_cast<std::uint32_t>(v) : 0;
+}
+
 Result run(bool nfvnice_on, nfv::obs::TraceRecorder* trace) {
   nfvnice::PlatformConfig cfg;
   cfg.set_nfvnice(nfvnice_on);
+  cfg.sim_shards = shards_from_env();
 
   nfvnice::Simulation sim(cfg);
   const auto core = sim.add_core(nfvnice::SchedPolicy::kCfsBatch);

@@ -4,6 +4,7 @@
 //
 // With no arguments, runs a built-in Fig. 7-style config.
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -24,10 +25,20 @@ chain lmh low med high
 udp lmh rate=6e6 size=64
 )";
 
+/// NFV_SIM_SHARDS=N (a positive integer) runs the simulation on the
+/// sharded engine, one lane per core, with N workers (DESIGN.md §14).
+std::uint32_t shards_from_env() {
+  const char* env = std::getenv("NFV_SIM_SHARDS");
+  const long v = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+  return v > 0 ? static_cast<std::uint32_t>(v) : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  nfvnice::Simulation sim;
+  nfvnice::PlatformConfig cfg;
+  cfg.sim_shards = shards_from_env();
+  nfvnice::Simulation sim(cfg);
   const double secs = argc > 2 ? std::atof(argv[2]) : 0.5;
 
   try {

@@ -20,9 +20,9 @@
 //    and schedules the messages as ordinary engine events — so the
 //    *decomposition* (one lane per core) is fixed by the topology and the
 //    worker count only decides how many lanes run at once. That is the
-//    determinism argument in one line: lane event sequences are
-//    independent of NFV_SIM_SHARDS by construction, hence reports, traces
-//    and counters are byte-identical at any worker count.
+//    determinism argument in one line: lane event sequences do not depend
+//    on how many workers run them, hence reports, traces and counters are
+//    byte-identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "fault/injector.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/service_chain.hpp"
 #include "io/block_device.hpp"
@@ -72,7 +71,6 @@ struct Lane {
   /// The user recorder's id for each string `trace` has interned.
   std::vector<obs::StrId> trace_ids;
   std::unique_ptr<io::BlockDevice> block_device;
-  std::unique_ptr<fault::FaultInjector> injector;
   /// In-flight cross-lane messages, a slot store: the drain copies each
   /// message into a free slot, its delivery event captures the slot index,
   /// and the slot goes back on `free_slots` when the event fires. Slots are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -56,15 +55,6 @@ ChainMetrics ChainMetrics::operator-(const ChainMetrics& rhs) const {
 
 Simulation::Simulation(PlatformConfig config)
     : config_(config), clock_(config.cpu_hz) {
-  // Sharded engine opt-in (DESIGN.md §14): an explicit config wins; when it
-  // is left at 0 the NFV_SIM_SHARDS environment variable applies, so every
-  // existing binary can be resharded without a rebuild.
-  if (config_.sim_shards == 0) {
-    if (const char* env = std::getenv("NFV_SIM_SHARDS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) config_.sim_shards = static_cast<std::uint32_t>(v);
-    }
-  }
   // The admission trickle bucket is specified in packets per second; give
   // it this platform's clock so the cycle conversion is right (no-op for
   // runs that never register a flow class).
@@ -348,7 +338,7 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   udp_sources_.push_back(std::make_unique<traffic::UdpSource>(
-      home.engine, *home.manager, home.pool, clock_, cfg));
+      home.engine, *home.manager, clock_, cfg));
   if (started_) udp_sources_.back()->start();
   return flow_id;
 }
@@ -372,7 +362,7 @@ std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
   cfg.burst = options.burst ? options.burst : config_.source_burst;
 
   tcp_sources_.push_back(std::make_unique<traffic::TcpSource>(
-      home.engine, *home.manager, home.pool, flow_id, cfg));
+      home.engine, *home.manager, flow_id, cfg));
   if (started_) tcp_sources_.back()->start();
   return {flow_id, tcp_sources_.back().get()};
 }
@@ -400,56 +390,76 @@ traffic::ChurnSource& Simulation::add_churn_workload(flow::ChainId chain,
 
   Lane& home = home_lane(chain);
   churn_sources_.push_back(std::make_unique<traffic::ChurnSource>(
-      home.engine, *home.manager, home.pool, home.flows, clock_, cfg));
+      home.engine, *home.manager, home.flows, clock_, cfg));
   if (started_) churn_sources_.back()->start();
   return *churn_sources_.back();
 }
 
-fault::FaultPlan Simulation::lane_fault_plan(const Lane& lane) const {
-  if (!fault_plan_) return {};
-  // One lane holding every core arms the whole plan, device faults
-  // included: its disk is built on demand, even with no io engine.
-  if (!sharded()) return *fault_plan_;
-  // One lane per core: NF faults go to the owning lane; device faults to
+std::vector<fault::FaultSpec> Simulation::lane_faults(const Lane& lane) const {
+  std::vector<fault::FaultSpec> specs;
+  if (!fault_plan_) return specs;
+  // One lane holding every core takes the whole plan, device faults
+  // included: its disk is built on demand, even with no io engine. With one
+  // lane per core, NF faults go to the owning lane and device faults to
   // every lane that has an io engine (each lane owns its own block-device
   // replica, mirroring how every lane owns its own mbuf pool).
-  fault::FaultPlan lp;
   const bool lane_has_io =
       std::find(io_lane_.begin(), io_lane_.end(), lane.id) != io_lane_.end();
   for (const fault::FaultSpec& s : fault_plan_->specs()) {
-    const bool owned =
-        s.kind != fault::FaultKind::kDevice && &lane_of_nf(s.nf) == &lane;
-    switch (s.kind) {
-      case fault::FaultKind::kCrash:
-        if (owned) lp.add_crash(s.nf, s.at, s.restart_after);
-        break;
-      case fault::FaultKind::kStall:
-        if (owned) lp.add_stall(s.nf, s.at, s.restart_after);
-        break;
-      case fault::FaultKind::kDegrade:
-        if (owned) lp.add_degrade(s.nf, s.at, s.factor, s.duration);
-        break;
-      case fault::FaultKind::kDevice:
-        if (!lane_has_io) break;
-        switch (s.device) {
-          case fault::DeviceFaultKind::kSlow:
-            lp.add_device_slow(s.at, s.factor, s.duration);
-            break;
-          case fault::DeviceFaultKind::kError:
-            lp.add_device_error(s.at, s.duration);
-            break;
-          case fault::DeviceFaultKind::kTorn:
-            lp.add_device_torn(s.at, s.factor, s.duration);
-            break;
-          case fault::DeviceFaultKind::kWedge:
-            lp.add_device_wedge(s.at, s.duration);
-            break;
-        }
-        break;
+    if (!sharded() || (s.kind == fault::FaultKind::kDevice
+                           ? lane_has_io
+                           : &lane_of_nf(s.nf) == &lane)) {
+      specs.push_back(s);
     }
   }
-  return lp;
+  return specs;
 }
+
+namespace {
+
+/// Schedule one of a lane's fault specs: its inject at max(at, now) and,
+/// for a bounded degrade or device window, its restore.
+void arm_fault(Lane& lane, const fault::FaultSpec& spec) {
+  sim::Engine& engine = lane.engine;
+  const Cycles at = std::max(spec.at, engine.now());
+  const flow::NfId nf = spec.nf;
+  mgr::Lifecycle* life = lane.manager->lifecycle();
+  switch (spec.kind) {
+    case fault::FaultKind::kCrash:
+      engine.schedule_at(at, [life, nf, delay = spec.restart_after] {
+        life->inject_crash(nf, delay);
+      });
+      break;
+    case fault::FaultKind::kStall:
+      engine.schedule_at(at, [life, nf, delay = spec.restart_after] {
+        life->inject_stall(nf, delay);
+      });
+      break;
+    case fault::FaultKind::kDegrade:
+      engine.schedule_at(at, [life, nf, factor = spec.factor] {
+        life->inject_degrade(nf, factor);
+      });
+      if (spec.duration > 0) {
+        engine.schedule_at(at + spec.duration,
+                           [life, nf] { life->restore_degrade(nf); });
+      }
+      break;
+    case fault::FaultKind::kDevice: {
+      io::BlockDevice* disk = &lane.disk();
+      engine.schedule_at(at, [disk, kind = spec.device, factor = spec.factor] {
+        disk->inject_device_fault(kind, factor);
+      });
+      if (spec.duration > 0) {
+        engine.schedule_at(at + spec.duration, [disk, kind = spec.device] {
+          disk->restore_device_fault(kind);
+        });
+      }
+      break;
+    }
+  }
+}
+
+}  // namespace
 
 void Simulation::ensure_started() {
   if (started_) return;
@@ -472,9 +482,11 @@ void Simulation::ensure_started() {
     // when it is actually in use — device faults in the plan, or an engine
     // with a completion deadline configured — so fault-free reports keep
     // the seed metrics layout byte-for-byte.
-    fault::FaultPlan plan = lane_fault_plan(lane);
-    const bool device_faults = plan.has_device_faults();
-    bool io_fault_domain = device_faults;
+    std::vector<fault::FaultSpec> faults = lane_faults(lane);
+    bool io_fault_domain =
+        std::any_of(faults.begin(), faults.end(), [](const auto& spec) {
+          return spec.kind == fault::FaultKind::kDevice;
+        });
     for (std::size_t k = 0; k < io_engines_.size(); ++k) {
       if (io_lane_[k] == lane.id && io_engines_[k]->fault_domain_enabled()) {
         io_fault_domain = true;
@@ -486,12 +498,13 @@ void Simulation::ensure_started() {
         if (io_lane_[k] == lane.id) io_engines_[k]->register_fault_metrics();
       }
     }
-    if (!plan.empty()) {
-      lane.injector = std::make_unique<fault::FaultInjector>(lane.engine,
-                                                             std::move(plan));
-      lane.injector->arm(*lane.manager->lifecycle(),
-                         device_faults ? &lane.disk() : nullptr);
-    }
+    // Arm in injection-time order. Windows that abut ([0, t) then [t, ...))
+    // pass the overlap check; at t the earlier window's restore, armed
+    // first, must run before the later window's inject, or it would undo
+    // it. Stable, so a plan written in time order keeps its order.
+    std::stable_sort(faults.begin(), faults.end(),
+                     [](const auto& a, const auto& b) { return a.at < b.at; });
+    for (const fault::FaultSpec& spec : faults) arm_fault(lane, spec);
   }
   for (auto& src : udp_sources_) src->start();
   for (auto& src : tcp_sources_) src->start();

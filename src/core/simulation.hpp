@@ -100,8 +100,7 @@ struct PlatformConfig {
   /// barrier. Sharded results are byte-identical for every N >= 1 (the lane
   /// decomposition is fixed by the topology; N only picks the parallelism)
   /// but differ from the one-lane results. Lane 0 exists in both modes.
-  /// When left at 0, the NFV_SIM_SHARDS environment variable (a positive
-  /// integer) selects sharded mode — mirroring NFV_BENCH_WORKERS.
+  /// Only this field selects the mode; the library reads no environment.
   std::uint32_t sim_shards = 0;
   /// Modelled cross-lane transit time: a packet handed to an NF on another
   /// core arrives this many cycles later. It also bounds the lanes'
@@ -232,11 +231,12 @@ class Simulation {
                                io::AsyncIoEngine::Config io_config);
 
   // -- faults (DESIGN.md §11) -------------------------------------------------
-  /// Install a fault plan: arms every lane's lifecycle watchdog and an
-  /// injector that fires the plan's crash/stall/degrade events at their
-  /// scheduled times, at the first run_for_seconds(). Call before it. A
-  /// simulation without a plan schedules no watchdog events at all, so
-  /// unfaulted runs replay byte-for-byte against earlier versions.
+  /// Install a fault plan. At the first run_for_seconds() every lane's
+  /// lifecycle watchdog is armed and each spec is scheduled, in injection-
+  /// time order, straight onto the lifecycle (NF faults) or the block
+  /// device (device faults) of the lanes it belongs to. Call before that
+  /// run. A simulation without a plan schedules no watchdog events at all,
+  /// so unfaulted runs replay byte-for-byte against earlier versions.
   void set_fault_plan(fault::FaultPlan plan);
 
   /// Per-chain policy while an NF on the chain is down (default:
@@ -401,8 +401,10 @@ class Simulation {
   /// mgr::chain_latency_histogram()'s bucketing, so merged quantiles are
   /// exact.
   [[nodiscard]] Histogram chain_latency(flow::ChainId chain) const;
-  /// The slice of the installed fault plan that belongs to one lane.
-  [[nodiscard]] fault::FaultPlan lane_fault_plan(const Lane& lane) const;
+  /// The installed fault plan's specs that belong to one lane, in plan
+  /// order.
+  [[nodiscard]] std::vector<fault::FaultSpec> lane_faults(
+      const Lane& lane) const;
   /// Route one lane's trace events to the user's recorder.
   void attach_lane_trace(Lane& lane);
   /// Events the user's recorder can still store.
@@ -432,7 +434,7 @@ class Simulation {
 
   std::vector<std::uint32_t> nf_core_;  ///< Core index per NF.
   std::vector<std::uint32_t> io_lane_;  ///< Lane index per io engine.
-  /// Fault plan held until start, then split into per-lane plans.
+  /// Fault plan held until start, then armed spec by spec on its lanes.
   std::unique_ptr<fault::FaultPlan> fault_plan_;
   obs::TraceRecorder* user_trace_ = nullptr;
 };

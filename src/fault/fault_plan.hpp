@@ -9,9 +9,10 @@
 // spike), error out, tear completions (partial writes) or wedge entirely
 // (no request completes until the window ends) — see DESIGN.md §12. Plans
 // are built programmatically or parsed from a config file (`fault` /
-// `device_fault` directives, see src/config/loader.hpp) and armed by a
-// FaultInjector, which turns each spec into an ordinary engine event —
-// faults therefore replay byte-for-byte with the rest of the simulation.
+// `device_fault` directives, see src/config/loader.hpp). A plan is data:
+// the Simulation arms it, turning each spec into ordinary engine events on
+// the lanes it belongs to, in injection-time order — faults therefore
+// replay byte-for-byte with the rest of the simulation.
 // Validation happens at add time: bad instants, bad factors and
 // overlapping fault windows on the same NF (or on the device) throw
 // FaultError immediately, so a malformed plan never reaches the engine.
@@ -117,8 +118,7 @@ class FaultPlan {
   [[nodiscard]] const std::vector<FaultSpec>& specs() const { return specs_; }
   [[nodiscard]] bool empty() const { return specs_.empty(); }
   [[nodiscard]] std::size_t size() const { return specs_.size(); }
-  /// True when any spec targets the block device (the platform then wires
-  /// the device as a fault sink and registers its metrics).
+  /// True when any spec targets the block device.
   [[nodiscard]] bool has_device_faults() const;
 
  private:

@@ -58,9 +58,11 @@ const char* to_string(DeadNfPolicy policy);
 /// stuck detection to (kStuckScans + 1) periods. 100 us.
 inline constexpr Cycles kWatchdogPeriod = 260'000;
 /// Consecutive scans an NF must be on-CPU without progress before the
-/// watchdog declares it STUCK and force-crashes it. The product
-/// kStuckScans * kWatchdogPeriod must exceed the largest single-packet
-/// service time, or a legitimately slow packet reads as a hang.
+/// watchdog declares it STUCK and force-crashes it. Progress is counted per
+/// packet, also inside a run-to-completion burst (NfTask::progress), so the
+/// bound is per packet at any burst window: kStuckScans * kWatchdogPeriod
+/// (780k cycles) must exceed the largest single-packet service time, or a
+/// legitimately slow packet reads as a hang.
 inline constexpr std::uint32_t kStuckScans = 3;
 /// Restart delay applied when the fault plan does not specify one. 1 ms.
 inline constexpr Cycles kDefaultRestartDelay = 2'600'000;

@@ -19,24 +19,6 @@ const char* to_string(AsyncIoEngine::OnIoFail policy) {
   return "?";
 }
 
-const char* to_string(AsyncIoEngine::RequestState state) {
-  switch (state) {
-    case AsyncIoEngine::RequestState::kPending:
-      return "pending";
-    case AsyncIoEngine::RequestState::kInflight:
-      return "inflight";
-    case AsyncIoEngine::RequestState::kRetrying:
-      return "retrying";
-    case AsyncIoEngine::RequestState::kDone:
-      return "done";
-    case AsyncIoEngine::RequestState::kFailed:
-      return "failed";
-    case AsyncIoEngine::RequestState::kTimedOut:
-      return "timed-out";
-  }
-  return "?";
-}
-
 AsyncIoEngine::AsyncIoEngine(sim::Engine& engine, BlockDevice& device,
                              Config config)
     : engine_(engine),
@@ -227,7 +209,6 @@ void AsyncIoEngine::erase_request(std::uint64_t id) {
 }
 
 void AsyncIoEngine::issue(Request& request) {
-  request.state = RequestState::kInflight;
   ++request.attempts;
   request.dev_req = device_.submit(
       request.bytes, [this, id = request.id](const IoResult& result) {
@@ -252,7 +233,6 @@ void AsyncIoEngine::on_device_complete(std::uint64_t id,
   }
   // Error or torn completion: the attempt failed (a torn write is retried
   // in full — the journal-style replay is idempotent).
-  request->state = RequestState::kFailed;
   handle_attempt_failure(*request);
 }
 
@@ -269,7 +249,6 @@ void AsyncIoEngine::on_deadline(std::uint64_t id) {
     device_.cancel(request->dev_req);
     request->dev_req = BlockDevice::kInvalidRequest;
   }
-  request->state = RequestState::kTimedOut;
   handle_attempt_failure(*request);
 }
 
@@ -282,7 +261,6 @@ void AsyncIoEngine::handle_attempt_failure(Request& request) {
     return;
   }
   if (request.attempts < config_.max_attempts) {
-    request.state = RequestState::kRetrying;
     ++retries_;
     const Cycles delay = backoff_delay(request.attempts);
     trace("io_retry",
@@ -330,15 +308,13 @@ void AsyncIoEngine::permanent_failure(Request& request) {
 
   // kShed / kStuck: the data is lost; account it and release the NF (shed)
   // or freeze it for the watchdog (stuck).
-  if (request.kind == Request::Kind::kFlush) {
-    dropped_writes_ += request.write_count;
-    shed_bytes_ += request.bytes;
-    erase_request(request.id);
+  const bool flush = request.kind == Request::Kind::kFlush;  // else sync
+  dropped_writes_ += request.write_count;
+  shed_bytes_ += request.bytes;
+  erase_request(request.id);
+  if (flush) {
     flush_in_flight_ = false;
-  } else {  // kSyncWrite
-    dropped_writes_ += request.write_count;
-    shed_bytes_ += request.bytes;
-    erase_request(request.id);
+  } else {
     --sync_in_flight_;
   }
   enter_degraded();
@@ -346,30 +322,25 @@ void AsyncIoEngine::permanent_failure(Request& request) {
 }
 
 void AsyncIoEngine::succeed(Request& request) {
-  request.state = RequestState::kDone;
   const std::uint64_t id = request.id;
   if (parked_ == id) parked_ = 0;
 
   switch (request.kind) {
-    case Request::Kind::kFlush: {
-      std::vector<Callback> callbacks = std::move(request.done_callbacks);
-      erase_request(id);
-      if (degraded_) exit_degraded();
-      for (const auto& cb : callbacks) {
-        if (cb) cb();
-      }
-      on_flush_complete();
-      break;
-    }
+    case Request::Kind::kFlush:
     case Request::Kind::kSyncWrite: {
+      const bool flush = request.kind == Request::Kind::kFlush;
       std::vector<Callback> callbacks = std::move(request.done_callbacks);
       erase_request(id);
       if (degraded_) exit_degraded();
       for (const auto& cb : callbacks) {
         if (cb) cb();
       }
-      --sync_in_flight_;
-      maybe_unblock();
+      if (flush) {
+        on_flush_complete();
+      } else {
+        --sync_in_flight_;
+        maybe_unblock();
+      }
       break;
     }
     case Request::Kind::kRead: {

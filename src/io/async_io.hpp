@@ -60,16 +60,6 @@ class AsyncIoEngine {
     kStuck,  ///< Freeze the NF: the watchdog force-kills and restarts it.
   };
 
-  /// Request lifecycle (DESIGN.md §12). Exposed for tests/diagnostics.
-  enum class RequestState {
-    kPending,   ///< Created, not yet submitted to the device.
-    kInflight,  ///< Submitted; completion or deadline pending.
-    kRetrying,  ///< Failed attempt; backoff timer armed.
-    kDone,      ///< Completed successfully.
-    kFailed,    ///< Retry budget exhausted (parked when on_fail = kBlock).
-    kTimedOut,  ///< Deadline fired on the final attempt.
-  };
-
   struct Config {
     Mode mode = Mode::kDoubleBuffered;
     std::uint64_t buffer_bytes = 64 * 1024;  ///< Batch (buffer) capacity.
@@ -200,7 +190,6 @@ class AsyncIoEngine {
     enum class Kind { kFlush, kSyncWrite, kRead, kProbe };
     std::uint64_t id = 0;
     Kind kind = Kind::kFlush;
-    RequestState state = RequestState::kPending;
     std::uint64_t bytes = 0;
     /// Staged write()s carried by this request (flush: the whole batch).
     std::uint64_t write_count = 0;
@@ -288,6 +277,5 @@ class AsyncIoEngine {
 };
 
 const char* to_string(AsyncIoEngine::OnIoFail policy);
-const char* to_string(AsyncIoEngine::RequestState state);
 
 }  // namespace nfv::io

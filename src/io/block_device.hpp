@@ -7,10 +7,11 @@
 // context (§3.4).
 //
 // The device is also the storage fault domain's actuator (DESIGN.md §12):
-// it implements fault::DeviceFaultSink, so a FaultPlan's `device` specs can
-// open windows during which requests are slow (latency scaled), error out,
-// tear (only a fraction of the bytes land) or wedge outright (nothing
-// completes — in-flight requests hang too — until the window ends). The
+// the Simulation schedules a FaultPlan's `device` specs straight onto
+// inject_device_fault / restore_device_fault, opening windows during
+// which requests are slow (latency scaled), error out, tear (only a
+// fraction of the bytes land) or wedge outright (nothing completes —
+// in-flight requests hang too — until the window ends). The
 // fault state a request observes is sampled when the device *starts*
 // servicing it, which keeps faulted runs byte-deterministic: the same plan
 // yields the same completion schedule every run. A wedge discards service
@@ -22,7 +23,7 @@
 #include <deque>
 #include <functional>
 
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/observability.hpp"
 #include "sim/engine.hpp"
 
@@ -43,7 +44,7 @@ struct IoResult {
   [[nodiscard]] bool ok() const { return status == IoStatus::kOk; }
 };
 
-class BlockDevice : public fault::DeviceFaultSink {
+class BlockDevice {
  public:
   struct Config {
     /// Per-request setup latency (seek/NVMe submission). Default 20 us.
@@ -62,7 +63,7 @@ class BlockDevice : public fault::DeviceFaultSink {
   explicit BlockDevice(sim::Engine& engine) : BlockDevice(engine, Config{}) {}
   BlockDevice(sim::Engine& engine, Config config)
       : engine_(engine), config_(config) {}
-  ~BlockDevice() override;
+  ~BlockDevice();
 
   BlockDevice(const BlockDevice&) = delete;
   BlockDevice& operator=(const BlockDevice&) = delete;
@@ -78,9 +79,12 @@ class BlockDevice : public fault::DeviceFaultSink {
   /// unknown.
   bool cancel(RequestId id);
 
-  // -- fault::DeviceFaultSink (driven by the FaultInjector) ----------------
-  void inject_device_fault(fault::DeviceFaultKind kind, double factor) override;
-  void restore_device_fault(fault::DeviceFaultKind kind) override;
+  // -- storage fault domain (DESIGN.md §12) --------------------------------
+  /// Start a fault window of `kind`. `factor` carries the latency scale
+  /// (kSlow) or the landed-bytes fraction (kTorn); other kinds ignore it.
+  void inject_device_fault(fault::DeviceFaultKind kind, double factor);
+  /// End a bounded window of `kind` (restore healthy behaviour).
+  void restore_device_fault(fault::DeviceFaultKind kind);
 
   /// Register the device's counters under the global scope and keep `obs`
   /// for fault-window trace events (lane obs::kIoLane). Null-safe;
@@ -127,7 +131,7 @@ class BlockDevice : public fault::DeviceFaultSink {
   std::deque<Pending> queue_;  ///< Submission order; front completes first.
   RequestId next_id_ = 1;
 
-  // Fault-window state (DeviceFaultSink).
+  // Fault-window state.
   double latency_factor_ = 1.0;  ///< kSlow; 1.0 = healthy.
   bool error_window_ = false;    ///< kError.
   double torn_fraction_ = -1.0;  ///< kTorn; active when >= 0.

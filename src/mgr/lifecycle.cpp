@@ -88,20 +88,22 @@ void Lifecycle::scan() {
           on_death(id, now, /*forced=*/false);
           break;
         }
-        // Heartbeat: "progress" is the processed-packet counter advancing.
-        // An NF is a suspect when it makes none despite either holding the
-        // CPU (a spinning straggler) or having work and getting CPU time (a
-        // wedged consumer). A starved-but-healthy NF — work pending, no CPU
+        // Heartbeat: "progress" is a packet completing, counted packet by
+        // packet inside a run-to-completion burst (NfTask::progress), so a
+        // long burst of slow packets is not silence. An NF is a suspect
+        // when it makes none despite either holding the CPU (a spinning
+        // straggler) or having work and getting CPU time (a wedged
+        // consumer). A starved-but-healthy NF — work pending, no CPU
         // granted — is never a suspect, so share starvation cannot be
         // misdiagnosed as death.
-        const std::uint64_t processed = task->counters().processed;
+        const std::uint64_t progress = task->progress(now);
         const Cycles runtime = task->stats().runtime;
-        const bool progressed = processed != st.wd_last_processed;
+        const bool progressed = progress != st.wd_last_progress;
         const bool on_cpu = task->state() == sched::TaskState::kRunning;
         const bool pending =
             task->in_flight_packets() > 0 || !task->rx_ring().empty();
         const bool runtime_advanced = runtime != st.wd_last_runtime;
-        st.wd_last_processed = processed;
+        st.wd_last_progress = progress;
         st.wd_last_runtime = runtime;
         const bool suspect =
             !progressed && (on_cpu || (pending && runtime_advanced));
@@ -214,7 +216,7 @@ void Lifecycle::finish_restart(flow::NfId id) {
   // keeps protecting the revived NF while it digests its backlog.
   if (mgr_.config_.enable_backpressure) mgr_.bp_->clear_dead(id, now);
   count_dead_hops(id, -1);
-  st.wd_last_processed = rec.task->counters().processed;
+  st.wd_last_progress = rec.task->progress(now);
   st.wd_last_runtime = rec.task->stats().runtime;
   st.stuck_count = 0;
   trace(id, "nf_lifecycle", "RESTARTING", "WARMING");

@@ -1,6 +1,7 @@
 // The NF lifecycle watchdog (DESIGN.md §11), armed on every lane exactly
-// when a fault plan is installed. It is the injector's FaultSink, scans the
-// Manager's NFs every fault::kWatchdogPeriod through the state machine of
+// when a fault plan is installed. The Simulation schedules the plan's NF
+// faults straight onto its inject/restore calls. It scans the Manager's
+// NFs every fault::kWatchdogPeriod through the state machine of
 // fault/lifecycle.hpp, and applies each chain's DeadNfPolicy while an NF is
 // down. Deaths and revivals act on the Manager's data plane, so it holds one.
 #pragma once
@@ -8,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "fault/lifecycle.hpp"
 #include "pktio/mbuf.hpp"
 
@@ -16,7 +17,7 @@ namespace nfv::mgr {
 
 class Manager;
 
-class Lifecycle final : public fault::FaultSink {
+class Lifecycle {
  public:
   /// Schedules the watchdog. `policies` (by chain id; chains beyond it use
   /// kDefaultDeadPolicy) is read in place and must outlive the lifecycle.
@@ -42,12 +43,17 @@ class Lifecycle final : public fault::FaultSink {
   /// kNfDeath / kNfRevive mirror of a remote NF.
   void mirror(flow::NfId id, bool dead);
 
-  // fault::FaultSink. Injection is the data-plane fact (the process dies
+  // Fault injection. Injection is the data-plane fact (the process dies
   // *now*); the watchdog discovers it on its next scan.
-  void inject_crash(flow::NfId nf, Cycles restart_after) override;
-  void inject_stall(flow::NfId nf, Cycles restart_after) override;
-  void inject_degrade(flow::NfId nf, double factor) override;
-  void restore_degrade(flow::NfId nf) override;
+  /// Kill the NF now. `restart_after` is the detection->restart delay
+  /// (fault::kDefaultRestart = fault::kDefaultRestartDelay).
+  void inject_crash(flow::NfId nf, Cycles restart_after);
+  /// Turn the NF into a straggler now (the watchdog will kill it).
+  void inject_stall(flow::NfId nf, Cycles restart_after);
+  /// Scale the NF's service-time distribution by `factor`.
+  void inject_degrade(flow::NfId nf, double factor);
+  /// End a bounded degrade window (restore the original distribution).
+  void restore_degrade(flow::NfId nf);
 
  private:
   struct Nf {
@@ -60,7 +66,7 @@ class Lifecycle final : public fault::FaultSink {
     /// Detection -> restart delay of the in-flight fault.
     Cycles pending_restart_delay = fault::kDefaultRestart;
     // Watchdog stuck detection: progress snapshots from the last scan.
-    std::uint64_t wd_last_processed = 0;
+    std::uint64_t wd_last_progress = 0;
     Cycles wd_last_runtime = 0;
     std::uint32_t stuck_count = 0;
     // Degrade fault: cost-model scale to restore when the window closes.

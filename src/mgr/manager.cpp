@@ -291,16 +291,6 @@ void Manager::start(const std::vector<fault::DeadNfPolicy>* lifecycle) {
   }
 }
 
-
-void Manager::ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key,
-                      Cycles arrival) {
-  if (const flow::FlowEntry* entry = rx_entry(key, &arrival, 1)) {
-    rx_admit(*entry, key, &pkt, &arrival, 1);
-  } else {
-    pool_.free(pkt);
-  }
-}
-
 const flow::FlowEntry* Manager::rx_entry(const pktio::FlowKey& key,
                                          const Cycles* arrivals,
                                          std::size_t n) {

@@ -196,33 +196,41 @@ class Manager {
   }
   [[nodiscard]] const ManagerConfig& config() const { return config_; }
 
-  /// Rx-thread entry: a packet of flow `key` arrived from the wire at
-  /// `arrival` (<= now; a batched source stamps each packet's own instant).
-  /// Takes ownership of `pkt` (frees it on drop). A burst of one through
-  /// the burst path's code.
-  void ingress(pktio::Mbuf* pkt, const pktio::FlowKey& key, Cycles arrival);
-
-  /// Rx-thread entry for one source burst: `n` packets of flow `key`
-  /// arriving at `arrivals[0..n)` (ascending, <= now). The flow lookup and
-  /// the entry verdict run once per burst; a shed burst is accounted in
-  /// full without taking a descriptor. An admitted burst takes its `n`
-  /// descriptors in one alloc_burst and `stamp(mbuf, i)` writes the
-  /// source's fields into packet i. Returns false, having done nothing,
-  /// when the pool lacks room for all `n`: the caller then allocates and
-  /// delivers one packet at a time, counting its own alloc failures. Not
-  /// reentrant: an egress sink must not start a burst ingress.
+  /// Rx-thread entry, the only way a packet enters the lane: `n` packets of
+  /// flow `key` arrive from the wire at `arrivals[0..n)` (ascending,
+  /// <= now). The Rx path owns the descriptors. The flow lookup and the
+  /// entry verdict run once per burst; a shed burst is accounted in full
+  /// without taking a descriptor; an admitted one takes its `n` in one
+  /// alloc_burst. `stamp(mbuf, k)` writes the source's fields into the
+  /// packet that got the k-th descriptor. Near the pool's cap the burst is
+  /// taken one packet at a time, as a NIC allocates, and a packet that
+  /// finds the pool empty is lost at the wire. Returns how many were lost.
+  /// Not reentrant: an egress sink must not start an ingress.
   template <typename Stamp>
-  bool ingress(const pktio::FlowKey& key, const Cycles* arrivals,
-               std::size_t n, Stamp&& stamp) {
-    if (n == 0) return true;
-    if (pool_.available() < n) return false;
+  std::size_t ingress(const pktio::FlowKey& key, const Cycles* arrivals,
+                      std::size_t n, Stamp&& stamp) {
+    if (n == 0) return 0;
+    if (pool_.available() < n) {
+      std::size_t got = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        pktio::Mbuf* pkt = pool_.alloc();
+        if (pkt == nullptr) continue;
+        stamp(*pkt, got++);
+        if (const flow::FlowEntry* entry = rx_entry(key, &arrivals[i], 1)) {
+          rx_admit(*entry, key, &pkt, &arrivals[i], 1);
+        } else {
+          pool_.free(pkt);
+        }
+      }
+      return n - got;
+    }
     const flow::FlowEntry* entry = rx_entry(key, arrivals, n);
-    if (entry == nullptr) return true;
+    if (entry == nullptr) return 0;
     if (rx_burst_.size() < n) rx_burst_.resize(n);
     pool_.alloc_burst(rx_burst_.data(), static_cast<std::uint32_t>(n));
     for (std::size_t i = 0; i < n; ++i) stamp(*rx_burst_[i], i);
     rx_admit(*entry, key, rx_burst_.data(), arrivals, n);
-    return true;
+    return 0;
   }
 
   /// Per-flow egress hook (TCP sources use it to observe deliveries and
@@ -272,8 +280,8 @@ class Manager {
   [[nodiscard]] std::uint64_t wire_ingress() const { return wire_ingress_; }
 
   // -- fault & lifecycle (DESIGN.md §11) ------------------------------------
-  /// The lifecycle watchdog and the injector's FaultSink; nullptr unless
-  /// start() was given a policy table.
+  /// The lifecycle watchdog, which a fault plan's NF faults act on; nullptr
+  /// unless start() was given a policy table.
   [[nodiscard]] Lifecycle* lifecycle() { return life_.get(); }
   /// Zero without a lifecycle.
   [[nodiscard]] const fault::NfLifecycleStats& nf_lifecycle_stats(

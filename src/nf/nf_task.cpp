@@ -130,6 +130,16 @@ void NfTask::on_preempt(Cycles now) {
   assert(resume_remaining_ >= 0);
 }
 
+std::uint64_t NfTask::progress(Cycles now) const {
+  std::uint64_t done = counters_.processed;
+  if (work_event_ == sim::kInvalidEventId) return done;
+  for (std::size_t i = burst_pos_; i < burst_.size() && burst_[i].done_at < now;
+       ++i) {
+    ++done;
+  }
+  return done;
+}
+
 void NfTask::crash() {
   if (dead_) return;
   // Tear the CPU away first: the preempt path inside force_block finalizes

@@ -160,6 +160,12 @@ class NfTask : public sched::Task {
   [[nodiscard]] bool dead() const { return dead_; }
   [[nodiscard]] bool stalled() const { return stalled_; }
 
+  /// The watchdog's heartbeat: packets whose handler completed, plus the
+  /// armed burst's packets whose virtual completion time is before `now`.
+  /// A long burst thus makes progress packet by packet; a stalled or
+  /// preempted burst, with no completion event armed, makes none.
+  [[nodiscard]] std::uint64_t progress(Cycles now) const;
+
   /// Packets dequeued from the RX ring into the current burst but not yet
   /// finalized. Conservation accounting must count these alongside ring
   /// occupancy: they are alive in the pool but visible in no queue.

@@ -24,8 +24,8 @@ class MbufPool {
   MbufPool(const MbufPool&) = delete;
   MbufPool& operator=(const MbufPool&) = delete;
 
-  /// Allocate one mbuf; returns nullptr when the pool is exhausted (the
-  /// generator then counts a wire drop, as a NIC would under mbuf pressure).
+  /// Allocate one mbuf; returns nullptr when the pool is exhausted (the Rx
+  /// path then loses the packet at the wire, as a NIC under mbuf pressure).
   Mbuf* alloc();
 
   /// Allocate `n` mbufs into `out`, all-or-nothing (DPDK

@@ -13,11 +13,10 @@ constexpr std::uint64_t kMaxFlowPackets = 10'000'000;
 }  // namespace
 
 ChurnSource::ChurnSource(sim::Engine& engine, mgr::Manager& manager,
-                         pktio::MbufPool& pool, flow::FlowTable& flows,
-                         const CpuClock& clock, Config config)
+                         flow::FlowTable& flows, const CpuClock& clock,
+                         Config config)
     : engine_(engine),
       manager_(manager),
-      pool_(pool),
       flows_(flows),
       config_(config),
       gap_rng_(config.seed ^ 0x67617073ULL),   // "gaps"
@@ -90,31 +89,30 @@ void ChurnSource::emit_batch() {
   pending_ = sim::kInvalidEventId;
   for (const Cycles t : batch_) {
     if (config_.stop_time >= 0 && t >= config_.stop_time) return;  // halt
-    emit_one(t);
+    const std::uint32_t slot =
+        static_cast<std::uint32_t>(flow_rng_.next_below(active_.size()));
+    ActiveFlow& f = active_[slot];
+    // One packet per Rx call: consecutive arrivals belong to random flows.
+    const std::size_t lost = manager_.ingress(
+        f.key, &t, 1, [&](pktio::Mbuf& pkt, std::size_t) {
+          pkt.size_bytes = config_.size_bytes;
+          pkt.is_tcp = false;
+          pkt.seq = f.seq;
+        });
+    if (lost > 0) {
+      ++alloc_drops_;
+    } else {
+      ++f.seq;
+      ++sent_;
+    }
+    // The flow completes even when the pool starved its last packet — flow
+    // lifetimes must not depend on pool occupancy.
+    if (--f.remaining == 0) {
+      ++flows_retired_;
+      spawn_flow(slot, t);
+    }
   }
   arm();
-}
-
-void ChurnSource::emit_one(Cycles arrival) {
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>(flow_rng_.next_below(active_.size()));
-  ActiveFlow& f = active_[slot];
-  pktio::Mbuf* pkt = pool_.alloc();
-  if (pkt == nullptr) {
-    ++alloc_drops_;
-  } else {
-    pkt->size_bytes = config_.size_bytes;
-    pkt->is_tcp = false;
-    pkt->seq = f.seq++;
-    ++sent_;
-    manager_.ingress(pkt, f.key, arrival);
-  }
-  // The flow completes even when the pool starved its last packet — flow
-  // lifetimes must not depend on pool occupancy.
-  if (--f.remaining == 0) {
-    ++flows_retired_;
-    spawn_flow(slot, arrival);
-  }
 }
 
 }  // namespace nfv::traffic

@@ -23,7 +23,6 @@
 #include "flow/flow_table.hpp"
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
-#include "pktio/mempool.hpp"
 #include "sim/engine.hpp"
 
 namespace nfv::traffic {
@@ -51,8 +50,7 @@ class ChurnSource {
   };
 
   ChurnSource(sim::Engine& engine, mgr::Manager& manager,
-              pktio::MbufPool& pool, flow::FlowTable& flows,
-              const CpuClock& clock, Config config);
+              flow::FlowTable& flows, const CpuClock& clock, Config config);
   /// Cancels any pending emit event — a queued callback must never outlive
   /// the source it captured.
   ~ChurnSource();
@@ -67,6 +65,7 @@ class ChurnSource {
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t flows_created() const { return flows_created_; }
   [[nodiscard]] std::uint64_t flows_retired() const { return flows_retired_; }
+  /// Packets lost at the wire because the lane's mbuf pool was empty.
   [[nodiscard]] std::uint64_t alloc_drops() const { return alloc_drops_; }
 
  private:
@@ -78,14 +77,12 @@ class ChurnSource {
 
   void arm();
   void emit_batch();
-  void emit_one(Cycles arrival);
   void spawn_flow(std::uint32_t slot, Cycles now);
   [[nodiscard]] Cycles draw_gap();
   [[nodiscard]] std::uint64_t draw_flow_length();
 
   sim::Engine& engine_;
   mgr::Manager& manager_;
-  pktio::MbufPool& pool_;
   flow::FlowTable& flows_;
   Config config_;
   Cycles interval_;

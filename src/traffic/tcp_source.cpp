@@ -10,11 +10,9 @@ constexpr std::uint32_t kInitialSsthresh = 256;
 }  // namespace
 
 TcpSource::TcpSource(sim::Engine& engine, mgr::Manager& manager,
-                     pktio::MbufPool& pool, flow::FlowId flow_id,
-                     Config config)
+                     flow::FlowId flow_id, Config config)
     : engine_(engine),
       manager_(manager),
-      pool_(pool),
       flow_id_(flow_id),
       config_(config),
       cwnd_(kInitialCwnd),
@@ -44,17 +42,8 @@ void TcpSource::send_window() {
   marks_at_window_start_ = marks_seen_;
   // The window's first packet goes out right now; the rest are paced in
   // groups of up to `burst` behind it.
-  emit_one(engine_.now());
-  ++window_emitted_;
-  after_emit(engine_.now());
-}
-
-void TcpSource::emit_one(Cycles arrival) {
-  pktio::Mbuf* pkt = pool_.alloc();
-  if (pkt != nullptr) {
-    stamp(*pkt, sent_total_++);
-    manager_.ingress(pkt, config_.key, arrival);
-  }
+  group_.assign(1, engine_.now());
+  send_group();
 }
 
 void TcpSource::stamp(pktio::Mbuf& pkt, std::uint64_t seq) const {
@@ -73,17 +62,19 @@ void TcpSource::emit_group(Cycles first, std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
     group_.push_back(first + static_cast<Cycles>(i) * gap);
   }
+  send_group();
+}
+
+void TcpSource::send_group() {
+  // A packet that finds the pool empty is lost at the wire: it counts
+  // against the window (it is never delivered) but takes no seq.
   const std::uint64_t first_seq = sent_total_;
-  if (manager_.ingress(config_.key, group_.data(), count,
-                       [&](pktio::Mbuf& pkt, std::size_t i) {
-                         stamp(pkt, first_seq + i);
-                       })) {
-    sent_total_ += count;
-  } else {
-    // Near the pool's cap: one packet at a time.
-    for (const Cycles t : group_) emit_one(t);
-  }
-  window_emitted_ += count;
+  const std::size_t lost = manager_.ingress(
+      config_.key, group_.data(), group_.size(),
+      [&](pktio::Mbuf& pkt, std::size_t i) { stamp(pkt, first_seq + i); });
+  sent_total_ += group_.size() - lost;
+  alloc_drops_ += lost;
+  window_emitted_ += static_cast<std::uint32_t>(group_.size());
   after_emit(group_.back());
 }
 

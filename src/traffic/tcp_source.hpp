@@ -14,7 +14,6 @@
 
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
-#include "pktio/mempool.hpp"
 #include "sim/engine.hpp"
 
 namespace nfv::traffic {
@@ -37,8 +36,8 @@ class TcpSource {
     std::uint32_t burst = 1;
   };
 
-  TcpSource(sim::Engine& engine, mgr::Manager& manager, pktio::MbufPool& pool,
-            flow::FlowId flow_id, Config config);
+  TcpSource(sim::Engine& engine, mgr::Manager& manager, flow::FlowId flow_id,
+            Config config);
   /// Cancels the pending pacing/ack event — a queued callback must never
   /// outlive the source it captured.
   ~TcpSource();
@@ -52,21 +51,23 @@ class TcpSource {
 
   [[nodiscard]] std::uint32_t cwnd() const { return cwnd_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_total_; }
+  /// Packets lost at the wire because the lane's mbuf pool was empty.
+  [[nodiscard]] std::uint64_t alloc_drops() const { return alloc_drops_; }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_total_; }
   [[nodiscard]] std::uint64_t congestion_events() const { return congestion_events_; }
   [[nodiscard]] std::uint64_t ecn_backoffs() const { return ecn_backoffs_; }
 
  private:
   void send_window();
-  void emit_one(Cycles arrival);
   void stamp(pktio::Mbuf& pkt, std::uint64_t seq) const;
   void emit_group(Cycles first, std::uint32_t count);
+  /// One Rx call for the pacing times in group_, then pace the rest.
+  void send_group();
   void after_emit(Cycles last_emit);
   void evaluate_window();
 
   sim::Engine& engine_;
   mgr::Manager& manager_;
-  pktio::MbufPool& pool_;
   flow::FlowId flow_id_;
   Config config_;
   sim::EventId pending_ = sim::kInvalidEventId;
@@ -74,6 +75,7 @@ class TcpSource {
   std::uint32_t cwnd_;
   std::uint32_t ssthresh_;
   std::uint64_t sent_total_ = 0;
+  std::uint64_t alloc_drops_ = 0;
   std::uint64_t delivered_total_ = 0;
   std::uint64_t congestion_events_ = 0;
   std::uint64_t ecn_backoffs_ = 0;

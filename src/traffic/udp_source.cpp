@@ -6,11 +6,9 @@
 namespace nfv::traffic {
 
 UdpSource::UdpSource(sim::Engine& engine, mgr::Manager& manager,
-                     pktio::MbufPool& pool, const CpuClock& clock,
-                     Config config)
+                     const CpuClock& clock, Config config)
     : engine_(engine),
       manager_(manager),
-      pool_(pool),
       config_(config),
       rng_(config.seed ^ config.key.src_ip) {
   assert(config_.rate_pps > 0.0);
@@ -64,29 +62,15 @@ void UdpSource::emit_batch() {
          (config_.stop_time < 0 || batch_[n] < config_.stop_time)) {
     ++n;
   }
-  // One Rx call for the burst. Near the pool's cap it cannot take all n
-  // descriptors at once; then each packet is allocated on its own, as a
-  // NIC would, and an exhausted pool drops at the wire.
+  // One Rx call for the burst; near the pool's cap it loses the packets
+  // that find no descriptor, and seq counts only the ones sent.
   const std::uint64_t first_seq = sent_;
-  if (manager_.ingress(config_.key, batch_.data(), n,
-                       [&](pktio::Mbuf& pkt, std::size_t i) {
-                         stamp(pkt, first_seq + i);
-                       })) {
-    sent_ += n;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) emit_one(batch_[i]);
-  }
+  const std::size_t lost = manager_.ingress(
+      config_.key, batch_.data(), n,
+      [&](pktio::Mbuf& pkt, std::size_t i) { stamp(pkt, first_seq + i); });
+  sent_ += n - lost;
+  alloc_drops_ += lost;
   if (n == batch_.size()) arm();  // else halt
-}
-
-void UdpSource::emit_one(Cycles arrival) {
-  pktio::Mbuf* pkt = pool_.alloc();
-  if (pkt == nullptr) {
-    ++alloc_drops_;
-    return;
-  }
-  stamp(*pkt, sent_++);
-  manager_.ingress(pkt, config_.key, arrival);
 }
 
 void UdpSource::stamp(pktio::Mbuf& pkt, std::uint64_t seq) const {

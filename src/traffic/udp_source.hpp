@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
-#include "pktio/mempool.hpp"
 #include "sim/engine.hpp"
 
 namespace nfv::traffic {
@@ -48,8 +47,8 @@ class UdpSource {
     std::uint32_t burst = 1;
   };
 
-  UdpSource(sim::Engine& engine, mgr::Manager& manager, pktio::MbufPool& pool,
-            const CpuClock& clock, Config config);
+  UdpSource(sim::Engine& engine, mgr::Manager& manager, const CpuClock& clock,
+            Config config);
   /// Cancels any pending emit event — a queued callback must never outlive
   /// the source it captured.
   ~UdpSource();
@@ -61,18 +60,17 @@ class UdpSource {
   void start();
 
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
+  /// Packets lost at the wire because the lane's mbuf pool was empty.
   [[nodiscard]] std::uint64_t alloc_drops() const { return alloc_drops_; }
 
  private:
   void arm();
   void emit_batch();
-  void emit_one(Cycles arrival);
   void stamp(pktio::Mbuf& pkt, std::uint64_t seq) const;
   [[nodiscard]] Cycles draw_gap();
 
   sim::Engine& engine_;
   mgr::Manager& manager_;
-  pktio::MbufPool& pool_;
   Config config_;
   Cycles interval_;
   Rng rng_;

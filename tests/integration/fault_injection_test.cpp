@@ -211,5 +211,65 @@ TEST(FaultInjection, NfvniceRetainsMoreGoodputUnderFaults) {
   EXPECT_GT(nfvnice_egress, default_egress);
 }
 
+// The watchdog's heartbeat is per packet: a healthy NF whose run-to-
+// completion burst of slow packets outlasts kStuckScans scans makes
+// progress at every packet, so the burst window cannot turn an overloaded
+// NF into a straggler. Each packet here fits the stuck bound many times.
+TEST(FaultInjection, LongBurstOfSlowPacketsIsNotStuck) {
+  for (const Cycles cost : {Cycles{30'000}, Cycles{100'000}}) {
+    for (const bool per_packet : {false, true}) {
+      PlatformConfig cfg;
+      if (per_packet) cfg.set_burst_window(1);
+      Simulation sim(cfg);
+      const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+      const auto nf = sim.add_nf("slow", core_id, nf::CostModel::fixed(cost));
+      const auto chain = sim.add_chain("c", {nf});
+      // 1.5x the NF's capacity: its ring never drains, every burst is full.
+      sim.add_udp_flow(chain, 1.5 * kDefaultCpuHz / static_cast<double>(cost));
+      sim.set_fault_plan({});  // arms the watchdog, injects nothing
+      sim.run_for_seconds(0.02);
+      const auto& ls = sim.nf_lifecycle_stats(nf);
+      EXPECT_EQ(ls.forced_crashes, 0u)
+          << cost << " cycles/packet, burst window "
+          << (per_packet ? "1" : "default");
+      EXPECT_EQ(ls.crashes, 0u);
+      EXPECT_GT(sim.nf_metrics(nf).processed, 0u);
+    }
+  }
+}
+
+// Half-open windows that touch, [0, t) and then [t, end of run), pass the
+// overlap check. At t the first window's restore must run before the second
+// window's inject, whatever order the plan lists them in: the lane arms its
+// specs by injection time. Same-kind device windows obey the same rule.
+TEST(FaultInjection, AbuttingWindowsApplyInTimeOrder) {
+  for (const bool reversed : {false, true}) {
+    Simulation sim;
+    const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+    const auto a = sim.add_nf("a", core_id, nf::CostModel::fixed(200));
+    sim.add_chain("a", {a});
+    const Cycles t = sim.clock().from_seconds(0.001);
+    fault::FaultPlan plan;
+    if (reversed) {
+      plan.add_degrade(a, t, 4.0);
+      plan.add_device_slow(t, 4.0);
+    }
+    plan.add_degrade(a, 0, 2.0, t);
+    plan.add_device_slow(0, 2.0, t);
+    if (!reversed) {
+      plan.add_degrade(a, t, 4.0);
+      plan.add_device_slow(t, 4.0);
+    }
+    sim.set_fault_plan(std::move(plan));
+    sim.run_for_seconds(0.0005);
+    EXPECT_DOUBLE_EQ(sim.nf(a).cost_model().scale(), 2.0);
+    EXPECT_DOUBLE_EQ(sim.disk().latency_factor(), 2.0);
+    sim.run_for_seconds(0.001);
+    const char* order = reversed ? "added in reverse" : "added in time order";
+    EXPECT_DOUBLE_EQ(sim.nf(a).cost_model().scale(), 4.0) << order;
+    EXPECT_DOUBLE_EQ(sim.disk().latency_factor(), 4.0) << order;
+  }
+}
+
 }  // namespace
 }  // namespace nfv::core

@@ -67,6 +67,12 @@ constexpr Pin kPins[] = {
      0xb74c8ba7a580d30a},
     {"BoostPushAsideAdmissionAndCrash", 1, 0xae1bb39b30020c36,
      0x6b1b4b5039baf6b8},
+    // Captured at commit 522a3fb, before fault plans were armed without an
+    // injector and in injection-time order.
+    {"TimeOrderedFaultsShareOneInstant", 0, 0xb9a64620f83fe0d3,
+     0x10df3ab0aae78213},
+    {"TimeOrderedFaultsShareOneInstant", 1, 0xe2272a2c8730ff86,
+     0x071f6d12525be590},
 };
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -309,6 +315,51 @@ TEST(ShardDeterminism, DeviceFaultWithAsyncIo) {
         return finish(sim, rec);
       },
       {1, 2});
+}
+
+// A plan written in time order whose crash, device fault and degrade
+// boundary (one window's end, the next one's start) share one instant, on
+// three lanes. A lane arms its specs sorted by injection time; a plan
+// already in that order keeps the order it was written in, and these bytes.
+TEST(ShardDeterminism, TimeOrderedFaultsShareOneInstant) {
+  expect_identical(
+      [](std::uint32_t shards) {
+        PlatformConfig cfg;
+        cfg.sim_shards = shards;
+        Simulation sim(cfg);
+        const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+        const auto c1 = sim.add_core(SchedPolicy::kCfsBatch);
+        const auto c2 = sim.add_core(SchedPolicy::kCfsBatch);
+        const auto logger =
+            sim.add_nf("logger", c0, nfv::nf::CostModel::fixed(300));
+        const auto b = sim.add_nf("b", c1, nfv::nf::CostModel::fixed(250));
+        const auto c = sim.add_nf("c", c2, nfv::nf::CostModel::fixed(200));
+        const auto logged = sim.add_chain("logged", {logger, b, c});
+        const auto tail = sim.add_chain("tail", {b, c});
+        nfv::io::AsyncIoEngine::Config io_cfg;
+        io_cfg.mode = nfv::io::AsyncIoEngine::Mode::kDoubleBuffered;
+        io_cfg.buffer_bytes = 64 * 1024;
+        auto& io_engine = sim.attach_io(logger, io_cfg);
+        sim.nf(logger).set_handler([&io_engine](nfv::pktio::Mbuf& pkt) {
+          io_engine.write(pkt.size_bytes);
+          return nfv::nf::NfAction::kForward;
+        });
+        sim.add_udp_flow(logged, 1e6);
+        sim.add_udp_flow(tail, 1.5e6);
+        const nfv::Cycles t = sim.clock().from_seconds(0.01);
+        const nfv::Cycles window = sim.clock().from_seconds(0.005);
+        nfv::fault::FaultPlan plan;
+        plan.add_degrade(c, t - window, 2.0, window);  // ends at t
+        plan.add_crash(b, t, window);
+        plan.add_device_slow(t, 3.0, window);
+        plan.add_degrade(c, t, 1.5, window);  // starts at t
+        sim.set_fault_plan(std::move(plan));
+        nfv::obs::TraceRecorder rec;
+        sim.attach_trace(rec);
+        sim.run_for_seconds(0.03);
+        return finish(sim, rec);
+      },
+      {1, 2, 4});
 }
 
 // Every share controller armed at once, on chains that cross lanes: the

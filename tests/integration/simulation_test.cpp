@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 namespace nfv::core {
@@ -12,6 +13,16 @@ TEST(Simulation, PolicyNames) {
   EXPECT_STREQ(to_string(SchedPolicy::kCfsNormal), "NORMAL");
   EXPECT_STREQ(to_string(SchedPolicy::kCfsBatch), "BATCH");
   EXPECT_STREQ(to_string(SchedPolicy::kRoundRobin), "RR");
+}
+
+// The library reads no environment: PlatformConfig::sim_shards alone picks
+// the sharded engine, so a test's bytes cannot depend on the shell that
+// runs it. (quickstart and run_config read NFV_SIM_SHARDS themselves.)
+TEST(Simulation, ShardEnvironmentVariableIsNotRead) {
+  ::setenv("NFV_SIM_SHARDS", "2", 1);
+  const Simulation sim;
+  ::unsetenv("NFV_SIM_SHARDS");
+  EXPECT_FALSE(sim.sharded());
 }
 
 TEST(Simulation, TimeAdvances) {

@@ -30,11 +30,12 @@ TEST(Manager, UnmatchedTrafficIsDroppedNotCrashed) {
   sim.add_chain("c", {nf});
   sim.run_for_seconds(0.001);  // start the manager
 
-  pktio::Mbuf* pkt = sim.pool().alloc();
-  ASSERT_NE(pkt, nullptr);
   pktio::FlowKey unknown{99, 99, 9, 9, 17};
-  sim.manager().ingress(pkt, unknown, sim.engine().now());
-  EXPECT_EQ(sim.pool().in_use(), 0u);  // freed on the miss path
+  const Cycles now = sim.engine().now();
+  EXPECT_EQ(sim.manager().ingress(unknown, &now, 1,
+                                  [](pktio::Mbuf&, std::size_t) {}),
+            0u);
+  EXPECT_EQ(sim.pool().in_use(), 0u);  // the miss took no descriptor
   EXPECT_EQ(sim.manager().wire_ingress(), 1u);
 }
 
@@ -197,8 +198,8 @@ TEST(Manager, MbufPoolNeverLeaksAcrossHeavyOverload) {
 }
 
 // -- burst ingest -------------------------------------------------------------
-// One source burst through the burst entry must leave exactly the state n
-// single-packet ingress calls leave: counters, flow-table traffic, ring
+// One source burst through the Rx entry must leave exactly the state n
+// one-packet calls of it leave: counters, flow-table traffic, ring
 // contents, the ECN averages and the trace bytes.
 
 enum class Entry { kClear, kThrottled, kUnmatched, kClassed };
@@ -294,14 +295,19 @@ TEST_P(BurstIngest, EqualsOneCallPerPacket) {
   std::size_t fed = 0;
   for (const auto& arrivals : twin_bursts(now)) {
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      pktio::Mbuf* pkt = single.sim->pool().alloc();
-      ASSERT_NE(pkt, nullptr);
-      stamp(*pkt, fed + i);
-      single.sim->manager().ingress(pkt, single.key, arrivals[i]);
+      EXPECT_EQ(single.sim->manager().ingress(
+                    single.key, &arrivals[i], 1,
+                    [seq = fed + i](pktio::Mbuf& pkt, std::size_t) {
+                      stamp(pkt, seq);
+                    }),
+                0u);
     }
-    EXPECT_TRUE(burst.sim->manager().ingress(
-        burst.key, arrivals.data(), arrivals.size(),
-        [fed](pktio::Mbuf& pkt, std::size_t i) { stamp(pkt, fed + i); }));
+    EXPECT_EQ(burst.sim->manager().ingress(
+                  burst.key, arrivals.data(), arrivals.size(),
+                  [fed](pktio::Mbuf& pkt, std::size_t i) {
+                    stamp(pkt, fed + i);
+                  }),
+              0u);
     fed += arrivals.size();
   }
 

@@ -22,7 +22,7 @@ TEST(PoissonSource, MeanRateConverges) {
   cfg.key = pktio::FlowKey{0x0a000001, 0x0a800001, 10000, 80, pktio::kProtoUdp};
   cfg.rate_pps = 1e6;
   cfg.poisson = true;
-  UdpSource source(sim.engine(), sim.manager(), sim.pool(), sim.clock(), cfg);
+  UdpSource source(sim.engine(), sim.manager(), sim.clock(), cfg);
   source.start();
   sim.run_for_seconds(0.2);
   // 1 Mpps Poisson over 200 ms: 200k ± a few sigma (sqrt(200k) ~ 450).
@@ -49,7 +49,7 @@ TEST(PoissonSource, InterArrivalVarianceExceedsCbr) {
     cfg.rate_pps = 9e5;  // ~87% of the NF's 1.04 Mpps capacity
     cfg.poisson = poisson;
     cfg.jitter_fraction = poisson ? 0.0 : 0.05;
-    UdpSource source(sim.engine(), sim.manager(), sim.pool(), sim.clock(), cfg);
+    UdpSource source(sim.engine(), sim.manager(), sim.clock(), cfg);
     source.start();
     sim.run_for_seconds(0.2);
     return sim.nf_metrics(nf).rx_full_drops;

@@ -20,8 +20,7 @@ TEST(TcpSource, DestructorCancelsPendingEvent) {
   {
     TcpSource::Config cfg;
     cfg.key.proto = pktio::kProtoTcp;
-    TcpSource doomed(sim.engine(), sim.manager(), sim.pool(),
-                     /*flow_id=*/999, cfg);
+    TcpSource doomed(sim.engine(), sim.manager(), /*flow_id=*/999, cfg);
     doomed.start();  // schedules the first-window event at `now`
     EXPECT_EQ(doomed.packets_sent(), 0u);
   }  // destroyed before the event fires: must cancel, not dangle
@@ -139,6 +138,27 @@ TEST(TcpSource, NonEcnCapableFlowIsNeverMarked) {
   sim.run_for_seconds(0.2);
   EXPECT_EQ(sim.manager().flow_counters(flow_id).ecn_marked, 0u);
   EXPECT_EQ(tcp->ecn_backoffs(), 0u);
+}
+
+TEST(TcpSource, CountsPacketsLostAtThePoolCap) {
+  // A 16-mbuf pool in front of a slow NF: once the window outgrows the NF,
+  // its ring holds every mbuf and the next paced packets find the pool
+  // empty. They are lost at the wire, and the source counts them.
+  core::PlatformConfig cfg;
+  cfg.set_nfvnice(false);
+  cfg.mempool_capacity = 16;
+  Simulation sim(cfg);
+  const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+  const auto nf = sim.add_nf("slow", core_id, nf::CostModel::fixed(20'000));
+  const auto chain = sim.add_chain("c", {nf});
+  auto [flow_id, tcp] = sim.add_tcp_flow(chain);
+  sim.run_for_seconds(0.05);
+  EXPECT_GT(tcp->alloc_drops(), 0u);
+  // Every failed allocation was one of its packets, and every packet that
+  // got a descriptor reached the wire.
+  EXPECT_EQ(tcp->alloc_drops(), sim.pool().alloc_failures());
+  EXPECT_EQ(tcp->packets_sent(), sim.manager().wire_ingress());
+  EXPECT_GT(tcp->congestion_events(), 0u);
 }
 
 }  // namespace

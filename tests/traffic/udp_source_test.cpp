@@ -27,8 +27,7 @@ TEST(UdpSource, DestructorCancelsPendingEvent) {
     UdpSource::Config cfg;
     cfg.rate_pps = 1e6;
     cfg.burst = 4;
-    UdpSource doomed(sim.engine(), sim.manager(), sim.pool(), sim.clock(),
-                     cfg);
+    UdpSource doomed(sim.engine(), sim.manager(), sim.clock(), cfg);
     doomed.start();  // arms an emit event in the engine's queue
     EXPECT_EQ(doomed.packets_sent(), 0u);
   }  // destroyed with the event still pending: must cancel, not dangle
