@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "config/loader.hpp"
 #include "core/simulation.hpp"
@@ -58,6 +59,9 @@ int main(int argc, char** argv) {
     sim.print_report(std::cout);
   } catch (const nfv::config::ConfigError& e) {
     std::cerr << "config error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     return 1;
   }
   return 0;

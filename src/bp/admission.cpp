@@ -28,10 +28,14 @@ void AdmissionController::set_observability(
     // Scope label matches the Manager's chain.* probes (the id string);
     // chain_names_ feeds the human-readable trace args only.
     auto scope = obs_->chain_scope(std::to_string(c));
-    chains_[c].ctr_engagements = scope.counter("adm.engagements");
-    chains_[c].ctr_releases = scope.counter("adm.releases");
-    chains_[c].ctr_discards = scope.counter("adm.discards");
-    chains_[c].ctr_trickle = scope.counter("adm.trickle_admits");
+    scope.counter_fn("adm.engagements",
+                     [this, c] { return chains_[c].stats.engagements; });
+    scope.counter_fn("adm.releases",
+                     [this, c] { return chains_[c].stats.releases; });
+    scope.counter_fn("adm.discards",
+                     [this, c] { return chains_[c].stats.discards; });
+    scope.counter_fn("adm.trickle_admits",
+                     [this, c] { return chains_[c].stats.trickle_admits; });
   }
 }
 
@@ -50,11 +54,9 @@ bool AdmissionController::admit(flow::ChainId chain, Cycles now) {
   if (st.tokens >= 1.0) {
     st.tokens -= 1.0;
     ++st.stats.trickle_admits;
-    if (st.ctr_trickle != nullptr) st.ctr_trickle->inc();
     return true;
   }
   ++st.stats.discards;
-  if (st.ctr_discards != nullptr) st.ctr_discards->inc();
   return false;
 }
 
@@ -73,7 +75,6 @@ void AdmissionController::engage(flow::ChainId chain, double occupancy,
   st.tokens = config_.shed_burst;
   st.last_refill = now;
   ++st.stats.engagements;
-  if (st.ctr_engagements != nullptr) st.ctr_engagements->inc();
   if (auto* tr = obs::trace_of(obs_)) {
     const std::string name =
         chain < chain_names_.size() ? chain_names_[chain] : std::to_string(chain);
@@ -88,7 +89,6 @@ void AdmissionController::release(flow::ChainId chain, double occupancy,
   ChainState& st = chains_[chain];
   st.engaged = false;
   ++st.stats.releases;
-  if (st.ctr_releases != nullptr) st.ctr_releases->inc();
   if (auto* tr = obs::trace_of(obs_)) {
     const std::string name =
         chain < chain_names_.size() ? chain_names_[chain] : std::to_string(chain);

@@ -90,9 +90,10 @@ class AdmissionController {
   }
   [[nodiscard]] std::size_t class_count() const { return class_count_; }
 
-  /// Attach per-class adm.* counters (chain-scoped by `chain_names`) and
-  /// lane-905 trace events. Registration touches only classed chains, so
-  /// runs without classes keep the legacy metrics layout byte-identical.
+  /// Register per-class adm.* probes of the class stats (chain-scoped by
+  /// chain id) and emit lane-905 trace events named by `chain_names`.
+  /// Registration touches only classed chains, so runs without classes keep
+  /// the legacy metrics layout byte-identical.
   void set_observability(obs::Observability* obs,
                          const std::vector<std::string>& chain_names);
 
@@ -131,10 +132,6 @@ class AdmissionController {
     double tokens = 0.0;
     Cycles last_refill = 0;
     AdmissionClassStats stats;
-    obs::Counter* ctr_engagements = nullptr;
-    obs::Counter* ctr_releases = nullptr;
-    obs::Counter* ctr_discards = nullptr;
-    obs::Counter* ctr_trickle = nullptr;
   };
 
   /// Shed-ladder cooldown per ingress group (first-hop NF id -> evals

@@ -29,21 +29,28 @@ void BackpressureManager::set_observability(obs::Observability* obs,
     const std::string& name =
         nf < nf_names_.size() ? nf_names_[nf] : std::to_string(nf);
     obs::Scope scope = obs->nf_scope(name);
-    states_[nf].watch_entries = scope.counter("bp.watch_entries");
-    states_[nf].throttle_entries = scope.counter("bp.throttle_entries");
-    states_[nf].throttle_clears = scope.counter("bp.throttle_clears");
+    scope.counter_fn("bp.watch_entries",
+                     [this, nf] { return states_[nf].stats.watch_entries; });
+    scope.counter_fn("bp.throttle_entries",
+                     [this, nf] { return states_[nf].stats.throttle_entries; });
+    scope.counter_fn("bp.throttle_clears",
+                     [this, nf] { return states_[nf].stats.throttle_clears; });
   }
+}
+
+BpStats BackpressureManager::stats() const {
+  BpStats sum;
+  for (const NfState& st : states_) {
+    sum.watch_entries += st.stats.watch_entries;
+    sum.throttle_entries += st.stats.throttle_entries;
+    sum.throttle_clears += st.stats.throttle_clears;
+  }
+  return sum;
 }
 
 void BackpressureManager::note_transition(flow::NfId nf, ThrottleState from,
                                           ThrottleState to,
                                           std::size_t queue_len, Cycles now) {
-  NfState& st = states_[nf];
-  if (to == ThrottleState::kWatch) obs::inc(st.watch_entries);
-  if (to == ThrottleState::kThrottle) obs::inc(st.throttle_entries);
-  if (from == ThrottleState::kThrottle && to == ThrottleState::kClear) {
-    obs::inc(st.throttle_clears);
-  }
   if (auto* trace = obs::trace_of(obs_)) {
     trace->instant(now, obs::kBackpressureLane, "bp", "bp_transition",
                    {{"nf", nf < nf_names_.size() ? nf_names_[nf]
@@ -75,7 +82,7 @@ void BackpressureManager::on_enqueue_feedback(flow::NfId nf,
   if (result != pktio::EnqueueResult::kOk &&
       states_[nf].state == ThrottleState::kClear) {
     states_[nf].state = ThrottleState::kWatch;
-    ++stats_.watch_entries;
+    ++states_[nf].stats.watch_entries;
     note_transition(nf, ThrottleState::kClear, ThrottleState::kWatch,
                     /*queue_len=*/0, now);
   }
@@ -89,7 +96,7 @@ ThrottleState BackpressureManager::evaluate(flow::NfId nf,
     case ThrottleState::kClear:
       if (rx_ring.above_high_watermark()) {
         st.state = ThrottleState::kWatch;
-        ++stats_.watch_entries;
+        ++st.stats.watch_entries;
         note_transition(nf, ThrottleState::kClear, ThrottleState::kWatch,
                         rx_ring.size(), now);
       }
@@ -103,7 +110,7 @@ ThrottleState BackpressureManager::evaluate(flow::NfId nf,
                  now - rx_ring.head_enqueue_time() >
                      config_.queuing_time_threshold) {
         st.state = ThrottleState::kThrottle;
-        ++stats_.throttle_entries;
+        ++st.stats.throttle_entries;
         enter_throttle(nf);
         note_transition(nf, ThrottleState::kWatch, ThrottleState::kThrottle,
                         rx_ring.size(), now);
@@ -113,7 +120,7 @@ ThrottleState BackpressureManager::evaluate(flow::NfId nf,
       if (st.forced_dead) break;  // dead NF: pinned until clear_dead()
       if (rx_ring.below_low_watermark()) {
         st.state = ThrottleState::kClear;
-        ++stats_.throttle_clears;
+        ++st.stats.throttle_clears;
         leave_throttle(nf);
         note_transition(nf, ThrottleState::kThrottle, ThrottleState::kClear,
                         rx_ring.size(), now);
@@ -131,7 +138,7 @@ void BackpressureManager::force_dead(flow::NfId nf, Cycles now) {
   if (st.state != ThrottleState::kThrottle) {
     const ThrottleState from = st.state;
     st.state = ThrottleState::kThrottle;
-    ++stats_.throttle_entries;
+    ++st.stats.throttle_entries;
     enter_throttle(nf);
     note_transition(nf, from, ThrottleState::kThrottle, /*queue_len=*/0, now);
   }

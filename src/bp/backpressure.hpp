@@ -53,8 +53,9 @@ class BackpressureManager {
   BackpressureManager(const flow::ChainRegistry& chains, std::size_t nf_count,
                       BpConfig config = {});
 
-  /// Attach observability: per-NF transition counters (scoped by the names
-  /// in `nf_names`, indexed by NfId) and bp_transition trace events.
+  /// Attach observability: probes of each NF's transition counts (scoped by
+  /// the names in `nf_names`, indexed by NfId) and bp_transition trace
+  /// events.
   void set_observability(obs::Observability* obs,
                          std::vector<std::string> nf_names);
 
@@ -114,17 +115,15 @@ class BackpressureManager {
   /// strictly upstream of a throttling NF in every chain it serves.
   [[nodiscard]] bool should_pause_upstream(flow::NfId nf) const;
 
-  [[nodiscard]] const BpStats& stats() const { return stats_; }
+  /// This lane's transitions: the sum of its NFs' counts.
+  [[nodiscard]] BpStats stats() const;
 
  private:
   struct NfState {
     ThrottleState state = ThrottleState::kClear;
     /// Dead-NF latch: while set, evaluate() leaves the state at Throttle.
     bool forced_dead = false;
-    // Per-NF transition counters (null until observability is attached).
-    obs::Counter* watch_entries = nullptr;
-    obs::Counter* throttle_entries = nullptr;
-    obs::Counter* throttle_clears = nullptr;
+    BpStats stats;  ///< Real transitions only; mirrors count on their lane.
   };
 
   void enter_throttle(flow::NfId nf);
@@ -137,7 +136,6 @@ class BackpressureManager {
   std::vector<NfState> states_;
   /// Number of throttling NFs each chain currently passes through.
   std::vector<std::uint32_t> chain_throttles_;
-  BpStats stats_;
   obs::Observability* obs_ = nullptr;
   std::vector<std::string> nf_names_;
   StateListener state_listener_;

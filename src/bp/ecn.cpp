@@ -1,5 +1,7 @@
 #include "bp/ecn.hpp"
 
+#include <numeric>
+
 namespace nfv::bp {
 
 namespace {
@@ -13,6 +15,11 @@ constexpr double kMaxMarkProb = 0.10;
 EcnMarker::EcnMarker(std::size_t nf_count, Config config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   averages_.assign(nf_count, Ewma(config_.ewma_weight));
+  marks_.assign(nf_count, 0);
+}
+
+std::uint64_t EcnMarker::marks() const {
+  return std::accumulate(marks_.begin(), marks_.end(), std::uint64_t{0});
 }
 
 bool EcnMarker::on_enqueue(flow::NfId nf, const pktio::Ring& rx_ring,
@@ -33,7 +40,7 @@ bool EcnMarker::on_enqueue(flow::NfId nf, const pktio::Ring& rx_ring,
   }
   if (rng_.next_double() < prob) {
     mbuf.ecn_marked = true;
-    ++marks_;
+    ++marks_[nf];
     return true;
   }
   return false;

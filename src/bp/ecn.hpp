@@ -40,13 +40,16 @@ class EcnMarker {
   [[nodiscard]] double average_queue(flow::NfId nf) const {
     return averages_[nf].value();
   }
-  [[nodiscard]] std::uint64_t marks() const { return marks_; }
+  /// Packets marked on enqueue to `nf`'s RX ring.
+  [[nodiscard]] std::uint64_t marks(flow::NfId nf) const { return marks_[nf]; }
+  /// Packets marked on every ring.
+  [[nodiscard]] std::uint64_t marks() const;
 
  private:
   Config config_;
   std::vector<Ewma> averages_;
   Rng rng_;
-  std::uint64_t marks_ = 0;
+  std::vector<std::uint64_t> marks_;
 };
 
 }  // namespace nfv::bp

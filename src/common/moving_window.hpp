@@ -39,7 +39,6 @@ class MovingWindow {
     evict(now);
     if (samples_.empty()) return 0;
     scratch_.clear();
-    scratch_.reserve(samples_.size());
     for (const auto& s : samples_) scratch_.push_back(s.value);
     q = std::clamp(q, 0.0, 1.0);
     const std::size_t k =

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/shard_runtime.hpp"
 #include "obs/json.hpp"
@@ -512,8 +513,15 @@ void Simulation::ensure_started() {
 }
 
 void Simulation::run_for_seconds(double seconds) {
+  // Simulated time only moves forward, by a whole number of cycles: a
+  // negative, NaN or out-of-range duration is refused before conversion.
+  const double cycles = seconds * clock_.hz();
+  if (!(cycles >= 0.0 && cycles < 0x1p62)) {
+    throw std::invalid_argument("run_for_seconds: bad duration " +
+                                std::to_string(seconds));
+  }
   ensure_started();
-  shard_->run_until(shard_->now() + clock_.from_seconds(seconds));
+  shard_->run_until(shard_->now() + static_cast<Cycles>(cycles));
   if (user_trace_) merge_lane_traces();
 }
 
@@ -550,9 +558,12 @@ ChainMetrics Simulation::chain_metrics(flow::ChainId id) const {
     const auto& cc = lane->manager->chain_counters(id);
     m.entry_admitted += cc.entry_admitted;
     m.entry_throttle_drops += cc.entry_throttle_drops;
-    m.admission_discards += cc.admission_discards;
     m.egress_packets += cc.egress_packets;
     m.egress_bytes += cc.egress_bytes;
+    const bp::AdmissionController* adm = lane->manager->admission();
+    if (adm != nullptr && adm->has_class(id)) {
+      m.admission_discards += adm->stats(id).discards;
+    }
   }
   return m;
 }
@@ -797,9 +808,8 @@ void Simulation::report_json(std::ostream& out) const {
   }
   w.end_array();
 
-  // Full registry dump: every instrument any component registered, the
-  // per-lane registries merged (counters sum, histograms merge) into one
-  // key space.
+  // Full registry dump: every series any component registered, the
+  // per-lane registries merged (each series summed) into one key space.
   {
     std::vector<const obs::MetricsRegistry*> parts;
     for (const auto& lane : shard_->lanes()) {

@@ -323,7 +323,9 @@ class Simulation {
 
   // -- execution --------------------------------------------------------------
   /// Advance simulated time. The first call starts the manager's periodic
-  /// threads and all traffic sources.
+  /// threads and all traffic sources. Throws std::invalid_argument, before
+  /// anything runs, for a negative or non-finite duration or one of 2^62
+  /// cycles or more.
   void run_for_seconds(double seconds);
   [[nodiscard]] double now_seconds() const;
 
@@ -368,7 +370,7 @@ class Simulation {
 
   // -- observability ----------------------------------------------------------
   /// Lane 0's metrics registry + trace attachment point. Every component
-  /// on lane 0 registered its instruments here at construction;
+  /// on lane 0 registered its probes here at construction;
   /// report_json() merges every lane's registry.
   [[nodiscard]] obs::Observability& observability();
   [[nodiscard]] const obs::Observability& observability() const;

@@ -120,13 +120,6 @@ void FaultPlan::add_device_wedge(Cycles at, Cycles duration) {
   add(spec);
 }
 
-bool FaultPlan::has_device_faults() const {
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kDevice) return true;
-  }
-  return false;
-}
-
 void FaultPlan::add(FaultSpec spec) {
   const std::string what =
       spec.kind == FaultKind::kDevice

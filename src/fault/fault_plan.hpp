@@ -118,8 +118,6 @@ class FaultPlan {
   [[nodiscard]] const std::vector<FaultSpec>& specs() const { return specs_; }
   [[nodiscard]] bool empty() const { return specs_.empty(); }
   [[nodiscard]] std::size_t size() const { return specs_.size(); }
-  /// True when any spec targets the block device.
-  [[nodiscard]] bool has_device_faults() const;
 
  private:
   void add(FaultSpec spec);

@@ -36,9 +36,11 @@ Manager::Manager(sim::Engine& engine, pktio::MbufPool& pool,
   if (config_.push_aside.enabled) push_ = std::make_unique<PushAside>(obs);
   if (obs_ != nullptr) {
     obs::Scope scope = obs_->global_scope();
-    ctr_unmatched_drops_ = scope.counter("mgr.unmatched_drops");
-    ctr_wakeup_scans_ = scope.counter("mgr.wakeup_scans");
-    ctr_monitor_ticks_ = scope.counter("mgr.monitor_ticks");
+    scope.counter_fn("mgr.unmatched_drops", [this] { return unmatched_drops_; });
+    scope.counter_fn("mgr.wakeup_scans", [this] { return wakeup_scans_; });
+    scope.counter_fn("mgr.monitor_ticks", [this] {
+      return static_cast<std::uint64_t>(monitor_ticks_);
+    });
     scope.counter_fn("mgr.wire_ingress", [this] { return wire_ingress_; });
   }
 }
@@ -76,8 +78,10 @@ void Manager::register_nf(flow::NfId id, nf::NfTask* task,
     // reference into the vector (it would dangle on reallocation).
     scope.counter_fn("mgr.offered",
                      [this, id] { return records_[id].counters.offered; });
+    // enqueue_to_nf is the only path onto the RX ring, and it counts what
+    // it places there as the NF's arrivals.
     scope.counter_fn("mgr.rx_enqueued",
-                     [this, id] { return records_[id].counters.rx_enqueued; });
+                     [task] { return task->counters().arrivals; });
     scope.counter_fn("mgr.rx_full_drops", [this, id] {
       return records_[id].counters.rx_full_drops;
     });
@@ -101,7 +105,10 @@ void Manager::register_nf(flow::NfId id, nf::NfTask* task,
       return static_cast<std::uint64_t>(
           nf_lifecycle_stats(id).downtime_cycles);
     });
-    records_[id].ecn_marks = scope.counter("mgr.ecn_marks");
+    // The marker exists from start(); before it, nothing was marked.
+    scope.counter_fn("mgr.ecn_marks", [this, id] {
+      return ecn_ != nullptr ? ecn_->marks(id) : 0;
+    });
   }
 }
 
@@ -268,7 +275,7 @@ void Manager::start(const std::vector<fault::DeadNfPolicy>* lifecycle) {
         return static_cast<std::uint64_t>(chain_slo(id).violation_cycles);
       });
     }
-    // Overload-control instruments (DESIGN.md §17) register only when the
+    // Overload-control probes (DESIGN.md §17) register only when the
     // feature is armed, so legacy runs keep their metrics layout (and so
     // their reports) byte-identical.
     if (adm_ != nullptr) {
@@ -306,7 +313,7 @@ const flow::FlowEntry* Manager::rx_entry(const pktio::FlowKey& key,
   auto* tr = obs::trace_of(obs_);
   if (entry == nullptr) {
     // Unmatched traffic is not steered anywhere.
-    obs::inc(ctr_unmatched_drops_, n);
+    unmatched_drops_ += n;
     for (std::size_t i = 0; tr != nullptr && i < n; ++i) {
       tr->instant(arrivals[i], obs::kManagerLane, "mgr", "drop",
                   {{"reason", "unmatched"}});
@@ -361,7 +368,6 @@ void Manager::rx_admit(const flow::FlowEntry& entry, const pktio::FlowKey& key,
       hand_off(pkts, run);
       run = 0;
       ++records_[chain_head(chain)].counters.offered;
-      ++cc.admission_discards;
       if (auto* tr = obs::trace_of(obs_)) {
         tr->instant(arrivals[i], obs::kAdmissionLane, "adm", "drop",
                     {{"reason", "admission"}},
@@ -439,7 +445,6 @@ void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
         msg.pkt = *pkt;
         post_remote(records_[head].owner_lane, msg);
       }
-      obs::inc(rec.ecn_marks);
       if (auto* tr = obs::trace_of(obs_)) {
         tr->instant(when, obs::kManagerLane, "mgr", "ecn_mark",
                     {{"nf", task.config().name}},
@@ -484,7 +489,6 @@ void Manager::enqueue_to_nf(flow::NfId nf_id, pktio::Mbuf* const* pkts,
       }
     }
   }
-  rec.counters.rx_enqueued += enqueued;
   task.note_arrival(enqueued);
 }
 
@@ -613,7 +617,7 @@ const FlowCounters& Manager::flow_counters(flow::FlowId id) const {
 
 void Manager::wakeup_scan() {
   const Cycles now = engine_.now();
-  obs::inc(ctr_wakeup_scans_);
+  ++wakeup_scans_;
   // Pass 1: advance every local NF's backpressure state machine (remote
   // NFs' states arrive as kBpState mirrors from their owning lanes).
   for (flow::NfId id = 0; id < records_.size(); ++id) {
@@ -648,7 +652,6 @@ void Manager::wakeup_scan() {
 
 void Manager::monitor_tick() {
   const Cycles now = engine_.now();
-  obs::inc(ctr_monitor_ticks_);
   for (flow::NfId id = 0; id < records_.size(); ++id) {
     if (records_[id].task == nullptr) continue;  // remote: its lane estimates
     alloc_.estimate(id, records_[id].counters.offered, now);

@@ -95,7 +95,8 @@ struct ManagerConfig {
   int nic_numa_node = 0;
 };
 
-/// Counters the evaluation tables are built from.
+/// Counters the evaluation tables are built from. Packets placed on the RX
+/// ring are counted once, as the NF's own arrivals (nf::NfCounters).
 struct NfManagerCounters {
   /// Packets destined for this NF, whether or not they were admitted —
   /// including entry-throttle discards for a chain head and RX-full drops.
@@ -103,7 +104,6 @@ struct NfManagerCounters {
   /// than the admitted rate keeps the share computation from entering a
   /// drop-more→weigh-less→drop-more spiral under backpressure.
   std::uint64_t offered = 0;
-  std::uint64_t rx_enqueued = 0;    ///< Successfully placed on the RX ring.
   std::uint64_t rx_full_drops = 0;  ///< Dropped: RX ring full.
   /// Of rx_full_drops, packets that had already been processed by at least
   /// one upstream NF — the paper's "wasted work" (Tables 3/5/6).
@@ -113,14 +113,12 @@ struct NfManagerCounters {
   std::uint64_t downstream_drops = 0;
 };
 
+/// Per-chain counters. The admission gate's discards (DESIGN.md §17) are
+/// counted in its class stats: wire_ingress == entry_admitted +
+/// entry_throttle_drops + admission discards (+ unmatched).
 struct ChainCounters {
   std::uint64_t entry_admitted = 0;
   std::uint64_t entry_throttle_drops = 0;  ///< Selective early discard.
-  /// Shed by the admission gate at ingress (DESIGN.md §17) — a distinct
-  /// conservation sink, separate from both the entry-throttle discard and
-  /// mgr.unmatched_drops: wire_ingress == entry_admitted +
-  /// entry_throttle_drops + admission_discards (+ unmatched).
-  std::uint64_t admission_discards = 0;
   std::uint64_t egress_packets = 0;
   std::uint64_t egress_bytes = 0;
   /// Dead hops routed around under DeadNfPolicy::kBypass (hop-skips, not
@@ -146,9 +144,9 @@ class Manager {
   using EgressSink = std::function<void(const pktio::Mbuf&)>;
 
   /// `obs` (optional) is the platform observability context: the manager
-  /// registers its per-NF/per-chain counters there, forwards it to libnf
-  /// and the backpressure manager, and emits mgr trace events (drops, ECN
-  /// marks, cpu.shares writes) when a recorder is attached.
+  /// registers probes of its per-NF/per-chain counters there, forwards it
+  /// to libnf and the backpressure manager, and emits mgr trace events
+  /// (drops, ECN marks, cpu.shares writes) when a recorder is attached.
   Manager(sim::Engine& engine, pktio::MbufPool& pool, flow::FlowTable& flows,
           flow::ChainRegistry& chains, ManagerConfig config = {},
           obs::Observability* obs = nullptr);
@@ -300,7 +298,6 @@ class Manager {
     std::uint32_t owner_lane = 0;  ///< Lane running the NF when remote.
     NfManagerCounters counters;
     bool drain_scheduled = false;
-    obs::Counter* ecn_marks = nullptr;  ///< null until obs is attached.
   };
 
   // -- data plane: every hand-off moves a run of packets --------------------
@@ -381,15 +378,14 @@ class Manager {
   std::unique_ptr<Lifecycle> life_;
 
   std::uint64_t wire_ingress_ = 0;
+  std::uint64_t unmatched_drops_ = 0;  ///< Arrivals no flow rule matched.
+  std::uint64_t wakeup_scans_ = 0;
   /// Descriptors of the admitted source burst being ingested.
   std::vector<pktio::Mbuf*> rx_burst_;
   std::uint32_t monitor_ticks_ = 0;
   bool started_ = false;
 
   obs::Observability* obs_ = nullptr;
-  obs::Counter* ctr_unmatched_drops_ = nullptr;
-  obs::Counter* ctr_wakeup_scans_ = nullptr;
-  obs::Counter* ctr_monitor_ticks_ = nullptr;
 
   // -- sharded simulation (null / zero in single-lane runs) -----------------
   ShardLink* shard_link_ = nullptr;

@@ -30,8 +30,9 @@ void ShareAllocator::add_nf(flow::NfId id, nf::NfTask* task,
   obs::Scope scope = obs_->nf_scope(task->config().name);
   // nfs_ may still grow, so the probe captures the id, not a reference.
   scope.gauge_fn("mgr.load", [this, id] { return nfs_[id].last_load; });
-  nfs_[id].writes = scope.counter("mgr.shares_writes");
-  nfs_[id].shares = scope.gauge("mgr.cpu_shares");
+  scope.counter_fn("mgr.shares_writes", [this, id] { return nfs_[id].writes; });
+  scope.gauge_fn("mgr.cpu_shares",
+                 [this, id] { return static_cast<double>(nfs_[id].shares); });
 }
 
 void ShareAllocator::estimate(flow::NfId id, std::uint64_t offered,
@@ -94,8 +95,8 @@ void ShareAllocator::update_shares(Cycles now, const SloController* boost,
       const auto shares = static_cast<std::uint32_t>(std::max(
           static_cast<double>(kShareFloor), std::round(frac * kShareScale)));
       if (cgroup_.set_shares(*other.task, shares) == 0) continue;  // no-op
-      obs::inc(other.writes);
-      obs::set(other.shares, static_cast<double>(shares));
+      ++other.writes;
+      other.shares = shares;
       if (auto* tr = obs::trace_of(obs_)) {
         tr->counter(now, obs::kManagerLane, "mgr", "cpu_shares",
                     other.task->config().name,
@@ -121,7 +122,7 @@ void ShareAllocator::set_down(flow::NfId id, bool down, bool cgroups) {
     const std::uint32_t shares =
         down ? sched::CGroupController::kMinShares : sched::kDefaultWeight;
     cgroup_.set_shares(*nf.task, shares);
-    obs::set(nf.shares, static_cast<double>(shares));
+    nf.shares = shares;
   }
   nf.last_load = nf.load_accum = nf.offered_accum = 0.0;
   nf.has_estimate = false;

@@ -29,7 +29,7 @@ class ShareAllocator {
  public:
   explicit ShareAllocator(obs::Observability* obs);
 
-  /// Track a local NF (at Manager::start); registers its instruments.
+  /// Track a local NF (at Manager::start); registers its probes.
   void add_nf(flow::NfId id, nf::NfTask* task, sched::Core* core);
   /// Monitor tick: λ_i from the growth of the NF's `offered` counter since
   /// the last tick, s_i from the task's sampled median.
@@ -67,8 +67,8 @@ class ShareAllocator {
     /// every other NF's weight through the shared denominator.
     double last_service = 0.0;
     bool released = false;  ///< Dead or restarting.
-    obs::Counter* writes = nullptr;
-    obs::Gauge* shares = nullptr;
+    std::uint64_t writes = 0;  ///< Share updates that changed the weight.
+    std::uint32_t shares = 0;  ///< Last weight written; 0 before any.
   };
 
   obs::Observability* obs_;

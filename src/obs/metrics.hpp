@@ -1,4 +1,5 @@
-// Metrics registry: named counters/gauges/histograms with label scopes.
+// Metrics registry: named, labelled series sampled from the components
+// that keep the counts.
 //
 // Every layer of the platform (manager, cores, backpressure, libnf, async
 // I/O) registers its telemetry here so that benches, the report_json()
@@ -9,16 +10,14 @@
 //     "bp.throttle_entries", "mgr.rx_full_drops";
 //   * scopes are labels: {"nf","NF1-low"}, {"core","core0"},
 //     {"chain","lmh"} — one metric name can exist once per label set;
-//   * registration is idempotent: asking for the same (name, labels) pair
-//     returns the same instrument, so components can re-register freely.
+//   * registration is idempotent: registering the same (name, labels) pair
+//     again replaces its probe.
 //
-// Two instrument families cover the hot-path/cold-path split:
-//   * owned Counter/Gauge/Histogram instruments are incremented at the
-//     event site (O(1), no allocation after registration);
-//   * counter_fn/gauge_fn register a *sampled* probe evaluated only at
-//     export time — zero added cost on the data path, used to project
-//     long-standing component counters (NfCounters, ChainCounters, ...)
-//     into the registry without double bookkeeping.
+// Every series is a probe: counter_fn/gauge_fn register a function that
+// reads a field its component already keeps, evaluated only when the
+// registry is sampled (at export, or through sample()). A component counts
+// each event once, in a plain field, and the data path does nothing for
+// the registry.
 //
 // Export order is deterministic (std::map over name + serialized labels),
 // which the determinism regression suite relies on.
@@ -28,13 +27,11 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/histogram.hpp"
 
 namespace nfv::obs {
 
@@ -44,109 +41,58 @@ class JsonWriter;
 /// {"a","1"},{"b","2"} and {"b","2"},{"a","1"} name the same series.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Null-safe increment helpers: instrumented components hold Counter*
-/// pointers that stay nullptr until an Observability context is attached.
-inline void inc(Counter* c, std::uint64_t n = 1) {
-  if (c != nullptr) c->inc(n);
-}
-inline void set(Gauge* g, double v) {
-  if (g != nullptr) g->set(v);
-}
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Get-or-create instruments. The returned reference is stable for the
-  /// registry's lifetime. A (name, labels) pair registered as one kind
-  /// must not be re-registered as another (asserted).
-  Counter& counter(const std::string& name, Labels labels = {});
-  Gauge& gauge(const std::string& name, Labels labels = {});
-  Histogram& histogram(const std::string& name, Labels labels = {},
-                       std::uint64_t max_value = (1ULL << 40),
-                       unsigned buckets_per_octave = 8);
-
-  /// Sampled probes: `fn` is evaluated at export time only.
+  /// Register a probe, evaluated whenever the registry is sampled. A
+  /// (name, labels) pair registered as a counter must not be re-registered
+  /// as a gauge, nor the reverse (asserted).
   void counter_fn(const std::string& name, Labels labels,
                   std::function<std::uint64_t()> fn);
   void gauge_fn(const std::string& name, Labels labels,
                 std::function<double()> fn);
 
-  /// Lookup without creating; nullptr when the series does not exist.
-  [[nodiscard]] const Counter* find_counter(const std::string& name,
-                                            const Labels& labels = {}) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name,
-                                        const Labels& labels = {}) const;
-  [[nodiscard]] const Histogram* find_histogram(
-      const std::string& name, const Labels& labels = {}) const;
-  /// Value of a sampled (counter_fn) probe; 0 when absent.
-  [[nodiscard]] std::uint64_t sample_counter(const std::string& name,
+  /// The series' current value (a counter's count or a gauge's reading);
+  /// nullopt when no such series is registered. Never creates one.
+  [[nodiscard]] std::optional<double> sample(const std::string& name,
                                              const Labels& labels = {}) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Dump every series as a JSON array, sorted by (name, labels):
   ///   [{"name":...,"labels":{...},"type":"counter","value":N}, ...]
-  /// Histograms export count/sum/min/max plus p50/p90/p99/p999.
   void write_json(std::ostream& out) const;
 
   /// Union of several registries as one such array, written as the next
   /// value of `json`. Series that appear in more than one registry are
-  /// combined: counters (owned and sampled) sum, gauges sum, histograms
-  /// merge (identical bucketing required, as with Histogram::merge); a
-  /// series held by one registry is written from it, with no copy. The
-  /// simulation uses this to present its per-lane registries as one
-  /// namespace.
+  /// summed. The simulation uses this to present its per-lane registries
+  /// as one namespace.
   static void write_json_merged(std::span<const MetricsRegistry* const> parts,
                                 JsonWriter& json);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCounterFn, kGaugeFn };
-
+  /// Exactly one of `counter` and `gauge` is set.
   struct Entry {
     std::string name;
     Labels labels;
-    Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::function<std::uint64_t()> counter_fn;
-    std::function<double()> gauge_fn;
+    std::function<std::uint64_t()> counter;
+    std::function<double()> gauge;
   };
 
   /// Map key: name + '\0' + serialized sorted labels (unambiguous because
   /// '\0' cannot appear in names or labels).
   static std::string make_key(const std::string& name, const Labels& labels);
-  Entry& get_or_create(const std::string& name, Labels labels, Kind kind);
-  [[nodiscard]] const Entry* find(const std::string& name,
-                                  const Labels& labels) const;
+  Entry& get_or_create(const std::string& name, Labels labels);
 
   std::map<std::string, Entry> entries_;
 };
 
 /// A registry view that appends a fixed label set to every registration —
 /// the per-NF / per-core / per-chain scopes components hand out internally.
+/// A detached scope registers nothing.
 class Scope {
  public:
   Scope() = default;
@@ -155,27 +101,12 @@ class Scope {
 
   [[nodiscard]] bool attached() const { return registry_ != nullptr; }
 
-  Counter* counter(const std::string& name) {
-    return attached() ? &registry_->counter(name, labels_) : nullptr;
-  }
-  Gauge* gauge(const std::string& name) {
-    return attached() ? &registry_->gauge(name, labels_) : nullptr;
-  }
-  Histogram* histogram(const std::string& name,
-                       std::uint64_t max_value = (1ULL << 40),
-                       unsigned buckets_per_octave = 8) {
-    return attached() ? &registry_->histogram(name, labels_, max_value,
-                                              buckets_per_octave)
-                      : nullptr;
-  }
   void counter_fn(const std::string& name, std::function<std::uint64_t()> fn) {
     if (attached()) registry_->counter_fn(name, labels_, std::move(fn));
   }
   void gauge_fn(const std::string& name, std::function<double()> fn) {
     if (attached()) registry_->gauge_fn(name, labels_, std::move(fn));
   }
-
-  [[nodiscard]] const Labels& labels() const { return labels_; }
 
  private:
   MetricsRegistry* registry_ = nullptr;

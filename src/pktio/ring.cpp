@@ -9,7 +9,7 @@ namespace nfv::pktio {
 Ring::Ring(std::uint32_t capacity, double high_watermark, double low_watermark) {
   capacity_ = std::bit_ceil(std::max<std::uint32_t>(capacity, 2));
   mask_ = capacity_ - 1;
-  slots_.assign(capacity_, nullptr);
+  slots_ = std::make_unique_for_overwrite<Mbuf*[]>(capacity_);
   high_watermark = std::clamp(high_watermark, 0.0, 1.0);
   low_watermark = std::clamp(low_watermark, 0.0, high_watermark);
   high_mark_ = std::max<std::size_t>(

@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "pktio/mbuf.hpp"
 
@@ -65,7 +65,9 @@ class Ring {
   std::size_t mask_;
   std::size_t high_mark_;
   std::size_t low_mark_;
-  std::vector<Mbuf*> slots_;
+  /// Not filled: a slot is written before it is read, so construction
+  /// touches none of the storage.
+  std::unique_ptr<Mbuf*[]> slots_;
   std::size_t head_ = 0;  // next dequeue position
   std::size_t tail_ = 0;  // next enqueue position
   std::size_t count_ = 0;

@@ -32,11 +32,19 @@ void Core::set_observability(obs::Observability* obs, std::uint32_t lane) {
   lane_ = lane;
   if (obs == nullptr) return;
   obs::Scope scope = obs->core_scope(name_);
-  ctr_ctx_switches_ = scope.counter("sched.context_switches");
-  ctr_wakeups_ = scope.counter("sched.wakeups");
-  ctr_preemptions_ = scope.counter("sched.preemptions");
-  ctr_yields_ = scope.counter("sched.voluntary_yields");
-  ctr_switch_cycles_ = scope.counter("sched.switch_overhead_cycles");
+  scope.counter_fn("sched.context_switches",
+                   [this] { return context_switches_; });
+  scope.counter_fn("sched.wakeups", [this] { return wakeups_; });
+  scope.counter_fn("sched.preemptions", [this] { return preemptions_; });
+  // A yield is counted once, on the task that yields.
+  scope.counter_fn("sched.voluntary_yields", [this] {
+    std::uint64_t yields = 0;
+    for (const Task* task : tasks_) yields += task->stats().voluntary_switches;
+    return yields;
+  });
+  scope.counter_fn("sched.switch_overhead_cycles", [this] {
+    return static_cast<std::uint64_t>(switch_overhead_);
+  });
   scope.counter_fn("sched.busy_cycles", [this] {
     return static_cast<std::uint64_t>(busy_cycles());
   });
@@ -51,7 +59,7 @@ void Core::wake(Task* task) {
   ++stats.wakeups;
   if (task->state() != TaskState::kBlocked) return;  // semaphore already up
 
-  obs::inc(ctr_wakeups_);
+  ++wakeups_;
   if (auto* trace = obs::trace_of(obs_)) {
     trace->instant(engine_.now(), lane_, "sched", "wakeup",
                    {{"task", task->name()}});
@@ -78,7 +86,6 @@ void Core::yield_current(Task* task, bool will_block) {
   assert(task == current_ && "only the running task may yield");
   account_running(/*stint_ends=*/true);
   ++task->mutable_stats().voluntary_switches;
-  obs::inc(ctr_yields_);
   if (auto* trace = obs::trace_of(obs_)) {
     trace->instant(engine_.now(), lane_, "sched", "yield",
                    {{"task", task->name()}},
@@ -154,8 +161,7 @@ void Core::schedule_dispatch() {
                                                   : 0;
   switch_overhead_ += gap;
   if (gap > 0) {
-    obs::inc(ctr_ctx_switches_);
-    obs::inc(ctr_switch_cycles_, static_cast<std::uint64_t>(gap));
+    ++context_switches_;
     if (auto* trace = obs::trace_of(obs_)) {
       trace->instant(engine_.now(), lane_, "sched", "ctx_switch",
                      {{"from", last_ran_->name()}, {"to", next->name()}},
@@ -226,7 +232,7 @@ void Core::preempt_current() {
   task->on_preempt(engine_.now());
   account_running(/*stint_ends=*/true);
   ++task->mutable_stats().involuntary_switches;
-  obs::inc(ctr_preemptions_);
+  ++preemptions_;
   if (auto* trace = obs::trace_of(obs_)) {
     trace->instant(engine_.now(), lane_, "sched", "preempt",
                    {{"task", task->name()}});

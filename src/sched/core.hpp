@@ -98,10 +98,10 @@ class Core {
   /// split path (Task::on_preempt) already restores exactness for them.
   [[nodiscard]] Cycles preemption_horizon() const;
 
-  /// Attach the observability context: registers this core's scheduler
-  /// counters under the {"core", name} scope and emits sched trace events
-  /// (ctx_switch / wakeup / yield / preempt) on trace `lane` whenever a
-  /// recorder is attached. Null-safe; may be called before or after tasks
+  /// Attach the observability context: registers probes of this core's
+  /// scheduler counts under the {"core", name} scope and emits sched trace
+  /// events (ctx_switch / wakeup / yield / preempt) on trace `lane` whenever
+  /// a recorder is attached. Null-safe; may be called before or after tasks
   /// are added.
   void set_observability(obs::Observability* obs, std::uint32_t lane);
 
@@ -134,15 +134,13 @@ class Core {
 
   Cycles busy_ = 0;
   Cycles switch_overhead_ = 0;
+  std::uint64_t context_switches_ = 0;  ///< Dispatches that paid the cost.
+  std::uint64_t wakeups_ = 0;           ///< Blocked -> Runnable wakes.
+  std::uint64_t preemptions_ = 0;
 
-  // Observability (null until set_observability; guarded on every use).
+  // Trace context (null until set_observability; guarded on every use).
   obs::Observability* obs_ = nullptr;
   std::uint32_t lane_ = 0;
-  obs::Counter* ctr_ctx_switches_ = nullptr;
-  obs::Counter* ctr_wakeups_ = nullptr;
-  obs::Counter* ctr_preemptions_ = nullptr;
-  obs::Counter* ctr_yields_ = nullptr;
-  obs::Counter* ctr_switch_cycles_ = nullptr;
 };
 
 }  // namespace nfv::sched

@@ -27,7 +27,7 @@ ChurnSource::ChurnSource(sim::Engine& engine, mgr::Manager& manager,
   assert(config_.pareto_min_packets >= 1.0);
   interval_ = std::max<Cycles>(1, clock.from_seconds(1.0 / config_.rate_pps));
   batch_.reserve(std::max<std::uint32_t>(1, config_.burst));
-  active_.resize(config_.concurrent_flows);
+  active_.reserve(config_.concurrent_flows);
 }
 
 ChurnSource::~ChurnSource() {
@@ -36,7 +36,9 @@ ChurnSource::~ChurnSource() {
 
 void ChurnSource::start() {
   next_time_ = std::max(config_.start_time, engine_.now());
+  // Each slot is written once, by its first spawn.
   for (std::uint32_t slot = 0; slot < config_.concurrent_flows; ++slot) {
+    active_.emplace_back();
     spawn_flow(slot, next_time_);
   }
   arm();

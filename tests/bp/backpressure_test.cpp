@@ -301,22 +301,23 @@ TEST_F(BackpressureTest, ObservabilityCountsTransitionsPerNf) {
   drain(ring, 0);
   bp_->evaluate(1, ring, 6000);   // Throttle -> Clear
 
-  const auto* watches =
-      obs.metrics().find_counter("bp.watch_entries", {{"nf", "NF1"}});
-  const auto* throttles =
-      obs.metrics().find_counter("bp.throttle_entries", {{"nf", "NF1"}});
-  const auto* clears =
-      obs.metrics().find_counter("bp.throttle_clears", {{"nf", "NF1"}});
-  ASSERT_NE(watches, nullptr);
-  ASSERT_NE(throttles, nullptr);
-  ASSERT_NE(clears, nullptr);
-  EXPECT_EQ(watches->value(), 1u);
-  EXPECT_EQ(throttles->value(), 1u);
-  EXPECT_EQ(clears->value(), 1u);
+  const auto watches =
+      obs.metrics().sample("bp.watch_entries", {{"nf", "NF1"}});
+  const auto throttles =
+      obs.metrics().sample("bp.throttle_entries", {{"nf", "NF1"}});
+  const auto clears =
+      obs.metrics().sample("bp.throttle_clears", {{"nf", "NF1"}});
+  ASSERT_TRUE(watches.has_value());
+  ASSERT_TRUE(throttles.has_value());
+  ASSERT_TRUE(clears.has_value());
+  EXPECT_EQ(*watches, 1.0);
+  EXPECT_EQ(*throttles, 1.0);
+  EXPECT_EQ(*clears, 1.0);
   // NF2 never transitioned.
-  EXPECT_EQ(
-      obs.metrics().find_counter("bp.watch_entries", {{"nf", "NF2"}})->value(),
-      0u);
+  const auto nf2_watches =
+      obs.metrics().sample("bp.watch_entries", {{"nf", "NF2"}});
+  ASSERT_TRUE(nf2_watches.has_value());
+  EXPECT_EQ(*nf2_watches, 0.0);
 
   // The full CLEAR -> WATCH -> THROTTLE -> CLEAR arc landed in the trace,
   // on the backpressure lane, in order.

@@ -98,7 +98,6 @@ TEST(FaultPlanDevice, AddAllDeviceKinds) {
   plan.add_device_torn(3000, 0.5, 500);
   plan.add_device_wedge(4000, 500);
   EXPECT_EQ(plan.size(), 4u);
-  EXPECT_TRUE(plan.has_device_faults());
   for (const FaultSpec& spec : plan.specs()) {
     EXPECT_EQ(spec.kind, FaultKind::kDevice);
   }
@@ -110,7 +109,8 @@ TEST(FaultPlanDevice, AddAllDeviceKinds) {
 TEST(FaultPlanDevice, NfOnlyPlanHasNoDeviceFaults) {
   FaultPlan plan;
   plan.add_crash(0, 1000, 100);
-  EXPECT_FALSE(plan.has_device_faults());
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan.specs()[0].kind, FaultKind::kCrash);
 }
 
 TEST(FaultPlanDevice, RejectsBadParameters) {

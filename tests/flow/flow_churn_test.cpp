@@ -147,9 +147,9 @@ ChurnRun run_churn(std::uint64_t seed, std::uint32_t burst,
   // source may still emit for it; those packets miss the lookup and are
   // dropped unmatched (the rule would need reinstalling) — they must be
   // accounted, not lost.
-  if (const auto* ctr = sim.observability().metrics().find_counter(
-          "mgr.unmatched_drops")) {
-    out.unmatched_drops = ctr->value();
+  if (const auto drops =
+          sim.observability().metrics().sample("mgr.unmatched_drops")) {
+    out.unmatched_drops = static_cast<std::uint64_t>(*drops);
   }
   out.sent = src.packets_sent();
   out.flows_created = src.flows_created();

@@ -1,5 +1,5 @@
-// MetricsRegistry: instrument registration, label scoping, sampled probes,
-// histogram percentiles, and the deterministic JSON export.
+// MetricsRegistry: probe registration, label scoping, sampling, and the
+// deterministic JSON export.
 
 #include "obs/metrics.hpp"
 
@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/observability.hpp"
 
 namespace nfv::obs {
@@ -14,64 +15,55 @@ namespace {
 
 TEST(MetricsRegistry, CounterGetOrCreateIsIdempotent) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("mgr.drops", {{"nf", "NF1"}});
-  Counter& b = reg.counter("mgr.drops", {{"nf", "NF1"}});
-  EXPECT_EQ(&a, &b);
-  a.inc(3);
-  b.inc();
-  EXPECT_EQ(a.value(), 4u);
+  std::uint64_t first = 3;
+  std::uint64_t second = 4;
+  reg.counter_fn("mgr.drops", {{"nf", "NF1"}}, [&first] { return first; });
+  reg.counter_fn("mgr.drops", {{"nf", "NF1"}}, [&second] { return second; });
   EXPECT_EQ(reg.size(), 1u);
+  // The later registration replaced the probe of the one series.
+  EXPECT_EQ(reg.sample("mgr.drops", {{"nf", "NF1"}}), 4.0);
 }
 
 TEST(MetricsRegistry, LabelOrderDoesNotMatter) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("x", {{"a", "1"}, {"b", "2"}});
-  Counter& b = reg.counter("x", {{"b", "2"}, {"a", "1"}});
-  EXPECT_EQ(&a, &b);
+  reg.counter_fn("x", {{"a", "1"}, {"b", "2"}}, [] { return 1ull; });
+  reg.counter_fn("x", {{"b", "2"}, {"a", "1"}}, [] { return 2ull; });
   EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.sample("x", {{"a", "1"}, {"b", "2"}}), 2.0);
+  EXPECT_EQ(reg.sample("x", {{"b", "2"}, {"a", "1"}}), 2.0);
 }
 
 TEST(MetricsRegistry, DifferentLabelsAreDifferentSeries) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("nf.processed", {{"nf", "NF1"}});
-  Counter& b = reg.counter("nf.processed", {{"nf", "NF2"}});
-  Counter& c = reg.counter("nf.processed");
-  EXPECT_NE(&a, &b);
-  EXPECT_NE(&a, &c);
+  reg.counter_fn("nf.processed", {{"nf", "NF1"}}, [] { return 1ull; });
+  reg.counter_fn("nf.processed", {{"nf", "NF2"}}, [] { return 2ull; });
+  reg.counter_fn("nf.processed", {}, [] { return 3ull; });
   EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.sample("nf.processed", {{"nf", "NF1"}}), 1.0);
+  EXPECT_EQ(reg.sample("nf.processed", {{"nf", "NF2"}}), 2.0);
+  EXPECT_EQ(reg.sample("nf.processed"), 3.0);
 }
 
 TEST(MetricsRegistry, FindWithoutCreating) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.find_counter("absent"), nullptr);
-  reg.counter("present", {{"nf", "NF1"}}).inc(7);
-  EXPECT_EQ(reg.find_counter("present"), nullptr);  // unlabeled != labeled
-  const Counter* c = reg.find_counter("present", {{"nf", "NF1"}});
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value(), 7u);
-  EXPECT_EQ(reg.size(), 1u);  // find never creates
+  EXPECT_FALSE(reg.sample("absent").has_value());
+  reg.counter_fn("present", {{"nf", "NF1"}}, [] { return 7ull; });
+  EXPECT_FALSE(reg.sample("present").has_value());  // unlabeled != labeled
+  const auto c = reg.sample("present", {{"nf", "NF1"}});
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(*c, 7.0);
+  EXPECT_EQ(reg.size(), 1u);  // sampling never creates
 }
 
 TEST(MetricsRegistry, GaugeSetAndAdd) {
   MetricsRegistry reg;
-  Gauge& g = reg.gauge("sched.runnable");
-  g.set(4.0);
-  g.add(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  const Gauge* found = reg.find_gauge("sched.runnable");
-  ASSERT_NE(found, nullptr);
-  EXPECT_DOUBLE_EQ(found->value(), 2.5);
-}
-
-TEST(MetricsRegistry, NullSafeHelpers) {
-  // Components increment through these with no registry attached; must be
-  // a no-op, not a crash.
-  inc(nullptr);
-  inc(nullptr, 10);
-  set(nullptr, 3.0);
-  Counter c;
-  inc(&c, 2);
-  EXPECT_EQ(c.value(), 2u);
+  double runnable = 0.0;
+  reg.gauge_fn("sched.runnable", {}, [&runnable] { return runnable; });
+  runnable = 4.0;
+  runnable += -1.5;
+  const auto found = reg.sample("sched.runnable");
+  ASSERT_TRUE(found.has_value());
+  EXPECT_DOUBLE_EQ(*found, 2.5);
 }
 
 TEST(MetricsRegistry, SampledCounterFnEvaluatedAtExport) {
@@ -79,55 +71,33 @@ TEST(MetricsRegistry, SampledCounterFnEvaluatedAtExport) {
   std::uint64_t source = 0;
   reg.counter_fn("live.value", {}, [&source] { return source; });
   source = 41;
-  EXPECT_EQ(reg.sample_counter("live.value"), 41u);
+  EXPECT_EQ(reg.sample("live.value"), 41.0);
   source = 42;
-  EXPECT_EQ(reg.sample_counter("live.value"), 42u);
-  EXPECT_EQ(reg.sample_counter("no.such.probe"), 0u);
-}
-
-TEST(MetricsRegistry, HistogramPercentiles) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", {}, /*max_value=*/1 << 20,
-                               /*buckets_per_octave=*/16);
-  for (int i = 1; i <= 1000; ++i) h.record(static_cast<std::uint64_t>(i));
-  // Log-bucketed: quantiles land within one bucket (~4.4%) of the exact
-  // rank statistic.
-  EXPECT_NEAR(static_cast<double>(h.value_at_quantile(0.5)), 500.0, 25.0);
-  EXPECT_NEAR(static_cast<double>(h.value_at_quantile(0.99)), 990.0, 50.0);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 1000u);
+  EXPECT_EQ(reg.sample("live.value"), 42.0);
+  EXPECT_FALSE(reg.sample("no.such.probe").has_value());
 }
 
 TEST(MetricsRegistry, ScopeAppendsLabels) {
   MetricsRegistry reg;
   Scope scope(&reg, {{"nf", "NF2"}});
   ASSERT_TRUE(scope.attached());
-  Counter* c = scope.counter("bp.throttles");
-  ASSERT_NE(c, nullptr);
-  c->inc(5);
-  EXPECT_EQ(reg.find_counter("bp.throttles", {{"nf", "NF2"}}), c);
-}
-
-TEST(MetricsRegistry, DetachedScopeReturnsNull) {
-  Scope scope;
-  EXPECT_FALSE(scope.attached());
-  EXPECT_EQ(scope.counter("x"), nullptr);
-  EXPECT_EQ(scope.gauge("y"), nullptr);
-  EXPECT_EQ(scope.histogram("z"), nullptr);
-  scope.counter_fn("f", [] { return 0ull; });  // no-op, no crash
+  scope.counter_fn("bp.throttles", [] { return 5ull; });
+  EXPECT_EQ(reg.sample("bp.throttles", {{"nf", "NF2"}}), 5.0);
+  EXPECT_FALSE(reg.sample("bp.throttles").has_value());
+  EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(MetricsRegistry, ObservabilityScopeConventions) {
   Observability obs;
-  obs.nf_scope("NF1").counter("a");
-  obs.core_scope("core0").counter("a");
-  obs.chain_scope("0").counter("a");
-  obs.global_scope().counter("a");
+  obs.nf_scope("NF1").counter_fn("a", [] { return 1ull; });
+  obs.core_scope("core0").counter_fn("a", [] { return 2ull; });
+  obs.chain_scope("0").counter_fn("a", [] { return 3ull; });
+  obs.global_scope().counter_fn("a", [] { return 4ull; });
   EXPECT_EQ(obs.metrics().size(), 4u);
-  EXPECT_NE(obs.metrics().find_counter("a", {{"nf", "NF1"}}), nullptr);
-  EXPECT_NE(obs.metrics().find_counter("a", {{"core", "core0"}}), nullptr);
-  EXPECT_NE(obs.metrics().find_counter("a", {{"chain", "0"}}), nullptr);
-  EXPECT_NE(obs.metrics().find_counter("a"), nullptr);
+  EXPECT_EQ(obs.metrics().sample("a", {{"nf", "NF1"}}), 1.0);
+  EXPECT_EQ(obs.metrics().sample("a", {{"core", "core0"}}), 2.0);
+  EXPECT_EQ(obs.metrics().sample("a", {{"chain", "0"}}), 3.0);
+  EXPECT_EQ(obs.metrics().sample("a"), 4.0);
   EXPECT_EQ(trace_of(nullptr), nullptr);
   EXPECT_EQ(trace_of(&obs), nullptr);  // none attached yet
   TraceRecorder rec;
@@ -138,10 +108,10 @@ TEST(MetricsRegistry, ObservabilityScopeConventions) {
 TEST(MetricsRegistry, WriteJsonIsSortedAndStable) {
   MetricsRegistry reg;
   // Register intentionally out of order.
-  reg.counter("z.last").inc(1);
-  reg.counter("a.first", {{"nf", "NF2"}}).inc(2);
-  reg.counter("a.first", {{"nf", "NF1"}}).inc(3);
-  reg.gauge("m.middle").set(1.5);
+  reg.counter_fn("z.last", {}, [] { return 1ull; });
+  reg.counter_fn("a.first", {{"nf", "NF2"}}, [] { return 2ull; });
+  reg.counter_fn("a.first", {{"nf", "NF1"}}, [] { return 3ull; });
+  reg.gauge_fn("m.middle", {}, [] { return 1.5; });
 
   std::ostringstream out;
   reg.write_json(out);
@@ -170,17 +140,27 @@ TEST(MetricsRegistry, WriteJsonIsSortedAndStable) {
   EXPECT_NE(json.find("\"value\":3"), std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramJsonExportsQuantiles) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("svc", {{"nf", "NF1"}});
-  for (int i = 0; i < 100; ++i) h.record(250);
+TEST(MetricsRegistry, MergedExportSumsSharedSeries) {
+  MetricsRegistry lane0;
+  MetricsRegistry lane1;
+  lane0.counter_fn("c", {{"nf", "a"}}, [] { return 2ull; });
+  lane1.counter_fn("c", {{"nf", "a"}}, [] { return 5ull; });
+  lane0.gauge_fn("g", {}, [] { return 0.25; });
+  lane1.gauge_fn("g", {}, [] { return 0.5; });
+  lane1.counter_fn("only1", {}, [] { return 9ull; });
+
   std::ostringstream out;
-  reg.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  {
+    JsonWriter json(out);
+    const MetricsRegistry* parts[] = {&lane0, &lane1};
+    MetricsRegistry::write_json_merged(parts, json);
+  }
+  EXPECT_EQ(out.str(),
+            "[{\"name\":\"c\",\"labels\":{\"nf\":\"a\"},\"type\":\"counter\","
+            "\"value\":7},"
+            "{\"name\":\"g\",\"labels\":{},\"type\":\"gauge\",\"value\":0.75},"
+            "{\"name\":\"only1\",\"labels\":{},\"type\":\"counter\","
+            "\"value\":9}]");
 }
 
 }  // namespace
