@@ -37,10 +37,18 @@ std::uint32_t shards_from_env() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  double secs = 0.5;
+  if (argc > 2) {
+    char* end = nullptr;
+    secs = std::strtod(argv[2], &end);
+    if (end == argv[2] || *end != '\0') {
+      std::cerr << "bad duration '" << argv[2] << "': not a number\n";
+      return 1;
+    }
+  }
   nfvnice::PlatformConfig cfg;
   cfg.sim_shards = shards_from_env();
   nfvnice::Simulation sim(cfg);
-  const double secs = argc > 2 ? std::atof(argv[2]) : 0.5;
 
   try {
     nfv::config::Topology topo;

@@ -41,8 +41,6 @@ class Histogram {
   /// Merge another histogram with identical bucketing into this one.
   void merge(const Histogram& other);
 
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-
  private:
   [[nodiscard]] std::size_t bucket_index(std::uint64_t value) const;
   [[nodiscard]] std::uint64_t bucket_representative(std::size_t index) const;

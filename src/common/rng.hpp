@@ -57,13 +57,6 @@ class Rng {
                     next_below(static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  /// Exponentially distributed value with the given mean (>0).
-  double next_exponential(double mean);
-
-  /// Pick an index in [0, n) weighted by `weights` (values need not sum
-  /// to 1). Returns n-1 if weights are degenerate.
-  std::size_t next_weighted(const double* weights, std::size_t n);
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

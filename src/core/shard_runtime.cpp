@@ -8,11 +8,11 @@ namespace nfv::core {
 Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
            const flow::FlowTable::Config& flow_cfg,
            std::uint32_t mempool_capacity, flow::ChainRegistry& chains,
-           mgr::ShardLink* link, Cycles latency)
+           mgr::ShardLink* link)
     : id(lane_id), pool(mempool_capacity), flows(flow_cfg) {
   manager = std::make_unique<mgr::Manager>(engine, pool, flows, chains,
                                            mgr_cfg, &obs);
-  if (link != nullptr) manager->set_shard_link(link, lane_id, latency);
+  if (link != nullptr) manager->set_shard_link(link, lane_id);
   // Platform probes: every lane registers the same keys, so a merged report
   // sums them across lanes into the familiar series. Sampled, so the hot
   // paths pay nothing for them.
@@ -43,19 +43,16 @@ io::BlockDevice& Lane::disk() {
   return *block_device;
 }
 
-ShardRuntime::ShardRuntime(std::uint32_t shards, Cycles latency,
+ShardRuntime::ShardRuntime(std::uint32_t shards,
                            const mgr::ManagerConfig& mgr_cfg,
                            const flow::FlowTable::Config& flow_cfg,
                            std::uint32_t mempool_capacity,
                            flow::ChainRegistry& chains)
     : shards_(shards),
-      latency_(latency),
       mgr_cfg_(mgr_cfg),
       flow_cfg_(flow_cfg),
       mempool_capacity_(mempool_capacity),
       chains_(chains) {
-  assert((shards_ == 0 || latency_ > 0) &&
-         "cross-lane latency bounds the lookahead");
   add_lane();
 }
 
@@ -66,7 +63,7 @@ Lane& ShardRuntime::add_lane() {
   const auto id = static_cast<std::uint32_t>(lanes_.size());
   lanes_.push_back(std::make_unique<Lane>(
       id, mgr_cfg_, flow_cfg_, mempool_capacity_, chains_,
-      shards_ > 0 ? this : nullptr, latency_));
+      shards_ > 0 ? this : nullptr));
   return *lanes_.back();
 }
 
@@ -110,7 +107,8 @@ void ShardRuntime::run_until(Cycles target) {
   // latency, which the epoch length guarantees is >= horizon > horizon - 1
   // = engine.now(), so it never schedules into a lane's past.
   while (now_ < target) {
-    const Cycles horizon = std::min<Cycles>(now_ + latency_, target);
+    const Cycles horizon =
+        std::min<Cycles>(now_ + mgr::kCrossLaneLatency, target);
     exec_->run_phase(
         [&](std::size_t i) { lanes_[i]->engine.run_until(horizon - 1); });
     exec_->run_phase([this](std::size_t i) { drain_lane(i); });

@@ -10,7 +10,7 @@
 //    its Manager has no ShardLink, no executor or mailboxes are built, and
 //    run_until is one inclusive Engine::run_until.
 //  * shards == N >= 1: one lane per core, advanced in lock-step epochs of
-//    length cross_lane_latency. Within an epoch lanes run concurrently on
+//    length mgr::kCrossLaneLatency. Within an epoch lanes run concurrently on
 //    worker threads and share nothing; the only communication is ShardMsg
 //    traffic through per-(src,dst) mailboxes, plain vectors that only the
 //    source lane appends to while lanes run, and because every message is
@@ -50,7 +50,7 @@ struct Lane {
   /// `link` is null for the one lane of the shards == 0 decomposition.
   Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
        const flow::FlowTable::Config& flow_cfg, std::uint32_t mempool_capacity,
-       flow::ChainRegistry& chains, mgr::ShardLink* link, Cycles latency);
+       flow::ChainRegistry& chains, mgr::ShardLink* link);
 
   /// The lane's block device, built on first use.
   io::BlockDevice& disk();
@@ -85,10 +85,8 @@ class ShardRuntime final : public mgr::ShardLink {
  public:
   /// `shards` is 0 for one lane holding every core, else the requested
   /// worker count; the effective count is min(shards, lanes) at the first
-  /// run. `latency` is the modelled cross-lane transit time and the epoch
-  /// length (must be > 0 when shards > 0). `mgr_cfg` must outlive it.
-  ShardRuntime(std::uint32_t shards, Cycles latency,
-               const mgr::ManagerConfig& mgr_cfg,
+  /// run. `mgr_cfg` must outlive it.
+  ShardRuntime(std::uint32_t shards, const mgr::ManagerConfig& mgr_cfg,
                const flow::FlowTable::Config& flow_cfg,
                std::uint32_t mempool_capacity, flow::ChainRegistry& chains);
   ~ShardRuntime() override;
@@ -139,7 +137,6 @@ class ShardRuntime final : public mgr::ShardLink {
   void deliver(Lane& lane, const mgr::ShardMsg& msg);
 
   std::uint32_t shards_;
-  Cycles latency_;
   // Knobs for added lanes; the caller's Manager config, so flips reach them.
   const mgr::ManagerConfig& mgr_cfg_;
   flow::FlowTable::Config flow_cfg_;

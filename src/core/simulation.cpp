@@ -15,6 +15,19 @@
 
 namespace nfv::core {
 
+namespace {
+/// Descriptors in every NF's TX ring, as in the RX default.
+constexpr std::uint32_t kTxCapacity = 16384;
+
+/// Throw std::out_of_range unless `id` is below `count`.
+void check_id(const char* kind, std::size_t id, std::size_t count) {
+  if (id >= count) {
+    throw std::out_of_range(std::string("unknown ") + kind + " id " +
+                            std::to_string(id));
+  }
+}
+}  // namespace
+
 const char* to_string(SchedPolicy policy) {
   switch (policy) {
     case SchedPolicy::kCfsNormal:
@@ -61,8 +74,8 @@ Simulation::Simulation(PlatformConfig config)
   // runs that never register a flow class).
   config_.manager.admission.cpu_hz = config_.cpu_hz;
   shard_ = std::make_unique<ShardRuntime>(
-      config_.sim_shards, config_.cross_lane_latency, config_.manager,
-      config_.flow_table, config_.mempool_capacity, chains_);
+      config_.sim_shards, config_.manager, config_.flow_table,
+      config_.mempool_capacity, chains_);
 }
 
 Simulation::~Simulation() = default;
@@ -119,15 +132,19 @@ std::size_t Simulation::add_core(SchedPolicy policy, double rr_quantum_ms,
 
 flow::NfId Simulation::add_nf(std::string name, std::size_t core_index,
                               nf::CostModel cost, NfOptions options) {
-  assert(core_index < cores_.size());
+  check_id("core", core_index, cores_.size());
+  for (const auto& task : nfs_) {
+    if (task->config().name == name) {
+      throw std::invalid_argument("add_nf: duplicate NF name " + name);
+    }
+  }
   nf::NfTask::Config cfg;
   cfg.name = std::move(name);
   cfg.cost = cost;
   cfg.rx_capacity = options.rx_capacity ? options.rx_capacity : config_.rx_capacity;
-  cfg.tx_capacity = options.tx_capacity ? options.tx_capacity : config_.tx_capacity;
+  cfg.tx_capacity = kTxCapacity;
   cfg.batch_size = options.batch_size;
-  cfg.burst_window =
-      options.burst_window ? options.burst_window : config_.nf_burst_window;
+  cfg.burst_window = config_.nf_burst_window;
   cfg.high_watermark = config_.high_watermark;
   cfg.low_watermark = config_.low_watermark;
   cfg.sample_interval = clock_.from_micros(options.sample_interval_us);
@@ -155,11 +172,16 @@ flow::NfId Simulation::add_nf(std::string name, std::size_t core_index,
 flow::ChainId Simulation::add_chain(std::string name,
                                     std::vector<flow::NfId> hops) {
   assert(!started_ && "define chains before traffic starts");
+  if (hops.empty()) {
+    throw std::invalid_argument("add_chain: a chain needs at least one hop");
+  }
+  for (const flow::NfId hop : hops) check_id("NF", hop, nfs_.size());
   return chains_.add(std::move(name), std::move(hops));
 }
 
 io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
                                          io::AsyncIoEngine::Config io_config) {
+  check_id("NF", nf_id, nfs_.size());
   Lane& lane = lane_of_nf(nf_id);
   io_engines_.push_back(std::make_unique<io::AsyncIoEngine>(
       lane.engine, lane.disk(), io_config));
@@ -172,11 +194,16 @@ io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
 void Simulation::set_fault_plan(fault::FaultPlan plan) {
   assert(!started_ && "install the fault plan before the first run");
   assert(!fault_plan_ && "only one fault plan per simulation");
+  for (const fault::FaultSpec& spec : plan.specs()) {
+    if (spec.kind == fault::FaultKind::kDevice) continue;
+    check_id("NF", spec.nf, nfs_.size());
+  }
   fault_plan_ = std::make_unique<fault::FaultPlan>(std::move(plan));
 }
 
 void Simulation::set_dead_policy(flow::ChainId chain,
                                  fault::DeadNfPolicy policy) {
+  check_id("chain", chain, chains_.size());
   if (chain >= dead_policy_.size()) {
     dead_policy_.resize(chain + 1, fault::kDefaultDeadPolicy);
   }
@@ -215,6 +242,7 @@ std::uint64_t Simulation::chain_latency_quantile(flow::ChainId chain,
 }
 
 void Simulation::set_chain_slo(flow::ChainId chain, double target_us) {
+  check_id("chain", chain, chains_.size());
   const auto target = static_cast<Cycles>(clock_.from_micros(target_us));
   for (const auto& lane : shard_->lanes()) {
     lane->manager->set_slo_target(chain, target);
@@ -224,6 +252,7 @@ void Simulation::set_chain_slo(flow::ChainId chain, double target_us) {
 void Simulation::set_chain_class(flow::ChainId chain, double priority,
                                  double utility) {
   assert(!started_ && "register flow classes before traffic starts");
+  check_id("chain", chain, chains_.size());
   bp::ClassSpec spec;
   spec.priority = priority;
   spec.utility = utility;
@@ -301,9 +330,7 @@ mgr::Manager& Simulation::mgr_of(flow::NfId id) const {
 }
 
 Lane& Simulation::home_lane(flow::ChainId chain) const {
-  const auto& hops = chains_.get(chain).hops;
-  assert(!hops.empty() && "a chain needs at least one hop");
-  return lane_of_nf(hops.front());
+  return lane_of_nf(chains_.get(chain).hops.front());
 }
 
 pktio::FlowKey Simulation::next_flow_key(std::uint8_t proto) {
@@ -318,10 +345,10 @@ pktio::FlowKey Simulation::next_flow_key(std::uint8_t proto) {
 
 flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
                                       UdpOptions options) {
-  const pktio::FlowKey key = next_flow_key(pktio::kProtoUdp);
   // The flow lives on its chain's home lane — the first hop's lane, where
   // the source injects and the flow table is consulted.
   Lane& home = home_lane(chain);
+  const pktio::FlowKey key = next_flow_key(pktio::kProtoUdp);
   const flow::FlowId flow_id = home.flows.install(key, chain);
 
   traffic::UdpSource::Config cfg;
@@ -333,10 +360,8 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
                       ? Cycles{-1}
                       : clock_.from_seconds(options.stop_seconds);
   cfg.cost_classes = options.cost_classes;
-  cfg.jitter_fraction = options.jitter_fraction;
-  cfg.poisson = options.poisson;
   cfg.seed = options.seed;
-  cfg.burst = options.burst ? options.burst : config_.source_burst;
+  cfg.burst = config_.source_burst;
 
   udp_sources_.push_back(std::make_unique<traffic::UdpSource>(
       home.engine, *home.manager, clock_, cfg));
@@ -346,8 +371,8 @@ flow::FlowId Simulation::add_udp_flow(flow::ChainId chain, double rate_pps,
 
 std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
     flow::ChainId chain, TcpOptions options) {
-  const pktio::FlowKey key = next_flow_key(pktio::kProtoTcp);
   Lane& home = home_lane(chain);
+  const pktio::FlowKey key = next_flow_key(pktio::kProtoTcp);
   const flow::FlowId flow_id = home.flows.install(key, chain);
 
   traffic::TcpSource::Config cfg;
@@ -360,7 +385,7 @@ std::pair<flow::FlowId, traffic::TcpSource*> Simulation::add_tcp_flow(
   cfg.stop_time = options.stop_seconds < 0
                       ? Cycles{-1}
                       : clock_.from_seconds(options.stop_seconds);
-  cfg.burst = options.burst ? options.burst : config_.source_burst;
+  cfg.burst = config_.source_burst;
 
   tcp_sources_.push_back(std::make_unique<traffic::TcpSource>(
       home.engine, *home.manager, flow_id, cfg));

@@ -72,12 +72,12 @@ struct PlatformConfig {
   /// periodic expiry sweep that reclaims idle flows' dense ids.
   flow::FlowTable::Config flow_table;
 
-  // Defaults applied to NFs added via add_nf (overridable per NF).
-  // 16K descriptors per ring, OpenNetVM's NF_QUEUE_RINGSIZE: deep enough
-  // that a weighted NF keeps a backlog across whole scheduler rotations —
-  // CFS can only enforce cpu.shares on tasks that stay runnable.
+  // Defaults applied to NFs added via add_nf.
+  // 16K RX descriptors (overridable per NF), OpenNetVM's NF_QUEUE_RINGSIZE:
+  // deep enough that a weighted NF keeps a backlog across whole scheduler
+  // rotations — CFS can only enforce cpu.shares on tasks that stay
+  // runnable. Every TX ring has 16K descriptors too.
   std::uint32_t rx_capacity = 16384;
-  std::uint32_t tx_capacity = 16384;
   /// Per-packet cycles added on a cross-socket buffer hand-off.
   Cycles numa_penalty = 300;
   double high_watermark = 0.80;
@@ -101,13 +101,9 @@ struct PlatformConfig {
   /// decomposition is fixed by the topology; N only picks the parallelism)
   /// but differ from the one-lane results. Lane 0 exists in both modes.
   /// Only this field selects the mode; the library reads no environment.
+  /// A packet handed to an NF on another lane arrives
+  /// mgr::kCrossLaneLatency (10 us) later.
   std::uint32_t sim_shards = 0;
-  /// Modelled cross-lane transit time: a packet handed to an NF on another
-  /// core arrives this many cycles later. It also bounds the lanes'
-  /// conservative lookahead (the epoch length), so lower values cost more
-  /// barriers per simulated second. Default 10 us at 2.6 GHz — one manager
-  /// wakeup period, comparable to a loaded inter-core ring + wakeup hop.
-  Cycles cross_lane_latency = 26'000;
 
   /// Force every per-burst knob to `window` (1 = the seed's fully
   /// per-packet event schedule; used by the equivalence tests).
@@ -129,9 +125,7 @@ struct PlatformConfig {
 struct NfOptions {
   double priority = 1.0;
   std::uint32_t rx_capacity = 0;  ///< 0 = platform default.
-  std::uint32_t tx_capacity = 0;
   std::uint32_t batch_size = 32;
-  std::uint32_t burst_window = 0;  ///< 0 = PlatformConfig::nf_burst_window.
   double sample_interval_us = 1000.0;  ///< cost-sampling period (§3.5, 1 kHz).
 };
 
@@ -140,14 +134,10 @@ struct UdpOptions {
   double start_seconds = 0.0;
   double stop_seconds = -1.0;
   std::uint8_t cost_classes = 0;
-  /// Inter-arrival jitter fraction / Poisson toggle / RNG seed, forwarded
-  /// to traffic::UdpSource::Config. The seed makes runs reproducible: two
-  /// simulations built identically with the same seeds replay the exact
-  /// same event sequence (the determinism suite depends on it).
-  double jitter_fraction = 0.1;
-  bool poisson = false;
+  /// Seeds the arrival jitter. Two simulations built identically with the
+  /// same seeds replay the exact same event sequence (the determinism
+  /// suite depends on it).
   std::uint64_t seed = 0x9e3779b9ULL;
-  std::uint32_t burst = 0;  ///< Arrivals per timer event; 0 = platform default.
 };
 
 struct ChurnOptions {
@@ -169,7 +159,6 @@ struct TcpOptions {
   double stop_seconds = -1.0;
   bool ecn_capable = true;
   std::uint32_t max_cwnd = 4096;
-  std::uint32_t burst = 0;  ///< Paced packets per event; 0 = platform default.
 };
 
 /// Point-in-time dump of every counter a bench needs; subtract two
@@ -220,10 +209,16 @@ class Simulation {
   std::size_t add_core(SchedPolicy policy, double rr_quantum_ms = 100.0,
                        int numa_node = 0);
 
+  // Ids are checked here, before anything changes: an unknown core, NF or
+  // chain id throws std::out_of_range.
+
   /// Add an NF pinned to `core_index`. Returns the NfId used in chains.
+  /// Every per-NF series is keyed by the name, so a name already in use
+  /// throws std::invalid_argument.
   flow::NfId add_nf(std::string name, std::size_t core_index,
                     nf::CostModel cost, NfOptions options = {});
 
+  /// An empty hop list throws std::invalid_argument.
   flow::ChainId add_chain(std::string name, std::vector<flow::NfId> hops);
 
   /// Attach an async I/O engine (shared simulated disk) to an NF.
@@ -231,12 +226,13 @@ class Simulation {
                                io::AsyncIoEngine::Config io_config);
 
   // -- faults (DESIGN.md §11) -------------------------------------------------
-  /// Install a fault plan. At the first run_for_seconds() every lane's
-  /// lifecycle watchdog is armed and each spec is scheduled, in injection-
-  /// time order, straight onto the lifecycle (NF faults) or the block
-  /// device (device faults) of the lanes it belongs to. Call before that
-  /// run. A simulation without a plan schedules no watchdog events at all,
-  /// so unfaulted runs replay byte-for-byte against earlier versions.
+  /// Install a fault plan; its NF specs must name added NFs. At the first
+  /// run_for_seconds() every lane's lifecycle watchdog is armed and each
+  /// spec is scheduled, in injection-time order, straight onto the
+  /// lifecycle (NF faults) or the block device (device faults) of the lanes
+  /// it belongs to. Call before that run. A simulation without a plan
+  /// schedules no watchdog events at all, so unfaulted runs replay
+  /// byte-for-byte against earlier versions.
   void set_fault_plan(fault::FaultPlan plan);
 
   /// Per-chain policy while an NF on the chain is down (default:

@@ -47,9 +47,6 @@ class FlowStore {
     bool evict_lru_when_full = true;
     /// Full table: double max_flows and rebuild instead of evicting.
     bool auto_grow = false;
-    /// Explicit FlowMap capacity (power of two > max_flows); 0 derives
-    /// one that keeps the map's load factor at or below ~0.85.
-    std::uint32_t map_capacity = 0;
   };
 
   struct InstallResult {
@@ -61,15 +58,11 @@ class FlowStore {
 
   explicit FlowStore(Config config)
       : config_(config),
-        map_(config.map_capacity != 0 ? config.map_capacity
-                                      : derive_map_capacity(config.max_flows)),
+        map_(derive_map_capacity(config.max_flows)),
         pool_(config.max_flows),
         chain_(config.max_flows),
         keys_(config.max_flows),
-        states_(config.max_flows) {
-    assert(map_.capacity() > config_.max_flows &&
-           "map capacity must exceed the index arena");
-  }
+        states_(config.max_flows) {}
 
   /// Get-or-create the flow for `key`, touching its expiry slot. The path
   /// says whether this was a hit, a fresh install, or an install that had

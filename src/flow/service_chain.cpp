@@ -32,13 +32,4 @@ int ChainRegistry::position_of(ChainId chain, NfId nf) const {
   return it == hops.end() ? -1 : static_cast<int>(it - hops.begin());
 }
 
-std::vector<NfId> ChainRegistry::upstream_of(ChainId chain, NfId nf) const {
-  std::vector<NfId> result;
-  for (NfId hop : chains_.at(chain).hops) {
-    if (hop == nf) break;
-    result.push_back(hop);
-  }
-  return result;
-}
-
 }  // namespace nfv::flow

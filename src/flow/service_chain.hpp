@@ -46,9 +46,6 @@ class ChainRegistry {
   /// Position of `nf` within `chain` (first occurrence), or -1.
   [[nodiscard]] int position_of(ChainId chain, NfId nf) const;
 
-  /// NFs strictly upstream of `nf` in `chain` (positions before it).
-  [[nodiscard]] std::vector<NfId> upstream_of(ChainId chain, NfId nf) const;
-
  private:
   std::vector<ServiceChain> chains_;
   std::vector<std::vector<ChainId>> through_;  // indexed by NfId

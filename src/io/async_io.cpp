@@ -7,6 +7,11 @@
 
 namespace nfv::io {
 
+namespace {
+/// Seed of the backoff-jitter RNG, the same for every engine.
+constexpr std::uint64_t kJitterSeed = 0x10c0ffeeULL;
+}  // namespace
+
 const char* to_string(AsyncIoEngine::OnIoFail policy) {
   switch (policy) {
     case AsyncIoEngine::OnIoFail::kBlock:
@@ -24,7 +29,7 @@ AsyncIoEngine::AsyncIoEngine(sim::Engine& engine, BlockDevice& device,
     : engine_(engine),
       device_(device),
       config_(config),
-      rng_(config.jitter_seed) {
+      rng_(kJitterSeed) {
   if (config_.mode == Mode::kDoubleBuffered && config_.flush_interval > 0) {
     flush_timer_ = engine_.schedule_periodic(config_.flush_interval, [this] {
       // Periodic flush bounds how long staged data waits when traffic is
@@ -110,9 +115,9 @@ void AsyncIoEngine::write(std::uint64_t bytes, Callback done) {
   }
 
   // Bounded staging: a dead or blocked device cannot grow the staging
-  // buffer without limit (DESIGN.md §12). In normal operation the cap is
-  // never hit — the active buffer flushes at buffer_bytes.
-  if (active_bytes_ + bytes > max_staged()) {
+  // buffer past 4x buffer_bytes (DESIGN.md §12). In normal operation the
+  // cap is never hit — the active buffer flushes at buffer_bytes.
+  if (active_bytes_ + bytes > 4 * config_.buffer_bytes) {
     ++dropped_writes_;
     shed_bytes_ += bytes;
     return;
@@ -374,7 +379,6 @@ void AsyncIoEngine::enter_degraded() {
     degraded_since_ = engine_.now();
     trace("io_degrade", {{"mode", static_cast<std::int64_t>(
                               static_cast<int>(config_.on_fail))}});
-    if (degrade_cb_) degrade_cb_(true);
     if (config_.on_fail != OnIoFail::kBlock) {
       // The staged-but-unflushed buffer would never drain; shed it so the
       // staging stays bounded and the shed counters tell the whole story.
@@ -392,18 +396,14 @@ void AsyncIoEngine::exit_degraded() {
   engine_.cancel(probe_event_);
   probe_event_ = sim::kInvalidEventId;
   trace("io_recover");
-  if (degrade_cb_) degrade_cb_(false);
-}
-
-Cycles AsyncIoEngine::probe_period() const {
-  if (config_.probe_interval > 0) return config_.probe_interval;
-  return std::max<Cycles>(
-      1, 4 * std::max(config_.io_timeout, config_.retry_backoff));
 }
 
 void AsyncIoEngine::schedule_probe() {
   if (probe_event_ != sim::kInvalidEventId) return;
-  probe_event_ = engine_.schedule_after(probe_period(), [this] { on_probe(); });
+  // Probe period: 4x the longer of the deadline and the first backoff.
+  const Cycles period = std::max<Cycles>(
+      1, 4 * std::max(config_.io_timeout, config_.retry_backoff));
+  probe_event_ = engine_.schedule_after(period, [this] { on_probe(); });
 }
 
 void AsyncIoEngine::on_probe() {

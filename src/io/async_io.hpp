@@ -23,7 +23,7 @@
 //   kBlock — stay blocked until a recovery probe gets through; RX queues
 //            grow and drive the Fig. 4 backpressure/ECN machinery normally.
 //   kShed  — drop staged writes and keep processing packets (process-
-//            without-logging); bounded by max_staged_bytes either way.
+//            without-logging); staging is bounded either way.
 //   kStuck — report a fatal stall via the fatal callback: the NF freezes
 //            and the PR 4 watchdog + DeadNfPolicy take over.
 // All fault knobs default off (io_timeout = 0 schedules no deadline
@@ -78,15 +78,7 @@ class AsyncIoEngine {
     /// Backoff jitter: each delay is scaled by a deterministic factor in
     /// [1 - j, 1 + j] drawn from the engine's own RNG (never wall clock).
     double jitter_fraction = 0.1;
-    std::uint64_t jitter_seed = 0x10c0ffeeULL;
-    /// Staging cap for write(): bytes beyond it are dropped (counted as
-    /// dropped writes), so a dead device cannot grow buffers without
-    /// limit. 0 = 4x buffer_bytes.
-    std::uint64_t max_staged_bytes = 0;
     OnIoFail on_fail = OnIoFail::kBlock;
-    /// Degraded-mode recovery probe period; 0 = 4x max(io_timeout,
-    /// retry_backoff).
-    Cycles probe_interval = 0;
   };
 
   using Callback = std::function<void()>;
@@ -122,11 +114,6 @@ class AsyncIoEngine {
   /// Invoked once on entering degraded mode with policy kStuck; the NF
   /// wires it to stall() so the watchdog takes over.
   void set_fatal_callback(Callback cb) { fatal_cb_ = std::move(cb); }
-
-  /// Invoked on every degraded-mode entry (true) and exit (false).
-  void set_degrade_callback(std::function<void(bool)> cb) {
-    degrade_cb_ = std::move(cb);
-  }
 
   /// Project the engine's counters into the registry under the owning
   /// NF's scope ({"nf", owner_name}); sampled probes only. Null-safe.
@@ -181,7 +168,7 @@ class AsyncIoEngine {
   [[nodiscard]] Cycles time_in_degraded(Cycles now) const {
     return time_in_degraded_ + (degraded_ ? now - degraded_since_ : 0);
   }
-  /// Bytes currently staged for writing (bounded by max_staged_bytes).
+  /// Bytes currently staged for writing (at most 4x buffer_bytes).
   [[nodiscard]] std::uint64_t staged_bytes() const { return active_bytes_; }
   [[nodiscard]] std::size_t live_requests() const { return requests_.size(); }
 
@@ -206,11 +193,6 @@ class AsyncIoEngine {
   void on_flush_complete();
   void maybe_unblock();
   [[nodiscard]] bool blocked_now() const;
-  [[nodiscard]] std::uint64_t max_staged() const {
-    return config_.max_staged_bytes > 0 ? config_.max_staged_bytes
-                                        : 4 * config_.buffer_bytes;
-  }
-  [[nodiscard]] Cycles probe_period() const;
 
   Request& make_request(Request::Kind kind, std::uint64_t bytes);
   Request* find_request(std::uint64_t id);
@@ -244,7 +226,6 @@ class AsyncIoEngine {
 
   Callback unblock_cb_;
   Callback fatal_cb_;
-  std::function<void(bool)> degrade_cb_;
   sim::EventId flush_timer_ = sim::kInvalidEventId;
   sim::EventId probe_event_ = sim::kInvalidEventId;
 

@@ -112,12 +112,10 @@ void Manager::register_nf(flow::NfId id, nf::NfTask* task,
   }
 }
 
-void Manager::set_shard_link(ShardLink* link, std::uint32_t lane,
-                             Cycles latency) {
+void Manager::set_shard_link(ShardLink* link, std::uint32_t lane) {
   assert(!started_ && "wire the shard link before start()");
   shard_link_ = link;
   lane_id_ = lane;
-  shard_latency_ = latency;
   if (obs_ != nullptr) {
     obs::Scope scope = obs_->global_scope();
     scope.counter_fn("mgr.shard_tx_msgs", [this] { return shard_tx_msgs_; });
@@ -129,7 +127,7 @@ void Manager::set_shard_link(ShardLink* link, std::uint32_t lane,
 
 void Manager::post_remote(std::uint32_t dst, ShardMsg& msg) {
   assert(shard_link_ != nullptr && dst != lane_id_);
-  msg.when = engine_.now() + shard_latency_;
+  msg.when = engine_.now() + kCrossLaneLatency;
   ++shard_tx_msgs_;
   shard_link_->post(lane_id_, dst, msg);
 }

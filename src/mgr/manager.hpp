@@ -166,9 +166,8 @@ class Manager {
   // the shard link.
 
   /// Wire this replica to the lane runtime. `lane` is this manager's lane
-  /// id, `latency` the modelled cross-lane transit time every message is
-  /// stamped with (it bounds the lanes' conservative lookahead).
-  void set_shard_link(ShardLink* link, std::uint32_t lane, Cycles latency);
+  /// id; every message it posts is stamped now + kCrossLaneLatency.
+  void set_shard_link(ShardLink* link, std::uint32_t lane);
 
   /// Register a placeholder for an NF owned by lane `owner_lane`. `name`
   /// feeds backpressure observability (mirrored states are queriable).
@@ -390,7 +389,6 @@ class Manager {
   // -- sharded simulation (null / zero in single-lane runs) -----------------
   ShardLink* shard_link_ = nullptr;
   std::uint32_t lane_id_ = 0;
-  Cycles shard_latency_ = 0;
   std::uint64_t shard_tx_msgs_ = 0;
   std::uint64_t shard_rx_msgs_ = 0;
   /// Cross-lane packets dropped because the destination pool was exhausted

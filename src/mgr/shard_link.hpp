@@ -8,7 +8,7 @@
 // interface the lane runtime implements over per-(src,dst) mailboxes.
 //
 // Every message carries its delivery time, stamped send_time +
-// cross_lane_latency by the sender. The lane runtime drains mailboxes at
+// kCrossLaneLatency by the sender. The lane runtime drains mailboxes at
 // epoch barriers and schedules each message as an ordinary engine event at
 // msg.when on the destination lane; because the epoch length never exceeds
 // the latency, msg.when is always at or beyond the next epoch's start and a
@@ -27,6 +27,11 @@
 #include "pktio/mbuf.hpp"
 
 namespace nfv::mgr {
+
+/// Modelled cross-lane transit time, and so the lanes' lookahead (epoch
+/// length): 10 us at 2.6 GHz, one manager wakeup period — comparable to a
+/// loaded inter-core ring + wakeup hop.
+inline constexpr Cycles kCrossLaneLatency = 26'000;
 
 struct ShardMsg {
   enum class Kind : std::uint8_t {

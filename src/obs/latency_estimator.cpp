@@ -53,20 +53,6 @@ LatencyEstimator::Snapshot LatencyEstimator::snapshot_of(
   return s;
 }
 
-LatencyEstimator::Snapshot LatencyEstimator::snapshot() const {
-  scratch_.clear();
-  append_samples(scratch_);
-  Snapshot s;
-  s.samples = size_;
-  s.total_count = total_;
-  if (scratch_.empty()) return s;
-  s.p50 = rank_of(scratch_, 0.50);
-  s.p95 = rank_of(scratch_, 0.95);
-  s.p99 = rank_of(scratch_, 0.99);
-  s.max = *std::max_element(scratch_.begin(), scratch_.end());
-  return s;
-}
-
 std::uint64_t LatencyEstimator::quantile(double q) const {
   if (size_ == 0) return 0;
   scratch_.clear();

@@ -5,13 +5,13 @@
 // copying the held samples and running std::nth_element on the copy — the
 // BESS NFVMonitor::GetTailLatency technique. Recording is O(1) with zero
 // steady-state allocation (the ring is sized once at construction); a
-// snapshot costs O(window) into a reused scratch buffer and never disturbs
-// the ring, so back-to-back snapshots of an idle estimator are identical.
+// quantile query costs O(window) into a reused scratch buffer and never
+// disturbs the ring, so back-to-back queries of an idle estimator agree.
 //
 // The quantile definition is the nearest-rank rule the exemplar uses:
 // over n held samples, quantile q is the ceil(q*n)-th smallest (so p99 of
 // 100 samples is the 99th smallest, and any q over a single sample is
-// that sample). Snapshots are a pure function of the held multiset, which
+// that sample). Quantiles are a pure function of the held multiset, which
 // is what makes the shard-merge path exact: concatenating the per-lane
 // windows in lane order and calling snapshot_of() yields byte-identical
 // results at any worker count, because lane decomposition — and with it
@@ -50,19 +50,17 @@ class LatencyEstimator {
     ++total_;
   }
 
-  /// Copy the window and rank it; the ring itself is never reordered.
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Nearest-rank quantile of the held window (0 when empty).
+  /// Nearest-rank quantile of the held window (0 when empty). Ranks a
+  /// copy; the ring itself is never reordered.
   [[nodiscard]] std::uint64_t quantile(double q) const;
 
   /// Append the held samples (oldest first) to `out` — the shard-merge
   /// path concatenates per-lane windows with this before snapshot_of().
   void append_samples(std::vector<std::uint64_t>& out) const;
 
-  /// The shared quantile kernel: rank an arbitrary sample set under the
-  /// same nearest-rank rule snapshot() uses. Takes the samples by value
-  /// (nth_element reorders them); `total_count` passes through.
+  /// Rank an arbitrary sample set under quantile()'s nearest-rank rule.
+  /// Takes the samples by value (nth_element reorders them);
+  /// `total_count` passes through.
   [[nodiscard]] static Snapshot snapshot_of(std::vector<std::uint64_t> samples,
                                             std::uint64_t total_count);
 
@@ -82,7 +80,7 @@ class LatencyEstimator {
   std::size_t next_ = 0;   ///< slot the next sample lands in
   std::size_t size_ = 0;   ///< held samples (ring fill level)
   std::uint64_t total_ = 0;
-  /// Reused snapshot copy, so repeated queries allocate only on growth.
+  /// Reused window copy, so repeated queries allocate only on growth.
   mutable std::vector<std::uint64_t> scratch_;
 };
 

@@ -10,6 +10,9 @@ namespace {
 /// Flow lengths above this are clamped: one elephant should dominate a
 /// scenario, not outlive every simulation we could ever run.
 constexpr std::uint64_t kMaxFlowPackets = 10'000'000;
+/// Every generated flow's destination.
+constexpr std::uint32_t kDstIp = 0x0a800001;
+constexpr std::uint16_t kDstPort = 80;
 }  // namespace
 
 ChurnSource::ChurnSource(sim::Engine& engine, mgr::Manager& manager,
@@ -19,14 +22,13 @@ ChurnSource::ChurnSource(sim::Engine& engine, mgr::Manager& manager,
       manager_(manager),
       flows_(flows),
       config_(config),
-      gap_rng_(config.seed ^ 0x67617073ULL),   // "gaps"
+      arrivals_(clock, config.rate_pps, config.burst,
+                config.seed ^ 0x67617073ULL),  // "gaps"
       flow_rng_(config.seed ^ 0x666c6f77ULL) {  // "flow"
   assert(config_.rate_pps > 0.0);
   assert(config_.concurrent_flows > 0);
   assert(config_.pareto_alpha > 0.0);
   assert(config_.pareto_min_packets >= 1.0);
-  interval_ = std::max<Cycles>(1, clock.from_seconds(1.0 / config_.rate_pps));
-  batch_.reserve(std::max<std::uint32_t>(1, config_.burst));
   active_.reserve(config_.concurrent_flows);
 }
 
@@ -35,11 +37,12 @@ ChurnSource::~ChurnSource() {
 }
 
 void ChurnSource::start() {
-  next_time_ = std::max(config_.start_time, engine_.now());
+  const Cycles first = std::max(config_.start_time, engine_.now());
+  arrivals_.start(first);
   // Each slot is written once, by its first spawn.
   for (std::uint32_t slot = 0; slot < config_.concurrent_flows; ++slot) {
     active_.emplace_back();
-    spawn_flow(slot, next_time_);
+    spawn_flow(slot, first);
   }
   arm();
 }
@@ -59,37 +62,22 @@ void ChurnSource::spawn_flow(std::uint32_t slot, Cycles now) {
   ActiveFlow& f = active_[slot];
   f.key.src_ip = config_.src_ip_base + static_cast<std::uint32_t>(n / 60000);
   f.key.src_port = static_cast<std::uint16_t>(1 + n % 60000);
-  f.key.dst_ip = config_.dst_ip;
-  f.key.dst_port = config_.dst_port;
+  f.key.dst_ip = kDstIp;
+  f.key.dst_port = kDstPort;
   f.key.proto = pktio::kProtoUdp;
   f.remaining = draw_flow_length();
   f.seq = 0;
   flows_.install(f.key, config_.chain, now);
 }
 
-Cycles ChurnSource::draw_gap() {
-  // Zero-mean uniform jitter (±10%) keeps the aggregate rate exact while
-  // breaking phase locking with other sources, as in UdpSource.
-  const double u = 2.0 * gap_rng_.next_double() - 1.0;  // [-1, 1)
-  const Cycles gap =
-      interval_ + static_cast<Cycles>(0.1 * u * static_cast<double>(interval_));
-  return gap < 1 ? 1 : gap;
-}
-
 void ChurnSource::arm() {
-  const std::uint32_t k = std::max<std::uint32_t>(1, config_.burst);
-  batch_.clear();
-  batch_.push_back(next_time_);
-  for (std::uint32_t i = 1; i < k; ++i) {
-    batch_.push_back(batch_.back() + draw_gap());
-  }
-  next_time_ = batch_.back() + draw_gap();
-  pending_ = engine_.schedule_at(batch_.back(), [this] { emit_batch(); });
+  pending_ = engine_.schedule_at(arrivals_.next_batch(),
+                                 [this] { emit_batch(); });
 }
 
 void ChurnSource::emit_batch() {
   pending_ = sim::kInvalidEventId;
-  for (const Cycles t : batch_) {
+  for (const Cycles t : arrivals_.batch()) {
     if (config_.stop_time >= 0 && t >= config_.stop_time) return;  // halt
     const std::uint32_t slot =
         static_cast<std::uint32_t>(flow_rng_.next_below(active_.size()));

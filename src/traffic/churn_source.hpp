@@ -9,10 +9,10 @@
 // live and the table's install / touch / expire machinery is exercised at
 // scale.
 //
-// Determinism mirrors UdpSource: inter-arrival gaps are pre-drawn at arm
-// time from one RNG while flow picking / flow lengths consume a second,
-// so the packet sequence (keys, timestamps, flow birth order) is identical
-// at any burst setting. Installs and touches are stamped with the packet's
+// Determinism mirrors UdpSource: arrival times come from an ArrivalClock
+// with its own RNG while flow picking / flow lengths consume a second, so
+// the packet sequence (keys, timestamps, flow birth order) is identical at
+// any burst setting. Installs and touches are stamped with the packet's
 // arrival timestamp, not the delivery time, for the same reason.
 #pragma once
 
@@ -24,6 +24,7 @@
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
 #include "sim/engine.hpp"
+#include "traffic/arrival_clock.hpp"
 
 namespace nfv::traffic {
 
@@ -43,10 +44,9 @@ class ChurnSource {
     std::uint64_t seed = 0xC0FFEEULL;
     /// Arrivals delivered per timer event (1 = one event per packet).
     std::uint32_t burst = 1;
-    /// 5-tuple space for generated flows (src_ip/src_port enumerate).
+    /// 5-tuple space for generated flows (src_ip/src_port enumerate; all
+    /// go to 10.128.0.1:80).
     std::uint32_t src_ip_base = 0x0b000000;
-    std::uint32_t dst_ip = 0x0a800001;
-    std::uint16_t dst_port = 80;
   };
 
   ChurnSource(sim::Engine& engine, mgr::Manager& manager,
@@ -78,21 +78,17 @@ class ChurnSource {
   void arm();
   void emit_batch();
   void spawn_flow(std::uint32_t slot, Cycles now);
-  [[nodiscard]] Cycles draw_gap();
   [[nodiscard]] std::uint64_t draw_flow_length();
 
   sim::Engine& engine_;
   mgr::Manager& manager_;
   flow::FlowTable& flows_;
   Config config_;
-  Cycles interval_;
-  /// Gap RNG is consumed only at arm time, flow RNG only at emit time, so
-  /// neither sequence shifts with the burst setting.
-  Rng gap_rng_;
+  /// The clock's RNG is consumed only at arm time, the flow RNG only at
+  /// emit time, so neither sequence shifts with the burst setting.
+  ArrivalClock arrivals_;
   Rng flow_rng_;
   std::vector<ActiveFlow> active_;
-  std::vector<Cycles> batch_;
-  Cycles next_time_ = 0;
   sim::EventId pending_ = sim::kInvalidEventId;
   std::uint64_t sent_ = 0;
   std::uint64_t flows_created_ = 0;

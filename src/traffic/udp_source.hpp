@@ -1,23 +1,21 @@
 // Open-loop UDP traffic source (MoonGen / Pktgen / iperf3-UDP stand-in).
 //
 // The paper's generators emit constant-rate flows of configurable packet
-// size — 64-byte packets at 10 Gb/s line rate is 14.88 Mpps (§4.1). This
-// source pre-draws `burst` inter-arrival gaps per timer event and delivers
-// that many packets — each stamped with its exact per-packet arrival time —
-// in one burst ingress call, then re-arms at the last arrival. The gap
-// sequence consumed is identical at any burst setting, so burst=1
-// reproduces the seed's one-event-per-packet schedule exactly. Being open
-// loop, it never backs off: exactly the "non-responsive" traffic
-// backpressure exists for.
+// size — 64-byte packets at 10 Gb/s line rate is 14.88 Mpps (§4.1). Per
+// timer event this source takes `burst` arrivals from its ArrivalClock and
+// delivers them — each stamped with its exact per-packet arrival time — in
+// one burst ingress call, then re-arms at the last arrival. The arrival
+// times are identical at any burst setting, so burst=1 reproduces the
+// seed's one-event-per-packet schedule exactly. Being open loop, it never
+// backs off: exactly the "non-responsive" traffic backpressure exists for.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "mgr/manager.hpp"
 #include "pktio/flow_key.hpp"
 #include "sim/engine.hpp"
+#include "traffic/arrival_clock.hpp"
 
 namespace nfv::traffic {
 
@@ -33,15 +31,7 @@ class UdpSource {
     Cycles start_time = 0;
     Cycles stop_time = -1;  ///< -1 (max) = run until simulation end.
     std::uint8_t cost_classes = 0;  ///< >0: tag packets 0..n-1 round-robin.
-    /// Per-packet inter-arrival jitter as a fraction of the interval
-    /// (uniform, zero-mean). Real generators are never perfectly phase
-    /// locked; without this, same-rate flows emit at identical timestamps
-    /// and ring-full drops bias deterministically toward one flow.
-    double jitter_fraction = 0.1;
-    /// Poisson arrivals (exponential inter-arrival times at the same mean
-    /// rate) instead of jittered CBR — burstier, for sensitivity studies.
-    bool poisson = false;
-    std::uint64_t seed = 0x9e3779b9ULL;
+    std::uint64_t seed = 0x9e3779b9ULL;  ///< Arrival jitter, with key.src_ip.
     /// Arrivals delivered per timer event (1 = one event per packet, the
     /// seed behaviour). Timestamps are exact at any setting.
     std::uint32_t burst = 1;
@@ -67,18 +57,11 @@ class UdpSource {
   void arm();
   void emit_batch();
   void stamp(pktio::Mbuf& pkt, std::uint64_t seq) const;
-  [[nodiscard]] Cycles draw_gap();
 
   sim::Engine& engine_;
   mgr::Manager& manager_;
   Config config_;
-  Cycles interval_;
-  Rng rng_;
-  /// Arrival timestamps of the armed batch, and the first arrival of the
-  /// batch after it (its gap is drawn at arming time so the consumed gap
-  /// sequence never depends on the burst setting).
-  std::vector<Cycles> batch_;
-  Cycles next_time_ = 0;
+  ArrivalClock arrivals_;
   sim::EventId pending_ = sim::kInvalidEventId;
   std::uint64_t sent_ = 0;
   std::uint64_t alloc_drops_ = 0;

@@ -84,42 +84,5 @@ TEST(Rng, NextInInclusiveRange) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, ExponentialMeanConverges) {
-  Rng rng(17);
-  double sum = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.next_exponential(250.0);
-  EXPECT_NEAR(sum / n, 250.0, 5.0);
-}
-
-TEST(Rng, ExponentialAlwaysNonNegative) {
-  Rng rng(19);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.next_exponential(1.0), 0.0);
-  }
-}
-
-TEST(Rng, WeightedPickFollowsWeights) {
-  Rng rng(23);
-  const double weights[] = {1.0, 3.0};
-  int counts[2] = {0, 0};
-  for (int i = 0; i < 40000; ++i) ++counts[rng.next_weighted(weights, 2)];
-  const double ratio = static_cast<double>(counts[1]) / counts[0];
-  EXPECT_NEAR(ratio, 3.0, 0.3);
-}
-
-TEST(Rng, WeightedDegenerateWeights) {
-  Rng rng(29);
-  const double zeros[] = {0.0, 0.0, 0.0};
-  EXPECT_EQ(rng.next_weighted(zeros, 3), 2u);
-  EXPECT_EQ(rng.next_weighted(nullptr, 0), 0u);
-}
-
-TEST(Rng, WeightedSingleElement) {
-  Rng rng(31);
-  const double one[] = {5.0};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.next_weighted(one, 1), 0u);
-}
-
 }  // namespace
 }  // namespace nfv

@@ -42,14 +42,6 @@ TEST(ChainRegistry, PositionOf) {
   EXPECT_EQ(reg.position_of(c, 10), -1);
 }
 
-TEST(ChainRegistry, UpstreamOf) {
-  ChainRegistry reg;
-  const ChainId c = reg.add("c", {5, 6, 7, 8});
-  EXPECT_TRUE(reg.upstream_of(c, 5).empty());
-  EXPECT_EQ(reg.upstream_of(c, 7), (std::vector<NfId>{5, 6}));
-  EXPECT_EQ(reg.upstream_of(c, 8), (std::vector<NfId>{5, 6, 7}));
-}
-
 TEST(ChainRegistry, RepeatedNfInChainIndexedOnce) {
   ChainRegistry reg;
   const ChainId c = reg.add("loop", {1, 2, 1});
@@ -61,7 +53,6 @@ TEST(ChainRegistry, SingleNfChain) {
   ChainRegistry reg;
   const ChainId c = reg.add("solo", {0});
   EXPECT_EQ(reg.get(c).length(), 1u);
-  EXPECT_TRUE(reg.upstream_of(c, 0).empty());
 }
 
 TEST(ChainRegistry, LongChain) {
@@ -71,7 +62,6 @@ TEST(ChainRegistry, LongChain) {
   for (NfId i = 0; i < 10; ++i) hops.push_back(i);
   const ChainId c = reg.add("len10", hops);
   EXPECT_EQ(reg.get(c).length(), 10u);
-  EXPECT_EQ(reg.upstream_of(c, 9).size(), 9u);
 }
 
 }  // namespace

@@ -69,6 +69,75 @@ TEST(Simulation, NegativeOrNonFiniteRunIsRejected) {
   }
 }
 
+// Every per-NF series is keyed by the NF's name, so a second NF with the
+// same name would merge into the first's series.
+TEST(Simulation, DuplicateNfNameIsRefused) {
+  Simulation sim;
+  const auto core_id = sim.add_core(SchedPolicy::kCfsBatch);
+  sim.add_nf("a", core_id, nf::CostModel::fixed(100));
+  EXPECT_THROW(sim.add_nf("a", core_id, nf::CostModel::fixed(200)),
+               std::invalid_argument);
+  EXPECT_EQ(sim.nf_count(), 1u);
+  EXPECT_EQ(sim.add_nf("b", core_id, nf::CostModel::fixed(200)), 1u);
+}
+
+// Each id is checked where the facade receives it, before anything
+// changes: a topology completed after refused calls reports the same bytes
+// as one built without them. The refused calls name chain 0 before it
+// exists; the completed topology sets nothing on it, so a call that leaked
+// would show in its report.
+TEST(Simulation, UnknownIdsAreRefused) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards);
+    const auto report = [shards](bool with_refused_calls) {
+      PlatformConfig cfg;
+      cfg.sim_shards = shards;
+      Simulation sim(cfg);
+      const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+      const auto c1 = sim.add_core(SchedPolicy::kCfsBatch);
+      const flow::NfId unknown_nf = 2;
+      const flow::ChainId unknown_chain = 0;  // the chain added below
+      if (with_refused_calls) {
+        EXPECT_THROW(sim.add_nf("x", 2, nf::CostModel::fixed(100)),
+                     std::out_of_range);
+        EXPECT_THROW(sim.add_chain("x", {0}), std::out_of_range);
+      }
+      const auto a = sim.add_nf("a", c0, nf::CostModel::fixed(200));
+      const auto b = sim.add_nf("b", c1, nf::CostModel::fixed(300));
+      if (with_refused_calls) {
+        EXPECT_THROW(sim.add_chain("x", {}), std::invalid_argument);
+        EXPECT_THROW(sim.add_chain("x", {a, unknown_nf}), std::out_of_range);
+        EXPECT_THROW(sim.attach_io(unknown_nf, {}), std::out_of_range);
+        EXPECT_THROW(sim.set_chain_slo(unknown_chain, 100.0),
+                     std::out_of_range);
+        EXPECT_THROW(sim.set_chain_class(unknown_chain, 2.0, 0.5),
+                     std::out_of_range);
+        EXPECT_THROW(
+            sim.set_dead_policy(unknown_chain, fault::DeadNfPolicy::kBypass),
+            std::out_of_range);
+        EXPECT_THROW(sim.add_udp_flow(unknown_chain, 1e6), std::out_of_range);
+        fault::FaultPlan bad;
+        bad.add_crash(unknown_nf, sim.clock().from_millis(5));
+        EXPECT_THROW(sim.set_fault_plan(std::move(bad)), std::out_of_range);
+      }
+      const auto ab = sim.add_chain("ab", {a, b});
+      const auto solo = sim.add_chain("b", {b});
+      sim.attach_io(a, {});
+      sim.set_chain_slo(solo, 200.0);
+      sim.set_chain_class(solo, 2.0, 0.5);
+      sim.set_dead_policy(solo, fault::DeadNfPolicy::kBuffer);
+      fault::FaultPlan plan;
+      plan.add_crash(b, sim.clock().from_millis(5));
+      sim.set_fault_plan(std::move(plan));
+      sim.add_udp_flow(ab, 2e6, {.stop_seconds = 0.015});
+      sim.add_udp_flow(solo, 1e6, {.stop_seconds = 0.015});
+      sim.run_for_seconds(0.02);
+      return sim.report_json();
+    };
+    EXPECT_EQ(report(true), report(false));
+  }
+}
+
 TEST(Simulation, DeterministicAcrossRuns) {
   auto run_once = [] {
     Simulation sim;

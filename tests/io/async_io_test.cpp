@@ -182,8 +182,6 @@ TEST(AsyncIoFault, WedgeTimesOutExhaustsBudgetAndShedsDegraded) {
   io.set_timeout(5000);
   io.set_retry(2, 1000, 2.0, 0.0);
   io.set_on_fail(AsyncIoEngine::OnIoFail::kShed);
-  int degrade_entries = 0;
-  io.set_degrade_callback([&](bool entered) { degrade_entries += entered; });
   dev.inject_device_fault(fault::DeviceFaultKind::kWedge, 0.0);
   bool write_done = false;
   io.write(1024, [&] { write_done = true; });
@@ -194,7 +192,7 @@ TEST(AsyncIoFault, WedgeTimesOutExhaustsBudgetAndShedsDegraded) {
   EXPECT_EQ(io.retries(), 1u);
   EXPECT_EQ(io.failures(), 1u);
   EXPECT_TRUE(io.degraded());
-  EXPECT_EQ(degrade_entries, 1);
+  EXPECT_EQ(io.degraded_entries(), 1u);
   EXPECT_EQ(io.dropped_writes(), 1u);
   EXPECT_EQ(io.shed_bytes(), 1024u);
   EXPECT_FALSE(io.would_block());  // shed mode never blocks the NF

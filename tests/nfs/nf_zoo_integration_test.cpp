@@ -7,7 +7,6 @@
 #include "nfs/load_balancer.hpp"
 #include "nfs/monitor.hpp"
 #include "nfs/nat.hpp"
-#include "nfs/rate_limiter.hpp"
 
 namespace nfv::nfs {
 namespace {
@@ -74,23 +73,6 @@ TEST(NfZoo, MonitorSeesExactlyAdmittedTraffic) {
   EXPECT_EQ(monitor.total_packets(), sim.nf_metrics(mon_nf).processed);
   const auto top = monitor.top_talkers(2);
   ASSERT_EQ(top.size(), 2u);
-}
-
-TEST(NfZoo, RateLimiterShapesChainThroughput) {
-  core::Simulation sim;
-  const auto core_id = sim.add_core(core::SchedPolicy::kCfsBatch);
-  const auto rl_nf = sim.add_nf("police", core_id, nf::CostModel::fixed(100));
-  const auto chain = sim.add_chain("policed", {rl_nf});
-  RateLimiter::Config cfg;
-  cfg.rate_pps = 250'000;
-  RateLimiter limiter(sim.engine(), sim.clock(), cfg);
-  limiter.install(sim.nf(rl_nf));
-  sim.add_udp_flow(chain, 1'000'000);  // 4x over the policed rate
-  sim.run_for_seconds(0.2);
-  const double egress_pps =
-      static_cast<double>(sim.chain_metrics(chain).egress_packets) / 0.2;
-  EXPECT_NEAR(egress_pps, 250'000.0, 12'000.0);
-  EXPECT_GT(limiter.policed(), 100'000u);
 }
 
 TEST(NfZoo, DpiDropsPlantedTraffic) {

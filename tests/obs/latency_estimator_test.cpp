@@ -1,7 +1,7 @@
 // LatencyEstimator: the fixed-window tail-quantile estimator behind the
 // per-chain SLO telemetry (DESIGN.md §16). The tests pin the nearest-rank
 // rule exactly — index ceil(q*n)-1 over the sorted window — plus the
-// ring-buffer wraparound order, snapshot non-destruction, and the
+// ring-buffer wraparound order, query non-destruction, and the
 // shard-merge contract (quantiles over a concatenated sample multiset are
 // order-independent, so merged == unsharded).
 
@@ -18,13 +18,20 @@
 namespace nfv::obs {
 namespace {
 
+/// One estimator's window ranked the way the report ranks a merged one.
+LatencyEstimator::Snapshot snapshot(const LatencyEstimator& est) {
+  std::vector<std::uint64_t> samples;
+  est.append_samples(samples);
+  return LatencyEstimator::snapshot_of(std::move(samples), est.total_count());
+}
+
 TEST(LatencyEstimator, EmptyReportsZeros) {
   LatencyEstimator est;
   EXPECT_TRUE(est.empty());
   EXPECT_EQ(est.size(), 0u);
   EXPECT_EQ(est.total_count(), 0u);
   EXPECT_EQ(est.quantile(0.99), 0u);
-  const auto snap = est.snapshot();
+  const auto snap = snapshot(est);
   EXPECT_EQ(snap.p50, 0u);
   EXPECT_EQ(snap.p95, 0u);
   EXPECT_EQ(snap.p99, 0u);
@@ -41,7 +48,7 @@ TEST(LatencyEstimator, NearestRankOnOneToHundred) {
   EXPECT_EQ(est.quantile(0.95), 95u);
   EXPECT_EQ(est.quantile(0.99), 99u);
   EXPECT_EQ(est.quantile(1.0), 100u);
-  const auto snap = est.snapshot();
+  const auto snap = snapshot(est);
   EXPECT_EQ(snap.p50, 50u);
   EXPECT_EQ(snap.p95, 95u);
   EXPECT_EQ(snap.p99, 99u);
@@ -76,14 +83,15 @@ TEST(LatencyEstimator, WindowWraparoundKeepsNewestSamples) {
 TEST(LatencyEstimator, SnapshotDoesNotDisturbTheWindow) {
   LatencyEstimator est(16);
   for (std::uint64_t v = 1; v <= 10; ++v) est.record(v);
-  const auto first = est.snapshot();
-  // nth_element runs on a scratch copy: repeated snapshots and quantile
-  // queries must agree and must not reorder the ring.
+  const std::uint64_t p50 = est.quantile(0.50);
+  const std::uint64_t p99 = est.quantile(0.99);
+  const std::uint64_t max = est.quantile(1.0);
+  // nth_element runs on a scratch copy: repeated quantile queries must
+  // agree and must not reorder the ring.
   for (int i = 0; i < 5; ++i) {
-    const auto again = est.snapshot();
-    EXPECT_EQ(again.p50, first.p50);
-    EXPECT_EQ(again.p99, first.p99);
-    EXPECT_EQ(again.max, first.max);
+    EXPECT_EQ(est.quantile(0.50), p50);
+    EXPECT_EQ(est.quantile(0.99), p99);
+    EXPECT_EQ(est.quantile(1.0), max);
   }
   std::vector<std::uint64_t> samples;
   est.append_samples(samples);
@@ -94,7 +102,7 @@ TEST(LatencyEstimator, RecordAfterSnapshotContinuesTheRing) {
   LatencyEstimator est(4);
   est.record(10);
   est.record(20);
-  (void)est.snapshot();
+  (void)est.quantile(0.5);
   est.record(30);
   est.record(40);
   est.record(50);  // evicts 10
@@ -136,7 +144,7 @@ TEST(LatencyEstimator, SnapshotOfMatchesSingleEstimator) {
   lane_b.append_samples(merged);
   const auto merged_snap = LatencyEstimator::snapshot_of(
       merged, lane_a.total_count() + lane_b.total_count());
-  const auto whole_snap = whole.snapshot();
+  const auto whole_snap = snapshot(whole);
   EXPECT_EQ(merged_snap.p50, whole_snap.p50);
   EXPECT_EQ(merged_snap.p95, whole_snap.p95);
   EXPECT_EQ(merged_snap.p99, whole_snap.p99);
