@@ -8,8 +8,10 @@
 //   * shard_speedup_4w     — wall-clock(shards=1) / wall-clock(shards=4).
 //     Meaningful only when the host has >= 4 usable cores; the JSON carries
 //     host_cores so the baseline checker can gate on it.
-//   * shard_events_per_sec — engine events dispatched per wall second at
-//     shards=4 (the sharded substrate's absolute throughput).
+//   * shard_events_per_sec — report events (dispatched_events) per wall
+//     second at shards=4 (the sharded substrate's absolute throughput).
+//     Each delivered cross-lane message counts as one event, though a run
+//     of them due at one instant is one engine dispatch.
 //
 // The bench also *asserts* the sharded determinism contract on every run:
 // the shards=1 and shards=4 reports must be byte-identical, and a mismatch

@@ -16,9 +16,8 @@ Lane::Lane(std::uint32_t lane_id, const mgr::ManagerConfig& mgr_cfg,
   // Platform probes: every lane registers the same keys, so a merged report
   // sums them across lanes into the familiar series. Sampled, so the hot
   // paths pay nothing for them.
-  obs.metrics().counter_fn("sim.dispatched_events", {}, [this] {
-    return engine.dispatched_events();
-  });
+  obs.metrics().counter_fn("sim.dispatched_events", {},
+                           [this] { return dispatched_events(); });
   obs.metrics().gauge_fn("sim.mbufs_in_use", {}, [this] {
     return static_cast<double>(pool.in_use());
   });
@@ -76,7 +75,7 @@ Lane& ShardRuntime::add_core() {
 
 std::uint64_t ShardRuntime::dispatched_events() const {
   std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->engine.dispatched_events();
+  for (const auto& lane : lanes_) total += lane->dispatched_events();
   return total;
 }
 
@@ -116,36 +115,56 @@ void ShardRuntime::run_until(Cycles target) {
   }
 }
 
-void ShardRuntime::drain_lane(std::size_t dst) {
-  Lane& lane = *lanes_[dst];
-  const std::size_t n = lanes_.size();
-  for (std::size_t src = 0; src < n; ++src) {
-    auto& msgs = boxes_[src * n + dst].msgs;
-    for (const mgr::ShardMsg& msg : msgs) deliver(lane, msg);
-    msgs.clear();
-  }
-}
+namespace {
 
-void ShardRuntime::deliver(Lane& lane, const mgr::ShardMsg& msg) {
-  // Park the message in a free slot of the lane's pending store and
-  // schedule its delivery as an ordinary engine event. The {lane, slot}
-  // capture fits SmallCallback's inline storage and the slot is recycled
-  // when the event fires, so steady-state delivery does not allocate.
-  // Deliveries happen only in the drain phase, so `pending` never grows
-  // while a delivery event holds a reference into it.
+/// Take a free slot of `lane`'s pending store for a run due at `when` and
+/// schedule the run's one delivery event; the drain fills the slot before
+/// the event can fire. The {lane, slot} capture fits SmallCallback's inline
+/// storage and the slot is recycled when the event fires, so steady-state
+/// delivery does not allocate. Runs open only in the drain phase, so
+/// `pending` never grows while a delivery event holds a reference into it.
+std::vector<mgr::ShardMsg>& open_run(Lane& lane, Cycles when) {
   auto slot = static_cast<std::uint32_t>(lane.pending.size());
   if (lane.free_slots.empty()) {
-    lane.pending.push_back(msg);
+    lane.pending.emplace_back();
   } else {
     slot = lane.free_slots.back();
     lane.free_slots.pop_back();
-    lane.pending[slot] = msg;
   }
   Lane* owner = &lane;
-  lane.engine.schedule_at(msg.when, [owner, slot] {
-    owner->manager->apply_shard_msg(owner->pending[slot]);
+  lane.engine.schedule_at(when, [owner, slot] {
+    std::vector<mgr::ShardMsg>& run = owner->pending[slot];
+    owner->manager->apply_shard_run(run.data(), run.size());
+    owner->run_followers += run.size() - 1;
+    run.clear();
     owner->free_slots.push_back(slot);
   });
+  return lane.pending[slot];
+}
+
+}  // namespace
+
+void ShardRuntime::drain_lane(std::size_t dst) {
+  // One delivery event per maximal run of consecutively drained messages
+  // that share a delivery time. A drain schedules nothing but deliveries,
+  // so as events of their own a run's messages would hold adjacent
+  // sequence numbers at one instant, and no other event could fire between
+  // them; whatever applying one schedules sorts after the whole drain
+  // either way. Applying the run in order in one event keeps every lane's
+  // order without reserving sequence numbers.
+  Lane& lane = *lanes_[dst];
+  const std::size_t n = lanes_.size();
+  std::vector<mgr::ShardMsg>* run = nullptr;
+  for (std::size_t src = 0; src < n; ++src) {
+    auto& msgs = boxes_[src * n + dst].msgs;
+    for (const mgr::ShardMsg& msg : msgs) {
+      if (run == nullptr || msg.when != run->front().when) {
+        run = &open_run(lane, msg.when);
+      }
+      run->push_back(msg);
+    }
+    msgs.clear();
+  }
 }
 
 }  // namespace nfv::core

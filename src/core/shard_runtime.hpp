@@ -17,7 +17,8 @@
 //    stamped send_time + latency, nothing posted during an epoch can be
 //    due before the epoch ends. At the epoch barrier each destination lane
 //    drains its mailboxes in fixed source-lane order, FIFO within each,
-//    and schedules the messages as ordinary engine events — so the
+//    and schedules one ordinary engine event per run of consecutively
+//    drained messages due at the same instant — so the
 //    *decomposition* (one lane per core) is fixed by the topology and the
 //    worker count only decides how many lanes run at once. That is the
 //    determinism argument in one line: lane event sequences do not depend
@@ -71,12 +72,25 @@ struct Lane {
   /// The user recorder's id for each string `trace` has interned.
   std::vector<obs::StrId> trace_ids;
   std::unique_ptr<io::BlockDevice> block_device;
-  /// In-flight cross-lane messages, a slot store: the drain copies each
-  /// message into a free slot, its delivery event captures the slot index,
-  /// and the slot goes back on `free_slots` when the event fires. Slots are
-  /// reused, so a lane in steady state never allocates for a message.
-  std::vector<mgr::ShardMsg> pending;
+  /// In-flight cross-lane messages, a store of runs: the drain copies each
+  /// maximal run of consecutively drained messages that share a delivery
+  /// time into a free slot, the run's one delivery event captures the slot
+  /// index, and the slot goes back on `free_slots` when the event fires.
+  /// Slots and their vectors are reused, so a lane in steady state never
+  /// allocates for a message.
+  std::vector<std::vector<mgr::ShardMsg>> pending;
   std::vector<std::uint32_t> free_slots;
+  /// Messages delivered beyond the first of their run. The engine counts
+  /// one dispatch per run; dispatched_events() adds these, so that every
+  /// delivered message counts as one event.
+  std::uint64_t run_followers = 0;
+
+  /// Events dispatched on this lane, each delivered message counted as
+  /// one: what the report's `dispatched_events` and the lane's
+  /// `sim.dispatched_events` probe read.
+  [[nodiscard]] std::uint64_t dispatched_events() const {
+    return engine.dispatched_events() + run_followers;
+  }
 };
 
 /// Owns the lanes, the mailbox matrix and the worker pool, and implements
@@ -104,7 +118,7 @@ class ShardRuntime final : public mgr::ShardLink {
     return lanes_;
   }
   [[nodiscard]] Cycles now() const { return now_; }
-  /// Sum of all lane engines' dispatched-event counts.
+  /// Sum of all lanes' dispatched-event counts (Lane::dispatched_events).
   [[nodiscard]] std::uint64_t dispatched_events() const;
 
   // mgr::ShardLink — called from lane worker threads during an epoch.
@@ -134,7 +148,6 @@ class ShardRuntime final : public mgr::ShardLink {
 
   Lane& add_lane();
   void drain_lane(std::size_t dst);
-  void deliver(Lane& lane, const mgr::ShardMsg& msg);
 
   std::uint32_t shards_;
   // Knobs for added lanes; the caller's Manager config, so flips reach them.

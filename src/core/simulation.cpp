@@ -1,7 +1,6 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -24,6 +23,13 @@ void check_id(const char* kind, std::size_t id, std::size_t count) {
   if (id >= count) {
     throw std::out_of_range(std::string("unknown ") + kind + " id " +
                             std::to_string(id));
+  }
+}
+
+/// Throw std::logic_error when set-up the first run froze comes after it.
+void check_not_started(bool started, const char* call) {
+  if (started) {
+    throw std::logic_error(std::string(call) + ": after the first run");
   }
 }
 }  // namespace
@@ -171,7 +177,7 @@ flow::NfId Simulation::add_nf(std::string name, std::size_t core_index,
 
 flow::ChainId Simulation::add_chain(std::string name,
                                     std::vector<flow::NfId> hops) {
-  assert(!started_ && "define chains before traffic starts");
+  check_not_started(started_, "add_chain");
   if (hops.empty()) {
     throw std::invalid_argument("add_chain: a chain needs at least one hop");
   }
@@ -192,8 +198,10 @@ io::AsyncIoEngine& Simulation::attach_io(flow::NfId nf_id,
 }
 
 void Simulation::set_fault_plan(fault::FaultPlan plan) {
-  assert(!started_ && "install the fault plan before the first run");
-  assert(!fault_plan_ && "only one fault plan per simulation");
+  check_not_started(started_, "set_fault_plan");
+  if (fault_plan_) {
+    throw std::logic_error("set_fault_plan: a simulation takes one plan");
+  }
   for (const fault::FaultSpec& spec : plan.specs()) {
     if (spec.kind == fault::FaultKind::kDevice) continue;
     check_id("NF", spec.nf, nfs_.size());
@@ -212,6 +220,7 @@ void Simulation::set_dead_policy(flow::ChainId chain,
 
 Simulation::ChainSloReport Simulation::chain_slo_report(
     flow::ChainId chain) const {
+  check_id("chain", chain, chains_.size());
   ChainSloReport out;
   std::vector<std::uint64_t> samples;
   std::uint64_t total = 0;
@@ -238,6 +247,7 @@ Histogram Simulation::chain_latency(flow::ChainId chain) const {
 
 std::uint64_t Simulation::chain_latency_quantile(flow::ChainId chain,
                                                  double q) const {
+  check_id("chain", chain, chains_.size());
   return chain_latency(chain).value_at_quantile(q);
 }
 
@@ -251,7 +261,7 @@ void Simulation::set_chain_slo(flow::ChainId chain, double target_us) {
 
 void Simulation::set_chain_class(flow::ChainId chain, double priority,
                                  double utility) {
-  assert(!started_ && "register flow classes before traffic starts");
+  check_not_started(started_, "set_chain_class");
   check_id("chain", chain, chains_.size());
   bp::ClassSpec spec;
   spec.priority = priority;
@@ -265,6 +275,7 @@ void Simulation::set_chain_class(flow::ChainId chain, double priority,
 
 Simulation::ChainAdmissionReport Simulation::chain_admission_report(
     flow::ChainId chain) const {
+  check_id("chain", chain, chains_.size());
   ChainAdmissionReport out;
   for (const auto& lane : shard_->lanes()) {
     const bp::AdmissionController* adm = lane->manager->admission();
@@ -284,16 +295,23 @@ Simulation::ChainAdmissionReport Simulation::chain_admission_report(
 }
 
 fault::NfLifecycle Simulation::nf_lifecycle(flow::NfId id) const {
+  check_id("NF", id, nfs_.size());
   const mgr::Lifecycle* life = mgr_of(id).lifecycle();
   return life != nullptr ? life->state(id) : fault::NfLifecycle::kRunning;
 }
 
 const fault::NfLifecycleStats& Simulation::nf_lifecycle_stats(
     flow::NfId id) const {
+  check_id("NF", id, nfs_.size());
   return mgr_of(id).nf_lifecycle_stats(id);
 }
 
 sim::Engine& Simulation::engine() { return shard_->lane(0).engine; }
+
+nf::NfTask& Simulation::nf(flow::NfId id) {
+  check_id("NF", id, nfs_.size());
+  return *nfs_[id];
+}
 
 mgr::Manager& Simulation::manager() { return *shard_->lane(0).manager; }
 
@@ -555,6 +573,7 @@ double Simulation::now_seconds() const {
 }
 
 NfMetrics Simulation::nf_metrics(flow::NfId id) const {
+  check_id("NF", id, nfs_.size());
   const nf::NfTask& task = *nfs_[id];
   const auto& mc = mgr_of(id).nf_counters(id);
   NfMetrics m;
@@ -576,6 +595,7 @@ NfMetrics Simulation::nf_metrics(flow::NfId id) const {
 }
 
 ChainMetrics Simulation::chain_metrics(flow::ChainId id) const {
+  check_id("chain", id, chains_.size());
   // Admission counts on the home lane, egress wherever the last hop ran;
   // the chain total is the sum over lanes.
   ChainMetrics m;
@@ -594,6 +614,7 @@ ChainMetrics Simulation::chain_metrics(flow::ChainId id) const {
 }
 
 double Simulation::nf_cpu_share(flow::NfId id) const {
+  check_id("NF", id, nfs_.size());
   const Cycles now = shard_->now();
   if (now == 0) return 0.0;
   return static_cast<double>(nfs_[id]->stats().runtime) /

@@ -210,7 +210,9 @@ class Simulation {
                        int numa_node = 0);
 
   // Ids are checked here, before anything changes: an unknown core, NF or
-  // chain id throws std::out_of_range.
+  // chain id throws std::out_of_range. So do the read accessors below. Set-up
+  // that the first run_for_seconds() freezes (chains, the fault plan, flow
+  // classes) throws std::logic_error after it, also before anything changes.
 
   /// Add an NF pinned to `core_index`. Returns the NfId used in chains.
   /// Every per-NF series is keyed by the name, so a name already in use
@@ -218,7 +220,8 @@ class Simulation {
   flow::NfId add_nf(std::string name, std::size_t core_index,
                     nf::CostModel cost, NfOptions options = {});
 
-  /// An empty hop list throws std::invalid_argument.
+  /// An empty hop list throws std::invalid_argument. Call before the first
+  /// run.
   flow::ChainId add_chain(std::string name, std::vector<flow::NfId> hops);
 
   /// Attach an async I/O engine (shared simulated disk) to an NF.
@@ -230,7 +233,8 @@ class Simulation {
   /// run_for_seconds() every lane's lifecycle watchdog is armed and each
   /// spec is scheduled, in injection-time order, straight onto the
   /// lifecycle (NF faults) or the block device (device faults) of the lanes
-  /// it belongs to. Call before that run. A simulation without a plan
+  /// it belongs to. Call once, before that run: a second plan, or a plan
+  /// after it, throws std::logic_error. A simulation without a plan
   /// schedules no watchdog events at all, so unfaulted runs replay
   /// byte-for-byte against earlier versions.
   void set_fault_plan(fault::FaultPlan plan);
@@ -341,7 +345,7 @@ class Simulation {
   [[nodiscard]] mgr::Manager& manager();
   [[nodiscard]] sched::Core& core(std::size_t index) { return *cores_[index]; }
   [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
-  [[nodiscard]] nf::NfTask& nf(flow::NfId id) { return *nfs_[id]; }
+  [[nodiscard]] nf::NfTask& nf(flow::NfId id);
   [[nodiscard]] std::size_t nf_count() const { return nfs_.size(); }
   /// Lane 0's block device and mbuf pool.
   [[nodiscard]] io::BlockDevice& disk();

@@ -139,6 +139,38 @@ void Manager::broadcast_remote(ShardMsg& msg) {
   }
 }
 
+void Manager::apply_shard_run(const ShardMsg* msgs, std::size_t n) {
+  for (std::size_t i = 0, end = 0; i < n; i = end) {
+    const ShardMsg& first = msgs[i];
+    const bool packet = first.kind == ShardMsg::Kind::kPacket;
+    end = i + 1;
+    while (packet && end < n && msgs[end].kind == ShardMsg::Kind::kPacket &&
+           msgs[end].nf == first.nf) {
+      ++end;
+    }
+    const std::size_t k = end - i;
+    if (!packet || pool_.available() < k) {
+      for (std::size_t m = i; m < end; ++m) apply_shard_msg(msgs[m]);
+      continue;
+    }
+    // With room for all k, k one-message applies would each get a
+    // descriptor too (an rx_full drop frees its own before the next alloc);
+    // taking them first changes only which pool slot a packet holds.
+    if (rx_burst_.size() < k) rx_burst_.resize(k);
+    pool_.alloc_burst(rx_burst_.data(), static_cast<std::uint32_t>(k));
+    const Cycles now = engine_.now();
+    for (std::size_t m = 0; m < k; ++m) {
+      pktio::Mbuf* pkt = rx_burst_[m];
+      const auto pool_index = pkt->pool_index;
+      *pkt = msgs[i + m].pkt;
+      pkt->pool_index = pool_index;  // descriptor identity stays local
+      pkt->enqueue_time = now;
+    }
+    shard_rx_msgs_ += k;
+    enqueue_to_nf(first.nf, rx_burst_.data(), k);
+  }
+}
+
 void Manager::apply_shard_msg(const ShardMsg& msg) {
   ++shard_rx_msgs_;
   switch (msg.kind) {

@@ -174,9 +174,14 @@ class Manager {
   void register_remote_nf(flow::NfId id, std::string name,
                           std::uint32_t owner_lane);
 
-  /// Deliver a cross-lane message. Called from an engine event the lane
-  /// runtime scheduled at msg.when while draining this lane's mailboxes.
-  void apply_shard_msg(const ShardMsg& msg);
+  /// Deliver a run of `n` cross-lane messages due now, in order. Called
+  /// from the one engine event the lane runtime scheduled for the run while
+  /// draining this lane's mailboxes. Each maximal sub-run of packets bound
+  /// for one NF takes its descriptors in one alloc_burst and enters the
+  /// NF's RX ring in one enqueue_to_nf call, which is equivalent to one
+  /// call per packet; near the pool's cap it is applied one message at a
+  /// time, as every other kind is.
+  void apply_shard_run(const ShardMsg* msgs, std::size_t n);
 
   /// Arm the Wakeup and Monitor threads, hand the controllers the lane's
   /// NFs and, given the per-chain dead-NF policy table `lifecycle` (which
@@ -299,6 +304,11 @@ class Manager {
     bool drain_scheduled = false;
   };
 
+  /// Apply one cross-lane message: every non-packet kind, and a packet
+  /// sub-run the pool cannot take whole (a packet that finds the pool
+  /// empty is a shard-alloc drop).
+  void apply_shard_msg(const ShardMsg& msg);
+
   // -- data plane: every hand-off moves a run of packets --------------------
   /// Entry half of ingress: count `n` arrivals of `key`, probe the flow
   /// table once and give the burst's verdict. nullptr = shed (unmatched or
@@ -379,7 +389,8 @@ class Manager {
   std::uint64_t wire_ingress_ = 0;
   std::uint64_t unmatched_drops_ = 0;  ///< Arrivals no flow rule matched.
   std::uint64_t wakeup_scans_ = 0;
-  /// Descriptors of the admitted source burst being ingested.
+  /// Descriptors of the burst being taken in: an admitted source burst,
+  /// or a cross-lane packet sub-run.
   std::vector<pktio::Mbuf*> rx_burst_;
   std::uint32_t monitor_ticks_ = 0;
   bool started_ = false;

@@ -9,13 +9,15 @@
 //
 // Every message carries its delivery time, stamped send_time +
 // kCrossLaneLatency by the sender. The lane runtime drains mailboxes at
-// epoch barriers and schedules each message as an ordinary engine event at
-// msg.when on the destination lane; because the epoch length never exceeds
-// the latency, msg.when is always at or beyond the next epoch's start and a
-// drain can never schedule into a lane's past. Determinism: mailboxes are
-// drained in fixed source-lane order and each mailbox is a FIFO, so the
-// destination engine's sequence numbers — and with them all same-timestamp
-// tie-breaks — are reproducible at any worker count.
+// epoch barriers and schedules one ordinary engine event at msg.when on the
+// destination lane for each run of consecutively drained messages due at
+// that instant, which hands the run to Manager::apply_shard_run; because
+// the epoch length never exceeds the latency, msg.when is always at or
+// beyond the next epoch's start and a drain can never schedule into a
+// lane's past. Determinism: mailboxes are drained in fixed source-lane
+// order and each mailbox is a FIFO, so the destination engine's sequence
+// numbers — and with them all same-timestamp tie-breaks — are reproducible
+// at any worker count.
 #pragma once
 
 #include <cstdint>

@@ -149,9 +149,9 @@ TEST_P(FlowMapDifferential, LockstepWithUnorderedMap) {
 
 INSTANTIATE_TEST_SUITE_P(LoadFactors, FlowMapDifferential,
                          testing::Values(0.25, 0.5, 0.85),
-                         [](const auto& info) {
+                         [](const auto& load) {
                            return "lf" + std::to_string(static_cast<int>(
-                                             info.param * 100));
+                                             load.param * 100));
                          });
 
 /// Pathological hash: 16 distinct values, so every op lands in a handful of
@@ -452,7 +452,9 @@ TEST(FlowStoreDifferential, AutoGrowPreservesEveryLiveFlow) {
       const std::uint32_t idx = store.peek(key);
       const auto it = ref.find(key);
       ASSERT_EQ(idx != Store::kNoIndex, it != ref.end());
-      if (it != ref.end()) ASSERT_EQ(store.state(idx), it->second);
+      if (it != ref.end()) {
+        ASSERT_EQ(store.state(idx), it->second);
+      }
     }
   }
   ASSERT_EQ(store.size(), ref.size());

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shard_runtime.hpp"
 #include "core/simulation.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/trace.hpp"
@@ -73,6 +74,12 @@ constexpr Pin kPins[] = {
      0x10df3ab0aae78213},
     {"TimeOrderedFaultsShareOneInstant", 1, 0xe2272a2c8730ff86,
      0x071f6d12525be590},
+    // Captured at commit c076496, while every cross-lane message was an
+    // engine event of its own.
+    {"CrossLaneRunsMeetThePoolCap", 0, 0x3a9c0afb7158790e,
+     0x0863e4ed7a31b1e5},
+    {"CrossLaneRunsMeetThePoolCap", 1, 0xbb8199c15632ccca,
+     0x8753767c65066222},
 };
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -427,6 +434,94 @@ TEST(ShardDeterminism, BoostPushAsideAdmissionAndCrash) {
         return finish(sim, rec);
       },
       {1, 2, 4});
+}
+
+/// A merged counter's value in a report_json() document; 0 when absent.
+std::uint64_t report_counter(const std::string& report,
+                             const std::string& name) {
+  const std::size_t at = report.find("\"name\":\"" + name + "\"");
+  if (at == std::string::npos) return 0;
+  const std::string key = "\"value\":";
+  const std::size_t value = report.find(key, at);
+  return std::stoull(report.substr(value + key.size()));
+}
+
+// micro_shard's topology squeezed against a 96-descriptor pool: runs of
+// packets for one NF arrive while the receiving lane's pool cannot take
+// them whole, so the one-message fallback runs and drops at the cap.
+TEST(ShardDeterminism, CrossLaneRunsMeetThePoolCap) {
+  expect_identical(
+      [](std::uint32_t shards) {
+        PlatformConfig cfg;
+        cfg.sim_shards = shards;
+        cfg.rx_capacity = 128;
+        cfg.mempool_capacity = 96;
+        Simulation sim(cfg);
+        std::vector<nfv::flow::NfId> front, back;
+        for (int i = 0; i < 4; ++i) {
+          const auto core = sim.add_core(SchedPolicy::kCfsBatch);
+          front.push_back(sim.add_nf("f" + std::to_string(i), core,
+                                     nfv::nf::CostModel::fixed(900)));
+          back.push_back(sim.add_nf("b" + std::to_string(i), core,
+                                    nfv::nf::CostModel::fixed(1400)));
+        }
+        const auto ring = sim.add_chain("ring", front);
+        sim.add_udp_flow(ring, 4e6);
+        sim.add_udp_flow(sim.add_chain("pair_a", {back[1], back[2]}), 3e6);
+        sim.add_udp_flow(sim.add_chain("pair_b", {back[3], back[0]}), 3e6);
+        sim.add_tcp_flow(ring);
+        nfv::obs::TraceRecorder rec;
+        sim.attach_trace(rec);
+        sim.run_for_seconds(0.01);
+        RunArtifacts out = finish(sim, rec);
+        if (shards > 0) {
+          EXPECT_GT(report_counter(out.report, "mgr.shard_alloc_drops"), 0u);
+        }
+        return out;
+      },
+      {1, 2, 4});
+}
+
+// A run of messages due at one instant is one engine dispatch, and still
+// counts one event per message in the lane runtime's dispatched_events()
+// and the lanes' sim.dispatched_events probes. A run may span mailboxes.
+TEST(ShardRuntime, SameInstantRunIsOneEngineDispatch) {
+  using nfv::mgr::ShardMsg;
+  const nfv::mgr::ManagerConfig mgr_cfg;
+  nfv::flow::ChainRegistry chains;
+  nfv::core::ShardRuntime rt(3, mgr_cfg, {}, 64, chains);
+  for (int i = 0; i < 3; ++i) rt.add_core();
+  ASSERT_EQ(rt.lanes().size(), 3u);
+  constexpr nfv::Cycles kL = nfv::mgr::kCrossLaneLatency;
+  rt.run_until(kL);  // builds the mailboxes; no lane has an event yet
+  ASSERT_EQ(rt.dispatched_events(), 0u);
+
+  const auto post = [&rt](std::uint32_t src, nfv::flow::FlowId flow,
+                          nfv::Cycles when) {
+    ShardMsg msg;
+    msg.kind = ShardMsg::Kind::kEcnMark;
+    msg.when = when;
+    msg.pkt.flow_id = flow;
+    rt.post(src, 0, msg);
+  };
+  // Drained in source order: five messages due at 2L (three from lane 1,
+  // two from lane 2), then one due at 2L + 1.
+  for (const nfv::flow::FlowId flow : {0u, 1u, 0u}) post(1, flow, 2 * kL);
+  for (const nfv::flow::FlowId flow : {1u, 0u}) post(2, flow, 2 * kL);
+  post(2, 2, 2 * kL + 1);
+  rt.run_until(4 * kL);
+
+  nfv::core::Lane& lane = rt.lane(0);
+  EXPECT_EQ(lane.engine.dispatched_events(), 2u);
+  EXPECT_EQ(lane.dispatched_events(), 6u);
+  EXPECT_EQ(rt.dispatched_events(), 6u);
+  EXPECT_EQ(
+      lane.obs.metrics().sample("sim.dispatched_events").value_or(0), 6.0);
+  EXPECT_EQ(lane.manager->flow_counters(0).ecn_marked, 3u);
+  EXPECT_EQ(lane.manager->flow_counters(1).ecn_marked, 2u);
+  EXPECT_EQ(lane.manager->flow_counters(2).ecn_marked, 1u);
+  // Both runs' slots are free again, for the next drain to reuse.
+  EXPECT_EQ(lane.free_slots.size(), lane.pending.size());
 }
 
 // Requesting more workers than there are lanes clamps silently; the

@@ -138,6 +138,84 @@ TEST(Simulation, UnknownIdsAreRefused) {
   }
 }
 
+// Read accessors check their ids as the set-up calls do: an unknown NF or
+// chain throws instead of indexing past the NFs or reading zeros.
+TEST(Simulation, UnknownReadIdsAreRefused) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards);
+    PlatformConfig cfg;
+    cfg.sim_shards = shards;
+    Simulation sim(cfg);
+    const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+    sim.add_core(SchedPolicy::kCfsBatch);
+    const auto a = sim.add_nf("a", c0, nf::CostModel::fixed(200));
+    const auto chain = sim.add_chain("c", {a});
+    sim.add_udp_flow(chain, 1e6);
+    sim.run_for_seconds(0.002);
+    const flow::NfId unknown_nf = 3;
+    const flow::ChainId unknown_chain = 3;
+    EXPECT_THROW(static_cast<void>(sim.nf(unknown_nf)), std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.nf_metrics(unknown_nf)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.nf_cpu_share(unknown_nf)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.nf_lifecycle(unknown_nf)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.nf_lifecycle_stats(unknown_nf)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.chain_metrics(unknown_chain)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.chain_slo_report(unknown_chain)),
+                 std::out_of_range);
+    EXPECT_THROW(
+        static_cast<void>(sim.chain_latency_quantile(unknown_chain, 0.99)),
+        std::out_of_range);
+    EXPECT_THROW(static_cast<void>(sim.chain_admission_report(unknown_chain)),
+                 std::out_of_range);
+    // Known ids still read.
+    EXPECT_EQ(sim.nf(a).name(), "a");
+    EXPECT_GT(sim.nf_metrics(a).processed, 0u);
+    EXPECT_GT(sim.chain_metrics(chain).egress_packets, 0u);
+  }
+}
+
+// Set-up the first run freezes is refused after it, and a simulation takes
+// one fault plan: each refused call throws before it changes anything, so
+// the first plan is the one that acts and a late one is never half-armed.
+TEST(Simulation, LateOrRepeatedSetUpIsRefused) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards);
+    PlatformConfig cfg;
+    cfg.sim_shards = shards;
+    Simulation sim(cfg);
+    const auto c0 = sim.add_core(SchedPolicy::kCfsBatch);
+    const auto c1 = sim.add_core(SchedPolicy::kCfsBatch);
+    const auto a = sim.add_nf("a", c0, nf::CostModel::fixed(200));
+    const auto b = sim.add_nf("b", c1, nf::CostModel::fixed(300));
+    const auto chain = sim.add_chain("ab", {a, b});
+    fault::FaultPlan first;
+    first.add_crash(a, sim.clock().from_millis(2));
+    sim.set_fault_plan(std::move(first));
+    fault::FaultPlan second;
+    second.add_crash(b, sim.clock().from_millis(2));
+    EXPECT_THROW(sim.set_fault_plan(std::move(second)), std::logic_error);
+    sim.add_udp_flow(chain, 1e6);
+    sim.run_for_seconds(0.001);
+
+    EXPECT_THROW(sim.add_chain("late", {b}), std::logic_error);
+    EXPECT_EQ(sim.chains().size(), 1u);
+    EXPECT_THROW(sim.set_chain_class(chain, 2.0, 0.5), std::logic_error);
+    EXPECT_FALSE(sim.chain_admission_report(chain).classed);
+    fault::FaultPlan late;
+    late.add_crash(b, sim.clock().from_millis(3));
+    EXPECT_THROW(sim.set_fault_plan(std::move(late)), std::logic_error);
+
+    sim.run_for_seconds(0.004);
+    EXPECT_EQ(sim.nf_lifecycle_stats(a).crashes, 1u);
+    EXPECT_EQ(sim.nf_lifecycle_stats(b).crashes, 0u);
+  }
+}
+
 TEST(Simulation, DeterministicAcrossRuns) {
   auto run_once = [] {
     Simulation sim;

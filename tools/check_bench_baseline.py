@@ -31,7 +31,11 @@ higher-is-better:
                                  Also deterministic simulation output.
   shard_events_per_sec           micro_shard: event throughput of the
                                  sharded engine at sim_shards=4 on a
-                                 4-lane cross-chain topology
+                                 4-lane cross-chain topology, in report
+                                 events (dispatched_events: each
+                                 delivered cross-lane message counts as
+                                 one, though a run of them due at one
+                                 instant is one engine dispatch)
   shard_speedup_4w               micro_shard: wall-clock speedup of
                                  sim_shards=4 over sim_shards=1. Gated
                                  against an absolute 3.0x floor, but only
